@@ -173,30 +173,6 @@ func BenchmarkMachineRun(b *testing.B) {
 	b.ReportMetric(float64(dyn), "instrs/run")
 }
 
-// BenchmarkMachineRunFused is BenchmarkMachineRun with the specialization
-// tier disabled (NoSpec): the generic batch tier with superinstruction
-// fusion only. The gap between this and MachineRun is what hot-region
-// specialization buys; the gap to the PR 5 record is what pair fusion
-// buys. Gated for 0 allocs/op like MachineRun.
-func BenchmarkMachineRunFused(b *testing.B) {
-	w := workloads.Load("m88ksim", workloads.Tiny)
-	m := emu.New(w.Prog)
-	m.NoSpec = true
-	if _, err := m.Run(w.Train...); err != nil {
-		b.Fatal(err)
-	}
-	dyn := m.Stats.DynInstrs
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		if _, err := m.Run(w.Train...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(dyn), "instrs/run")
-}
-
 // BenchmarkMachineRunCCR is BenchmarkMachineRun on the transformed program
 // with a warm default-geometry CRB attached: the steady-state cost of the
 // reuse-enabled hot loop (lookup fast path included, recording mostly

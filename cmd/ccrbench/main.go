@@ -303,13 +303,10 @@ func doCheck(path string, run map[string][]sample, gatePct, minSpeedup float64) 
 
 	// The batch tier must stay allocation-free with the trace-memoization
 	// buffer attached (DTM lookup, recording and invalidation all work out
-	// of preallocated entry storage), and likewise with the specialization
-	// tier disabled (generic fused batch execution).
-	for _, name := range []string{"MachineRunDTM", "MachineRunFused"} {
-		if g, ok := got[name]; ok && g.AllocsPerOp != 0 {
-			fmt.Printf("%s allocs/op: %v, want 0 FAIL\n", name, g.AllocsPerOp)
-			failed = true
-		}
+	// of preallocated entry storage).
+	if g, ok := got["MachineRunDTM"]; ok && g.AllocsPerOp != 0 {
+		fmt.Printf("MachineRunDTM allocs/op: %v, want 0 FAIL\n", g.AllocsPerOp)
+		failed = true
 	}
 
 	if failed {

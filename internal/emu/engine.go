@@ -21,7 +21,11 @@ package emu
 //     flushOpCounts reconstructs the exact Stats.ByOp/Branches histogram
 //     at every exit. Register files are indexed through a *[RegFileCap]
 //     array view with uint8 register numbers, so the ALU cases compile to
-//     bounds-check-free loads and stores.
+//     bounds-check-free loads and stores. Eligible adjacent pairs in XCode
+//     are rewritten in place into fused superinstructions (ir.fuseXCode,
+//     DESIGN.md §15) that the loop executes in one dispatch; fusion never
+//     pairs across a run-entry PC, so PCs, budget charging and the per-run
+//     histograms stay in architectural instructions.
 //   - The *careful* tier is the original instruction-at-a-time loop with
 //     full per-instruction accounting; it is authoritative for tracing,
 //     memoization recording, the limit endgame (where a whole run no
@@ -126,33 +130,6 @@ func (m *Machine) batchFault(df *ir.DecodedFunc, pc int, rem *int64, limit int64
 	return 0, &Fault{df.Fn.Name, mt.Block, int(mt.Index), msg}
 }
 
-// specFault finalizes a Ld/St bounds fault raised inside a specialized
-// region at flat PC pc. The spec has already charged the faulting run and
-// written every register up to the fault back into the frame, so the
-// interpreter's exact message is reconstructed from architectural state
-// (the faulting op never executes, so its address operands are live) and
-// the run tail is refunded through batchFault as usual.
-func (m *Machine) specFault(df *ir.DecodedFunc, pc int, rem *int64, limit int64) (int64, error) {
-	fr := &m.fframes[len(m.fframes)-1]
-	in := &df.Code[pc]
-	a := in.Imm
-	if in.Src1 != ir.NoReg {
-		a += fr.regs[in.Src1]
-	}
-	word := "load"
-	if in.Op == ir.St {
-		word = "store"
-	}
-	var msg string
-	if uint64(a) >= uint64(len(m.Mem)) {
-		msg = fmt.Sprintf("%s address %d out of range", word, a)
-	} else {
-		o := m.Prog.Objects[in.Aux]
-		msg = fmt.Sprintf("%s address %d outside hinted object %s [%d,%d)", word, a, o.Name, o.Base, o.Base+o.Size)
-	}
-	return m.batchFault(df, pc, rem, limit, msg)
-}
-
 // runFast executes main over the predecoded program form.
 func (m *Machine) runFast(args []int64) (int64, error) {
 	dec := m.dec
@@ -167,9 +144,6 @@ func (m *Machine) runFast(args []int64) (int64, error) {
 	trace := m.Trace
 	dtm := m.DTM
 	mem := m.Mem
-	if m.specs == nil {
-		m.bindSpecs()
-	}
 	if dtm != nil {
 		m.ensureDTMElig()
 	}
@@ -186,9 +160,11 @@ outer:
 	for {
 		// ---- trace-memoization landing hook ----------------------------
 		// Every arrival here is a landing (branch, jump, call, return or
-		// reuse transfer; with DTM attached the batch tier exits at every
-		// control transfer). The armed-memo gate matches the interpreter:
-		// the careful recording path owns execution inside a region body.
+		// reuse transfer). With DTM attached the batch tier returns here at
+		// every control transfer, except to a statically ineligible head
+		// while nothing is armed (the headEligible skip, where the hook is a
+		// proven no-op). The armed-memo gate matches the interpreter: the
+		// careful recording path owns execution inside a region body.
 		if dtm != nil && !m.memo.active {
 			m.Stats.DynInstrs = limit - rem
 			npc, err := m.dtmEnter(df, pc, fr.regs, limit)
@@ -210,7 +186,6 @@ outer:
 			runEnd := df.RunEnd
 			cnt := m.entryCnt[df.Fn.ID]
 			rp := (*[ir.RegFileCap]int64)(fr.regs[:ir.RegFileCap])
-			sfn := m.specs[df.Fn.ID]
 			var elig []bool
 			if m.dtmElig != nil {
 				elig = m.dtmElig[df.Fn.ID]
@@ -222,29 +197,6 @@ outer:
 					// The run no longer fits: the careful tier owns the
 					// limit endgame.
 					break charge
-				}
-				// ---- specialization tier -------------------------------
-				// A natively-compiled region body (internal/spec) takes
-				// over at its bound entries. Specs charge the budget run
-				// by run under the same rem>=k precondition, so the
-				// careful tier still finds the exact ErrLimit point. They
-				// never observe DTM landings, so the tier stands down
-				// entirely while a trace buffer is attached; a region
-				// containing stores stands down while function-level memo
-				// markers are pending (the store must drop them).
-				if sfn != nil && dtm == nil {
-					if s := &sfn[pc]; s.fn != nil && (!s.hasStore || len(m.funcMemos) == 0) {
-						npc32, srem, tkn, flt := s.fn(rp, mem, cnt, rem, int32(pc))
-						if flt != -2 {
-							rem = srem
-							m.Stats.TakenBranches += tkn
-							if flt >= 0 {
-								return m.specFault(df, int(flt), &rem, limit)
-							}
-							pc = int(npc32)
-							continue charge
-						}
-					}
 				}
 				rem -= k
 				cnt[pc]++

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"ccr/internal/ir"
@@ -87,28 +88,40 @@ func TestEngineMatchesInterp(t *testing.T) {
 // must agree on (result, error, DynInstrs). This walks the batch loop's
 // budget endgame — the handoff to the careful tier when a straight-line
 // run no longer fits — across every possible cut position, including cuts
-// at calls, returns, and branch boundaries.
+// at calls, returns, branch boundaries, and inside fused superinstructions
+// (the sum loop's body fuses Add+Ld).
 func TestEngineLimitParity(t *testing.T) {
-	p := buildCallLoop(t)
-	// Full run length first.
-	ref := interpOf(p)
-	if _, err := ref.Run(6); err != nil {
-		t.Fatal(err)
-	}
-	full := ref.Stats.DynInstrs
-	for limit := int64(1); limit <= full+1; limit++ {
-		fast, ref, fres, rres, ferr, rerr := runBoth(t, p, limit, 6)
-		if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
-			t.Fatalf("limit %d: errs engine %v, interp %v", limit, ferr, rerr)
-		}
-		if fres != rres {
-			t.Fatalf("limit %d: result engine %d, interp %d", limit, fres, rres)
-		}
-		if fast.Stats.DynInstrs != ref.Stats.DynInstrs {
-			t.Fatalf("limit %d: DynInstrs engine %d, interp %d",
-				limit, fast.Stats.DynInstrs, ref.Stats.DynInstrs)
-		}
-		compareStats(t, fast, ref)
+	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	for _, tc := range []struct {
+		name string
+		p    *ir.Program
+		arg  int64
+	}{
+		{"callloop", buildCallLoop(t), 6},
+		{"sumloop", buildSumLoop(t, vals), int64(len(vals))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Full run length first.
+			ref := interpOf(tc.p)
+			if _, err := ref.Run(tc.arg); err != nil {
+				t.Fatal(err)
+			}
+			full := ref.Stats.DynInstrs
+			for limit := int64(1); limit <= full+1; limit++ {
+				fast, ref, fres, rres, ferr, rerr := runBoth(t, tc.p, limit, tc.arg)
+				if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
+					t.Fatalf("limit %d: errs engine %v, interp %v", limit, ferr, rerr)
+				}
+				if fres != rres {
+					t.Fatalf("limit %d: result engine %d, interp %d", limit, fres, rres)
+				}
+				if fast.Stats.DynInstrs != ref.Stats.DynInstrs {
+					t.Fatalf("limit %d: DynInstrs engine %d, interp %d",
+						limit, fast.Stats.DynInstrs, ref.Stats.DynInstrs)
+				}
+				compareStats(t, fast, ref)
+			}
+		})
 	}
 }
 
@@ -203,4 +216,100 @@ func TestEngineLoadFaultParity(t *testing.T) {
 	if fast.Stats.DynInstrs != 2 {
 		t.Fatalf("DynInstrs = %d, want 2 (movi + faulting load)", fast.Stats.DynInstrs)
 	}
+
+	// The sum loop walked past the end of A into B: the load sits in the
+	// fused Add+Ld superinstruction and faults on A's hinted bounds while
+	// still inside memory, mid-run.
+	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	p = buildSumLoopPadded(t, vals, 4)
+	fast, ref, _, _, ferr, rerr = runBoth(t, p, 0, int64(len(vals))+3)
+	const want = "load address 8 outside hinted object A [0,8)"
+	if ferr == nil || rerr == nil || ferr.Error() != rerr.Error() {
+		t.Fatalf("fault parity: engine %v, interp %v", ferr, rerr)
+	}
+	if !strings.Contains(ferr.Error(), want) {
+		t.Fatalf("fault = %v, want %q", ferr, want)
+	}
+	compareStats(t, fast, ref)
+}
+
+// sumLoopFused returns the sum loop's decoded main after checking that its
+// hot region (the loop body) is specialized: the batch form holds the
+// fused Add+Ld superinstruction the tests below drive.
+func sumLoopFused(t *testing.T, p *ir.Program) *ir.DecodedFunc {
+	t.Helper()
+	for _, df := range p.Decoded().Funcs {
+		if df.Fn.Name != "main" {
+			continue
+		}
+		if df.XCode == nil {
+			t.Fatal("sum loop main has no batch form")
+		}
+		for pc := range df.XCode {
+			if df.XCode[pc].XOp == ir.XFAddLd {
+				return df
+			}
+		}
+		t.Fatal("sum loop body holds no fused Add+Ld")
+	}
+	t.Fatal("sum loop main not decoded")
+	return nil
+}
+
+// TestSpecTierDifferential pins result and statistics identity across the
+// three execution configurations of the sum loop's hot region: the batch
+// tier running the fused superinstructions, the careful tier (a tracer
+// attached keeps execution instruction-at-a-time and unfused), and the
+// reference interpreter.
+func TestSpecTierDifferential(t *testing.T) {
+	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	p := buildSumLoop(t, vals)
+	sumLoopFused(t, p)
+
+	mb := New(p)
+	mc := New(p)
+	var events int64
+	mc.Trace = func(*Event) { events++ }
+	ref := interpOf(p)
+
+	bres, berr := mb.Run(int64(len(vals)))
+	cres, cerr := mc.Run(int64(len(vals)))
+	rres, rerr := ref.Run(int64(len(vals)))
+	if berr != nil || cerr != nil || rerr != nil {
+		t.Fatalf("errs: batch %v, careful %v, interp %v", berr, cerr, rerr)
+	}
+	if bres != rres || cres != rres {
+		t.Fatalf("results: batch %d, careful %d, interp %d", bres, cres, rres)
+	}
+	compareStats(t, mb, ref)
+	compareStats(t, mc, ref)
+	if events != ref.Stats.DynInstrs {
+		t.Fatalf("careful tier traced %d events, want %d", events, ref.Stats.DynInstrs)
+	}
+}
+
+// TestSpecTierFaultParity drives the sum loop's hot region into a load
+// fault: with A the only object, the loop walks off the end of memory, so
+// the load inside the fused Add+Ld superinstruction takes the
+// out-of-memory exit (TestEngineLoadFaultParity covers the hinted-object
+// exit). The engine must reconstruct the interpreter's exact error and
+// partial statistics from the fused fault exit.
+func TestSpecTierFaultParity(t *testing.T) {
+	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
+	p := buildSumLoop(t, vals)
+	sumLoopFused(t, p)
+
+	n := int64(len(vals)) + 3 // walks off the end of A
+	fast, ref, _, _, ferr, rerr := runBoth(t, p, 0, n)
+	if ferr == nil || rerr == nil {
+		t.Fatalf("expected faults, got engine %v, interp %v", ferr, rerr)
+	}
+	if ferr.Error() != rerr.Error() {
+		t.Fatalf("fault text:\nengine: %v\ninterp: %v", ferr, rerr)
+	}
+	const want = "load address 8 out of range"
+	if !strings.Contains(ferr.Error(), want) {
+		t.Fatalf("fault = %v, want %q", ferr, want)
+	}
+	compareStats(t, fast, ref)
 }

@@ -225,10 +225,6 @@ type Machine struct {
 	// the predecoded engine (differential testing; see the package
 	// comment). Defaults to false unless CCR_ENGINE=interp is set.
 	Interp bool
-	// NoSpec disables the hot-region specialization tier for this machine
-	// (the batch tier, fused superinstructions included, still runs). Set
-	// before the first Run; CCR_SPEC=off disables it for every machine.
-	NoSpec bool
 
 	Stats Stats
 
@@ -271,10 +267,6 @@ type Machine struct {
 	// ev is the event value reused across every emitted instruction, so
 	// attaching a tracer never forces a per-run heap allocation.
 	ev Event
-	// specs[f][pc] is the specialization bound at run-entry pc of
-	// function f (nil inner slice: none); nil until the lazy bind on the
-	// first fast run (see spec.go).
-	specs [][]specSlot
 	// dtmArmed mirrors whether the attached DTM has a recording pending:
 	// the batch tier may skip a landing hook only when nothing is armed
 	// and the landing head is statically ineligible (both Lookup and

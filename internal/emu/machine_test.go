@@ -9,8 +9,19 @@ import (
 // buildSumLoop builds: main(n) { s=0; for i=0..n-1 { s += A[i] }; return s }
 func buildSumLoop(t testing.TB, vals []int64) *ir.Program {
 	t.Helper()
+	return buildSumLoopPadded(t, vals, 0)
+}
+
+// buildSumLoopPadded is buildSumLoop with a pad-word object B laid out
+// after A (none when pad is 0), so a loop that walks past the end of A
+// stays inside memory and faults on A's hinted bounds instead.
+func buildSumLoopPadded(t testing.TB, vals []int64, pad int64) *ir.Program {
+	t.Helper()
 	pb := ir.NewProgramBuilder("sumloop")
 	arr := pb.ReadOnlyObject("A", vals)
+	if pad > 0 {
+		pb.Object("B", pad, nil)
+	}
 	f := pb.Func("main", 1)
 	n := f.Param(0)
 	entry := f.NewBlock()

@@ -215,14 +215,8 @@ type DecodedFunc struct {
 	// EntryPC[pc] marks the flat PCs where a run can be entered: the
 	// function entry, every control transfer's successor, and every
 	// resolved branch/reuse target. Superinstruction fusion never pairs
-	// across an entry (see superinstr.go), and region ranking treats
-	// entries as the run heads.
+	// across an entry (see superinstr.go).
 	EntryPC []bool
-
-	// RunKeys[pc] is a content digest (FNV-1a) of the unfused batch form
-	// of the run [pc, RunEnd[pc]]; hot-region specializations bind to a
-	// function by matching these digests. Nil when XCode is nil.
-	RunKeys []uint64
 
 	// RunOps[pc] and RunBr[pc] are the precomputed per-run statistics
 	// deltas of the run [pc, RunEnd[pc]]: the opcode-count list and the
@@ -360,9 +354,6 @@ func decodeFunc(p *Program, f *Func) *DecodedFunc {
 	df.RunOps, df.RunBr = runDeltas(df)
 	df.XCode = batchDecode(df)
 	if df.XCode != nil {
-		// Digest the architectural (unfused) batch form, then fuse pairs
-		// in place; keys must not depend on which pairs were picked.
-		df.RunKeys = runKeys(df, df.XCode)
 		fuseXCode(df.XCode, df.EntryPC)
 	}
 	return df

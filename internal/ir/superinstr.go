@@ -1,17 +1,12 @@
 package ir
 
-// This file implements the decode-time machinery behind the third
-// execution tier (see emu's engine notes and DESIGN.md §15):
+// This file implements the decode-time machinery behind the batch tier's
+// superinstruction fusion (see emu's engine notes and DESIGN.md §15):
 //
 //   - EntryPC marks every flat PC where a straight-line run can legally be
 //     entered. Superinstruction fusion must never pair across such a PC,
 //     because a walk beginning there has to decode the same instruction
 //     stream as a walk that fell into it from above.
-//   - RunKeys gives each run a content digest over the *unfused* batch
-//     form. Hot-region specializations (internal/spec) bind to a function
-//     by digest, never by name, so any relink that moves an object, edits
-//     an instruction, or changes a branch target silently unbinds every
-//     stale specialization.
 //   - RunOps/RunBr precompute each run's opcode-count and branch-count
 //     deltas, generalizing the flushOpCounts forward-carry reconstruction
 //     to one table lookup per run entry.
@@ -133,43 +128,6 @@ func runDeltas(df *DecodedFunc) ([][]OpCount, []int32) {
 		ops[i] = list
 	}
 	return ops, br
-}
-
-// fnvPrime/fnvOffset are the FNV-1a 64-bit parameters.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvInt(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime
-		v >>= 8
-	}
-	return h
-}
-
-// runKeys digests every run of the unfused batch form: the head PC plus
-// each member XInstr's full field contents. Folded Lea bases, Ld/St
-// bounds and resolved flat targets are all inside the digest, so a key
-// pins the run's complete semantics, independent of the function's text
-// base. Keys are computed before fusion so they describe architectural
-// content, not a particular pairing.
-func runKeys(df *DecodedFunc, xcode []XInstr) []uint64 {
-	keys := make([]uint64, len(df.Code))
-	for pc := range df.Code {
-		h := fnvInt(fnvOffset, uint64(pc))
-		for j := pc; j <= int(df.RunEnd[pc]); j++ {
-			x := &xcode[j]
-			h = fnvInt(h, uint64(x.XOp)|uint64(x.Dest)<<8|uint64(x.Src1)<<16|uint64(x.Src2)<<24)
-			h = fnvInt(h, uint64(uint32(x.Target)))
-			h = fnvInt(h, uint64(x.Imm))
-			h = fnvInt(h, uint64(x.ObjLo))
-			h = fnvInt(h, uint64(x.ObjHi))
-		}
-		keys[pc] = h
-	}
-	return keys
 }
 
 // fuseXCode rewrites adjacent instruction pairs into fused

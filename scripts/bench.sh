@@ -25,7 +25,7 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-check}"
 COUNT="${COUNT:-6}"
-BENCH="${BENCH:-MachineRun$|MachineRunFused$|MachineRunCCR$|MachineRunDTM$|Emulator$|CRBLookup$|DTMLookup$|TelemetrySink$}"
+BENCH="${BENCH:-MachineRun$|MachineRunCCR$|MachineRunDTM$|Emulator$|CRBLookup$|DTMLookup$|TelemetrySink$}"
 GATE="${GATE:-25}"
 MINSPEEDUP="${MINSPEEDUP:-1.5}"
 
