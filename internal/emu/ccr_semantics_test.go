@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"reflect"
 	"testing"
 
 	"ccr/internal/crb"
@@ -207,8 +208,11 @@ func TestSideExitAbortsMemoization(t *testing.T) {
 	}
 }
 
-// TestInvalidateDropsMemoryInstances pins the Inval semantics end to end.
-func TestInvalidateDropsMemoryInstances(t *testing.T) {
+// buildInvalRegion hand-assembles a memory-dependent region over tab[k&3]
+// whose table is stored to, followed by a compiler-placed Inval, every
+// 16th iteration of main(n).
+func buildInvalRegion(t *testing.T) *ir.Program {
+	t.Helper()
 	pb := ir.NewProgramBuilder("inval")
 	tab := pb.Object("tab", 4, []int64{10, 20, 30, 40})
 	f := pb.Func("main", 1)
@@ -254,8 +258,12 @@ func TestInvalidateDropsMemoryInstances(t *testing.T) {
 		MemObjects: []ir.MemID{tab}, StaticSize: 3,
 	}}
 	p.Link()
-	ir.MustVerify(p)
+	return ir.MustVerify(p)
+}
 
+// TestInvalidateDropsMemoryInstances pins the Inval semantics end to end.
+func TestInvalidateDropsMemoryInstances(t *testing.T) {
+	p := buildInvalRegion(t)
 	run := func(cfg *crb.Config) (int64, Stats) {
 		m := New(p)
 		if cfg != nil {
@@ -283,5 +291,61 @@ func TestInvalidateDropsMemoryInstances(t *testing.T) {
 	}
 	if st.ReuseHits == 0 {
 		t.Fatal("expected hits between invalidations")
+	}
+}
+
+// TestEventFieldsOverwritten checks that both engines assign every Event
+// field on every emission: a tracer that scrambles each event after
+// copying it must see the same event stream as one that only copies.
+// Reuse hits and misses and Inval fan-outs all occur in the program.
+func TestEventFieldsOverwritten(t *testing.T) {
+	p := buildInvalRegion(t)
+	record := func(interp, scramble bool) []Event {
+		m := New(p)
+		m.Interp = interp
+		m.CRB = crb.New(crb.Config{Entries: 8, Instances: 4}, p)
+		var evs []Event
+		m.Trace = func(ev *Event) {
+			evs = append(evs, *ev)
+			if scramble {
+				*ev = Event{
+					Func: p.Funcs[0], Block: 99, Index: 99, Instr: &ir.Instr{},
+					PC: 99, Regs: []int64{99}, Val1: 99, Val2: 99, Result: 99,
+					Addr: 99, Taken: true, TargetPC: 99, ReuseHit: true,
+					ReuseIn: 99, ReuseOut: 99, ReusedInstrs: 99, InvalCount: 99,
+				}
+			}
+		}
+		if _, err := m.Run(128); err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	for _, interp := range []bool{false, true} {
+		want, got := record(interp, false), record(interp, true)
+		if len(got) != len(want) {
+			t.Fatalf("interp=%v: %d events scrambled vs %d", interp, len(got), len(want))
+		}
+		var hits, invals int
+		for i := range want {
+			w, g := want[i], got[i]
+			// Regs views the live register file: compare its length.
+			if len(g.Regs) != len(w.Regs) {
+				t.Fatalf("interp=%v: event %d has %d regs, want %d", interp, i, len(g.Regs), len(w.Regs))
+			}
+			w.Regs, g.Regs = nil, nil
+			if !reflect.DeepEqual(w, g) {
+				t.Fatalf("interp=%v: event %d = %+v, want %+v", interp, i, g, w)
+			}
+			if w.ReuseHit {
+				hits++
+			}
+			if w.InvalCount > 0 {
+				invals++
+			}
+		}
+		if hits == 0 || invals == 0 {
+			t.Fatalf("interp=%v: %d hits, %d invals: program no longer exercises both", interp, hits, invals)
+		}
 	}
 }

@@ -100,14 +100,16 @@ func (m *Machine) popFFrame() {
 // executing frame's otherwise).
 func (m *Machine) emitFlat(trace Tracer, df *ir.DecodedFunc, pc int, in *ir.PInstr, mt *ir.PMeta,
 	v1, v2, addr, result int64, taken bool, tpc int64, regs []int64) {
+	// Every field is assigned in place: a composite-literal assignment
+	// builds a temporary and block-copies it, per traced instruction.
 	ev := &m.ev
-	*ev = Event{
-		Func: df.Fn, Block: mt.Block, Index: int(mt.Index), Instr: mt.Src,
-		PC:   df.Addr(int32(pc)),
-		Regs: regs,
-		Val1: v1, Val2: v2, Addr: addr, Result: result,
-		Taken: taken, TargetPC: tpc,
-	}
+	ev.Func, ev.Block, ev.Index, ev.Instr = df.Fn, mt.Block, int(mt.Index), mt.Src
+	ev.PC = df.Addr(int32(pc))
+	ev.Regs = regs
+	ev.Val1, ev.Val2, ev.Addr, ev.Result = v1, v2, addr, result
+	ev.Taken, ev.TargetPC = taken, tpc
+	ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = false, 0, 0, 0
+	ev.InvalCount = 0
 	if in.Op == ir.Inval {
 		ev.InvalCount = m.lastInval
 	}
@@ -949,13 +951,13 @@ outer:
 					}
 					mt := &meta[pc]
 					ev := &m.ev
-					*ev = Event{
-						Func: df.Fn, Block: mt.Block, Index: int(mt.Index), Instr: mt.Src,
-						PC:   df.Addr(int32(pc)),
-						Regs: regs,
-						Taken: hit, TargetPC: tpc,
-						ReuseHit: hit, ReuseIn: rin, ReuseOut: rout, ReusedInstrs: reused,
-					}
+					ev.Func, ev.Block, ev.Index, ev.Instr = df.Fn, mt.Block, int(mt.Index), mt.Src
+					ev.PC = df.Addr(int32(pc))
+					ev.Regs = regs
+					ev.Val1, ev.Val2, ev.Addr, ev.Result = 0, 0, 0, 0
+					ev.Taken, ev.TargetPC = hit, tpc
+					ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = hit, rin, rout, reused
+					ev.InvalCount = 0
 					trace(ev)
 				}
 				pc = nextPC

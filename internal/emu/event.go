@@ -4,6 +4,8 @@ import "ccr/internal/ir"
 
 // Event describes one dynamic instruction as it executes. A single Event
 // value is reused across the run; consumers must copy anything they keep.
+// Every emit site assigns each field in place, so a field added here must
+// be assigned at all of them (TestEventFieldsOverwritten).
 type Event struct {
 	Func  *ir.Func
 	Block ir.BlockID

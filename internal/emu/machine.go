@@ -866,12 +866,13 @@ func (m *Machine) runInterp(mainFn *ir.Func, args []int64) (int64, error) {
 					tpc = m.pcAfter(fr.f, fr.b, fr.idx)
 				}
 				pc := m.pcOf(fr.f, fr.b, fr.idx)
-				*ev = Event{
-					Func: fr.f, Block: fr.b, Index: fr.idx, Instr: in, PC: pc,
-					Regs:  fr.regs,
-					Taken: hit, TargetPC: tpc,
-					ReuseHit: hit, ReuseIn: rin, ReuseOut: rout, ReusedInstrs: reused,
-				}
+				ev.Func, ev.Block, ev.Index, ev.Instr = fr.f, fr.b, fr.idx, in
+				ev.PC = pc
+				ev.Regs = fr.regs
+				ev.Val1, ev.Val2, ev.Addr, ev.Result = 0, 0, 0, 0
+				ev.Taken, ev.TargetPC = hit, tpc
+				ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = hit, rin, rout, reused
+				ev.InvalCount = 0
 				trace(ev)
 			}
 			fr.b, fr.idx = nextB, nextI
@@ -943,13 +944,14 @@ func (m *Machine) pcAfter(f *ir.Func, b ir.BlockID, idx int) int64 {
 
 func (m *Machine) emit(trace Tracer, ev *Event, f *ir.Func, b ir.BlockID, idx int,
 	in *ir.Instr, v1, v2, addr, result int64, taken bool, tpc int64) {
-	*ev = Event{
-		Func: f, Block: b, Index: idx, Instr: in,
-		PC:   m.pcOf(f, b, idx),
-		Regs: m.frames[len(m.frames)-1].regs,
-		Val1: v1, Val2: v2, Addr: addr, Result: result,
-		Taken: taken, TargetPC: tpc,
-	}
+	// Assigned field by field, like emitFlat's event.
+	ev.Func, ev.Block, ev.Index, ev.Instr = f, b, idx, in
+	ev.PC = m.pcOf(f, b, idx)
+	ev.Regs = m.frames[len(m.frames)-1].regs
+	ev.Val1, ev.Val2, ev.Addr, ev.Result = v1, v2, addr, result
+	ev.Taken, ev.TargetPC = taken, tpc
+	ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = false, 0, 0, 0
+	ev.InvalCount = 0
 	if in.Op == ir.Inval {
 		ev.InvalCount = m.lastInval
 	}

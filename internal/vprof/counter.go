@@ -1,5 +1,7 @@
 package vprof
 
+import "slices"
+
 // valueKey is the profiled input tuple of one instruction execution.
 type valueKey struct {
 	a, b int64
@@ -11,15 +13,20 @@ type valueKey struct {
 // when a new tuple arrives at capacity. TopK weights are therefore upper
 // bounds, which matches the paper's use of profiled invariance as an
 // optimistic reuse estimate.
+//
+// Both tables are fixed arrays scanned linearly; at these sizes a scan
+// beats hashing, and slot order makes eviction deterministic: the victim
+// is the minimum count, ties broken by the lowest slot.
 type ValueCounter struct {
-	counts map[valueKey]int64
-	cap    int
-	// distinct saturates at distinctCap and estimates the variety of the
-	// instruction's input stream (the "limited set of values" check).
-	distinct    int
-	seenOnce    map[valueKey]struct{}
-	total       int64
-	distinctCap int
+	keys   [counterCapacity]valueKey
+	counts [counterCapacity]int64
+	n      int // slots in use
+	total  int64
+	// distinct saturates at distinctSaturation and estimates the variety
+	// of the instruction's input stream (the "limited set of values"
+	// check); seen holds the first distinct tuples in arrival order.
+	distinct int
+	seen     [distinctSaturation]valueKey
 }
 
 // counterCapacity is the table size; comfortably above the paper's
@@ -29,41 +36,38 @@ const counterCapacity = 16
 // distinctSaturation bounds the distinct-value estimator's memory.
 const distinctSaturation = 64
 
-func newValueCounter() *ValueCounter {
-	return &ValueCounter{
-		counts:      make(map[valueKey]int64, counterCapacity),
-		cap:         counterCapacity,
-		seenOnce:    make(map[valueKey]struct{}, distinctSaturation),
-		distinctCap: distinctSaturation,
-	}
-}
-
 // Observe records one execution with input tuple (a, b).
 func (c *ValueCounter) Observe(a, b int64) {
 	k := valueKey{a, b}
 	c.total++
-	if _, ok := c.seenOnce[k]; !ok && c.distinct < c.distinctCap {
-		c.seenOnce[k] = struct{}{}
-		c.distinct++
-	}
-	if _, ok := c.counts[k]; ok {
-		c.counts[k]++
-		return
-	}
-	if len(c.counts) < c.cap {
-		c.counts[k] = 1
-		return
-	}
-	// Space-saving replacement: evict the minimum and inherit its count.
-	var minKey valueKey
-	minVal := int64(-1)
-	for kk, v := range c.counts {
-		if minVal < 0 || v < minVal {
-			minKey, minVal = kk, v
+	for i := range c.keys[:c.n] {
+		if c.keys[i] == k {
+			c.counts[i]++
+			return
 		}
 	}
-	delete(c.counts, minKey)
-	c.counts[k] = minVal + 1
+	// Only a table miss can be a new tuple: until distinct saturates,
+	// seen holds every tuple observed, so a table hit is already in it.
+	if c.distinct < distinctSaturation && !slices.Contains(c.seen[:c.distinct], k) {
+		c.seen[c.distinct] = k
+		c.distinct++
+	}
+	if c.n < counterCapacity {
+		c.keys[c.n] = k
+		c.counts[c.n] = 1
+		c.n++
+		return
+	}
+	// Space-saving replacement: evict the minimum (lowest slot on ties)
+	// and inherit its count.
+	mi := 0
+	for i := 1; i < counterCapacity; i++ {
+		if c.counts[i] < c.counts[mi] {
+			mi = i
+		}
+	}
+	c.keys[mi] = k
+	c.counts[mi]++
 }
 
 // Total returns the number of observations.
@@ -74,29 +78,20 @@ func (c *ValueCounter) Distinct() int { return c.distinct }
 
 // TopK returns the combined weight of the k most frequent tuples.
 func (c *ValueCounter) TopK(k int) int64 {
-	if k <= 0 || len(c.counts) == 0 {
-		return 0
-	}
-	// Selection over a ≤16-entry table; no need for sorting machinery.
-	top := make([]int64, 0, k)
-	for _, v := range c.counts {
-		if len(top) < k {
-			top = append(top, v)
-			continue
-		}
+	// Partial selection over a copy of the ≤16-entry table.
+	counts := c.counts
+	live := counts[:c.n]
+	var sum int64
+	for ; k > 0 && len(live) > 0; k-- {
 		mi := 0
-		for i := 1; i < len(top); i++ {
-			if top[i] < top[mi] {
+		for i := 1; i < len(live); i++ {
+			if live[i] > live[mi] {
 				mi = i
 			}
 		}
-		if v > top[mi] {
-			top[mi] = v
-		}
-	}
-	var sum int64
-	for _, v := range top {
-		sum += v
+		sum += live[mi]
+		live[mi] = live[len(live)-1]
+		live = live[:len(live)-1]
 	}
 	return sum
 }

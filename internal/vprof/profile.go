@@ -8,8 +8,8 @@ type Profile struct {
 	prog   *ir.Program
 	exec   []int64
 	taken  []int64
-	values map[int]*ValueCounter
-	loads  map[int]*loadProf
+	values []*ValueCounter // by global instruction index
+	loads  []*loadProf
 
 	// Loops maps each profiled inner loop to its recurrence profile.
 	Loops map[LoopKey]*LoopProfile
@@ -25,6 +25,15 @@ func (p *Profile) gidx(ref ir.InstrRef) int {
 		return -1
 	}
 	return int(f.InstrAddr(ref.Block, ref.Index) >> 2)
+}
+
+// counter returns the instruction's value counter, or nil if it was never
+// profiled.
+func (p *Profile) counter(ref ir.InstrRef) *ValueCounter {
+	if g := p.gidx(ref); g >= 0 && g < len(p.values) {
+		return p.values[g]
+	}
+	return nil
 }
 
 // Exec returns the execution count of the instruction.
@@ -47,8 +56,7 @@ func (p *Profile) BlockExec(f ir.FuncID, b ir.BlockID) int64 {
 // paper's heuristic function (1). Instructions with no profiled values
 // (immediates, address materialization) are perfectly invariant.
 func (p *Profile) Invariance(ref ir.InstrRef, k int) float64 {
-	g := p.gidx(ref)
-	c := p.values[g]
+	c := p.counter(ref)
 	if c == nil {
 		in := p.prog.InstrAt(ref)
 		if in != nil && (in.Op == ir.MovI || in.Op == ir.Lea || in.Op == ir.Nop) {
@@ -62,7 +70,7 @@ func (p *Profile) Invariance(ref ir.InstrRef, k int) float64 {
 // Distinct returns the saturating count of distinct input tuples observed
 // for the instruction (the "limited set of values" analysis of §4.4).
 func (p *Profile) Distinct(ref ir.InstrRef) int {
-	c := p.values[p.gidx(ref)]
+	c := p.counter(ref)
 	if c == nil {
 		return 0
 	}
@@ -73,7 +81,10 @@ func (p *Profile) Distinct(ref ir.InstrRef) int {
 // object had not been stored to since the load's previous execution —
 // heuristic function (2) of §4.4. Non-load instructions report 0.
 func (p *Profile) MemReuse(ref ir.InstrRef) float64 {
-	lp := p.loads[p.gidx(ref)]
+	var lp *loadProf
+	if g := p.gidx(ref); g >= 0 && g < len(p.loads) {
+		lp = p.loads[g]
+	}
 	if lp == nil || lp.execs == 0 {
 		return 0
 	}

@@ -16,6 +16,10 @@
 package vprof
 
 import (
+	"slices"
+	"strconv"
+	"strings"
+
 	"ccr/internal/analysis"
 	"ccr/internal/emu"
 	"ccr/internal/ir"
@@ -78,14 +82,18 @@ type loadProf struct {
 	primed  bool
 }
 
-// loopInfo is the static description of one profiled inner loop.
+// loopInfo is the static description of one profiled inner loop, plus
+// the ring of its last HistoryRecords invocation records.
 type loopInfo struct {
 	key     LoopKey
-	blocks  map[ir.BlockID]bool
+	blocks  []bool // by block ID: member of the loop
 	objs    []ir.MemID
-	anyLoad bool // loop contains loads with unknown objects
 	barrier bool // loop contains stores or calls: not a reuse candidate
 	prof    *LoopProfile
+
+	hist     [HistoryRecords]invRecord
+	histLen  int // valid records
+	histNext int // slot the next record overwrites
 }
 
 // regVal is one recorded used-input.
@@ -94,24 +102,34 @@ type regVal struct {
 	val int64
 }
 
-// invRecord is one completed invocation's reuse-relevant state.
+// invRecord is one invocation's reuse-relevant state. Its inputs are held
+// inline and objVers is a buffer of len(loop.objs) owned by the record,
+// so recording and pushing an invocation allocates nothing.
 type invRecord struct {
-	inputs   []regVal
+	inputs   [maxTrackedInputs]regVal
+	nInputs  int
 	objVers  []uint64
 	anonVer  uint64
 	overflow bool // too many inputs: never matches
 }
 
-// loopAct is an in-flight invocation being recorded.
+// copyFrom overwrites r with src; both objVers buffers have the loop's
+// length.
+func (r *invRecord) copyFrom(src *invRecord) {
+	r.nInputs = copy(r.inputs[:], src.inputs[:src.nInputs])
+	copy(r.objVers, src.objVers)
+	r.anonVer = src.anonVer
+	r.overflow = src.overflow
+}
+
+// loopAct is an in-flight invocation being recorded. One is kept per frame
+// depth and reused by every invocation at that depth; loop is nil while
+// the depth has no active loop.
 type loopAct struct {
-	loop     *loopInfo
-	iters    int64
-	inputs   []regVal
-	defined  map[ir.Reg]bool
-	objVers  []uint64
-	anonVer  uint64
-	overflow bool
-	matched  bool
+	loop    *loopInfo
+	iters   int64
+	rec     invRecord
+	defined []uint64 // bitset by register: defined since entry
 }
 
 // Profiler consumes an emulation event stream and accumulates the RPS
@@ -122,22 +140,23 @@ type Profiler struct {
 	exec  []int64
 	taken []int64
 
-	values map[int]*ValueCounter
-	loads  map[int]*loadProf
+	// values and loads are indexed by global instruction index and
+	// filled on an instruction's first profiled execution.
+	values []*ValueCounter
+	loads  []*loadProf
 
 	objVer  []uint64
 	anonVer uint64
 
-	headerLoop []map[ir.BlockID]*loopInfo // by func
-	loops      map[LoopKey]*loopInfo
-
-	// history[key] is the ring of past invocation records.
-	history map[LoopKey][]*invRecord
+	headerLoop [][]*loopInfo // by func, then block; nil if not a header
+	loops      []*loopInfo
+	maxRegs    int // highest register index of any function
+	maxObjs    int // most objects any loop loads
 
 	depth     int
 	lastBlock []ir.BlockID // per depth
 	lastFunc  []ir.FuncID
-	acts      []*loopAct // per depth, nil when no loop active
+	acts      []*loopAct // per depth, nil until a loop first runs there
 
 	totalDyn int64
 }
@@ -148,18 +167,17 @@ func NewProfiler(p *ir.Program) *Profiler {
 		prog:       p,
 		exec:       make([]int64, p.TextLen),
 		taken:      make([]int64, p.TextLen),
-		values:     map[int]*ValueCounter{},
-		loads:      map[int]*loadProf{},
+		values:     make([]*ValueCounter, p.TextLen),
+		loads:      make([]*loadProf, p.TextLen),
 		objVer:     make([]uint64, len(p.Objects)),
-		headerLoop: make([]map[ir.BlockID]*loopInfo, len(p.Funcs)),
-		loops:      map[LoopKey]*loopInfo{},
-		history:    map[LoopKey][]*invRecord{},
+		headerLoop: make([][]*loopInfo, len(p.Funcs)),
 		lastBlock:  []ir.BlockID{ir.NoBlock},
 		lastFunc:   []ir.FuncID{ir.NoFunc},
 		acts:       []*loopAct{nil},
 	}
 	for _, f := range p.Funcs {
-		pr.headerLoop[f.ID] = map[ir.BlockID]*loopInfo{}
+		pr.maxRegs = max(pr.maxRegs, f.NumRegs)
+		pr.headerLoop[f.ID] = make([]*loopInfo, len(f.Blocks))
 		g := analysis.BuildCFG(f)
 		dom := analysis.BuildDomTree(g)
 		for _, l := range analysis.FindLoops(g, dom) {
@@ -168,7 +186,7 @@ func NewProfiler(p *ir.Program) *Profiler {
 			}
 			li := &loopInfo{
 				key:    LoopKey{f.ID, l.Header},
-				blocks: map[ir.BlockID]bool{},
+				blocks: make([]bool, len(f.Blocks)),
 				prof:   &LoopProfile{},
 			}
 			objSeen := map[ir.MemID]bool{}
@@ -180,17 +198,22 @@ func NewProfiler(p *ir.Program) *Profiler {
 					case ir.St, ir.Call, ir.Ret, ir.Inval:
 						li.barrier = true
 					case ir.Ld:
-						if in.Mem == ir.NoMem {
-							li.anyLoad = true
-						} else if !objSeen[in.Mem] {
+						if in.Mem != ir.NoMem && !objSeen[in.Mem] {
 							objSeen[in.Mem] = true
 							li.objs = append(li.objs, in.Mem)
 						}
 					}
 				}
 			}
+			if !li.barrier {
+				vers := make([]uint64, HistoryRecords*len(li.objs))
+				for i := range li.hist {
+					li.hist[i].objVers = vers[i*len(li.objs) : (i+1)*len(li.objs)]
+				}
+			}
+			pr.maxObjs = max(pr.maxObjs, len(li.objs))
 			pr.headerLoop[f.ID][l.Header] = li
-			pr.loops[li.key] = li
+			pr.loops = append(pr.loops, li)
 		}
 	}
 	return pr
@@ -251,7 +274,9 @@ func (pr *Profiler) observe(ev *emu.Event) {
 		} else {
 			pr.lastBlock[pr.depth] = ir.NoBlock
 			pr.lastFunc[pr.depth] = ir.NoFunc
-			pr.acts[pr.depth] = nil
+			if a := pr.acts[pr.depth]; a != nil {
+				a.loop = nil
+			}
 		}
 	case ir.Ret:
 		pr.finishAct(pr.depth)
@@ -264,7 +289,7 @@ func (pr *Profiler) observe(ev *emu.Event) {
 func (pr *Profiler) counter(gidx int) *ValueCounter {
 	c := pr.values[gidx]
 	if c == nil {
-		c = newValueCounter()
+		c = &ValueCounter{}
 		pr.values[gidx] = c
 	}
 	return c
@@ -289,12 +314,20 @@ func (pr *Profiler) observeLoad(gidx int, obj ir.MemID) {
 	lp.lastAny = pr.anonVer
 }
 
+// active returns the in-flight invocation at depth d, or nil.
+func (pr *Profiler) active(d int) *loopAct {
+	if a := pr.acts[d]; a != nil && a.loop != nil {
+		return a
+	}
+	return nil
+}
+
 // trackLoops maintains per-frame loop activations, recording used inputs
 // CRB-style and matching them against the invocation history.
 func (pr *Profiler) trackLoops(ev *emu.Event) {
 	d := pr.depth
 	fid := ev.Func.ID
-	cur := pr.acts[d]
+	cur := pr.active(d)
 
 	if cur != nil && (cur.loop.key.Func != fid || !cur.loop.blocks[ev.Block]) {
 		// Control left the active loop.
@@ -306,7 +339,7 @@ func (pr *Profiler) trackLoops(ev *emu.Event) {
 		if li := pr.headerLoop[fid][ev.Block]; li != nil {
 			prev := pr.lastBlock[d]
 			backEdge := cur != nil && cur.loop == li && prev != ir.NoBlock &&
-				li.blocks[prev] && pr.lastFunc[d] == fid
+				pr.lastFunc[d] == fid && li.blocks[prev]
 			if backEdge {
 				cur.iters++
 				li.prof.TotalIterations++
@@ -314,19 +347,10 @@ func (pr *Profiler) trackLoops(ev *emu.Event) {
 				pr.finishAct(d)
 				li.prof.Invocations++
 				li.prof.TotalIterations++
-				act := &loopAct{
-					loop:    li,
-					iters:   1,
-					defined: make(map[ir.Reg]bool, 8),
-					objVers: pr.snapshotVers(li),
-					anonVer: pr.anonVer,
-				}
-				act.matched = pr.matchHistory(li.key, ev.Regs, act)
-				if act.matched {
+				cur = pr.beginAct(d, li)
+				if li.matchHistory(ev.Regs, &cur.rec) {
 					li.prof.ReusableInvocations++
 				}
-				pr.acts[d] = act
-				cur = act
 			}
 		}
 	}
@@ -345,7 +369,7 @@ func (pr *Profiler) trackLoops(ev *emu.Event) {
 			}
 		}
 		if dr := in.Def(); dr != ir.NoReg {
-			cur.defined[dr] = true
+			cur.defined[dr>>6] |= 1 << (dr & 63)
 		}
 	}
 
@@ -353,47 +377,63 @@ func (pr *Profiler) trackLoops(ev *emu.Event) {
 	pr.lastFunc[d] = fid
 }
 
+// beginAct starts recording an invocation of li at depth d, snapshotting
+// the versions of the objects the loop loads.
+func (pr *Profiler) beginAct(d int, li *loopInfo) *loopAct {
+	a := pr.acts[d]
+	if a == nil {
+		a = &loopAct{
+			rec:     invRecord{objVers: make([]uint64, 0, pr.maxObjs)},
+			defined: make([]uint64, pr.maxRegs/64+1),
+		}
+		pr.acts[d] = a
+	}
+	a.loop = li
+	a.iters = 1
+	clear(a.defined)
+	a.rec.nInputs = 0
+	a.rec.objVers = a.rec.objVers[:len(li.objs)]
+	for i, o := range li.objs {
+		a.rec.objVers[i] = pr.objVer[o]
+	}
+	a.rec.anonVer = pr.anonVer
+	a.rec.overflow = false
+	return a
+}
+
 func (a *loopAct) noteUse(r ir.Reg, v int64) {
-	if a.overflow || a.defined[r] {
+	if a.rec.overflow || a.defined[r>>6]&(1<<(r&63)) != 0 {
 		return
 	}
-	for _, rv := range a.inputs {
+	rec := &a.rec
+	for _, rv := range rec.inputs[:rec.nInputs] {
 		if rv.reg == r {
 			return
 		}
 	}
-	if len(a.inputs) >= maxTrackedInputs {
-		a.overflow = true
+	if rec.nInputs >= maxTrackedInputs {
+		rec.overflow = true
 		return
 	}
-	a.inputs = append(a.inputs, regVal{reg: r, val: v})
+	rec.inputs[rec.nInputs] = regVal{reg: r, val: v}
+	rec.nInputs++
 }
 
-func (pr *Profiler) snapshotVers(li *loopInfo) []uint64 {
-	if len(li.objs) == 0 {
-		return nil
-	}
-	vs := make([]uint64, len(li.objs))
-	for i, o := range li.objs {
-		vs[i] = pr.objVer[o]
-	}
-	return vs
-}
-
-// matchHistory reports whether the current entry state (register file and
-// memory versions snapshotted in act) satisfies any recorded invocation:
-// every used input of the record holds the same value now, and the loop's
-// object versions are unchanged since the record was made.
-func (pr *Profiler) matchHistory(key LoopKey, regs []int64, act *loopAct) bool {
-	for _, rec := range pr.history[key] {
+// matchHistory reports whether the entry state (register file regs, memory
+// versions snapshotted in cur) satisfies any recorded invocation: every
+// used input of the record holds the same value now, and the loop's object
+// versions are unchanged since the record was made.
+func (li *loopInfo) matchHistory(regs []int64, cur *invRecord) bool {
+	for i := range li.hist[:li.histLen] {
+		rec := &li.hist[i]
 		if rec.overflow {
 			continue
 		}
-		if !equalVers(rec.objVers, act.objVers) || rec.anonVer != act.anonVer {
+		if !slices.Equal(rec.objVers, cur.objVers) || rec.anonVer != cur.anonVer {
 			continue
 		}
 		ok := true
-		for _, rv := range rec.inputs {
+		for _, rv := range rec.inputs[:rec.nInputs] {
 			if int(rv.reg) >= len(regs) || regs[rv.reg] != rv.val {
 				ok = false
 				break
@@ -406,47 +446,22 @@ func (pr *Profiler) matchHistory(key LoopKey, regs []int64, act *loopAct) bool {
 	return false
 }
 
-func equalVers(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (pr *Profiler) finishAct(d int) {
-	act := pr.acts[d]
+	act := pr.active(d)
 	if act == nil {
 		return
 	}
+	li := act.loop
 	if act.iters > 1 {
-		act.loop.prof.MultiIterInvocations++
+		li.prof.MultiIterInvocations++
 	}
-	if !act.loop.barrier {
-		rec := &invRecord{
-			inputs:   act.inputs,
-			objVers:  act.objVers,
-			anonVer:  act.anonVer,
-			overflow: act.overflow,
-		}
-		pr.pushHistory(act.loop.key, rec)
+	if !li.barrier {
+		// Overwrite the oldest record once the ring is full.
+		li.hist[li.histNext].copyFrom(&act.rec)
+		li.histNext = (li.histNext + 1) % HistoryRecords
+		li.histLen = min(li.histLen+1, HistoryRecords)
 	}
-	pr.acts[d] = nil
-}
-
-func (pr *Profiler) pushHistory(key LoopKey, rec *invRecord) {
-	h := pr.history[key]
-	if len(h) >= HistoryRecords {
-		copy(h, h[1:])
-		h[len(h)-1] = rec
-	} else {
-		h = append(h, rec)
-	}
-	pr.history[key] = h
+	act.loop = nil
 }
 
 // Finish closes open loop activations and returns the completed profile.
@@ -455,8 +470,8 @@ func (pr *Profiler) Finish() *Profile {
 		pr.finishAct(d)
 	}
 	loops := make(map[LoopKey]*LoopProfile, len(pr.loops))
-	for k, li := range pr.loops {
-		loops[k] = li.prof
+	for _, li := range pr.loops {
+		loops[li.key] = li.prof
 	}
 	return &Profile{
 		prog:     pr.prog,
@@ -470,46 +485,35 @@ func (pr *Profiler) Finish() *Profile {
 }
 
 // DebugHistory returns a human-readable dump of the invocation history of
-// the loop at (f, header); for debugging only.
+// the loop at (f, header), oldest record first; for debugging only.
 func (pr *Profiler) DebugHistory(f ir.FuncID, header ir.BlockID) string {
-	out := ""
-	for _, rec := range pr.history[LoopKey{f, header}] {
-		out += "rec:"
-		for _, rv := range rec.inputs {
-			out += " r" + itoa(int(rv.reg)) + "=" + itoa64(rv.val)
+	if int(f) < 0 || int(f) >= len(pr.headerLoop) ||
+		int(header) < 0 || int(header) >= len(pr.headerLoop[f]) {
+		return ""
+	}
+	li := pr.headerLoop[f][header]
+	if li == nil {
+		return ""
+	}
+	var b strings.Builder
+	for i := 0; i < li.histLen; i++ {
+		rec := &li.hist[(li.histNext-li.histLen+i+HistoryRecords)%HistoryRecords]
+		b.WriteString("rec:")
+		for _, rv := range rec.inputs[:rec.nInputs] {
+			b.WriteString(" r")
+			b.WriteString(strconv.Itoa(int(rv.reg)))
+			b.WriteByte('=')
+			b.WriteString(strconv.FormatInt(rv.val, 10))
 		}
 		if rec.overflow {
-			out += " OVERFLOW"
+			b.WriteString(" OVERFLOW")
 		}
-		out += " vers="
+		b.WriteString(" vers=")
 		for _, v := range rec.objVers {
-			out += itoa(int(v)) + ","
+			b.WriteString(strconv.FormatUint(v, 10))
+			b.WriteByte(',')
 		}
-		out += "\n"
+		b.WriteByte('\n')
 	}
-	return out
-}
-
-func itoa(v int) string { return itoa64(int64(v)) }
-
-func itoa64(v int64) string {
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	if v == 0 {
-		return "0"
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	return b.String()
 }

@@ -1,6 +1,8 @@
 package vprof
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,7 +11,7 @@ import (
 )
 
 func TestValueCounterTopK(t *testing.T) {
-	c := newValueCounter()
+	c := &ValueCounter{}
 	for i := 0; i < 70; i++ {
 		c.Observe(1, 1)
 	}
@@ -33,12 +35,60 @@ func TestValueCounterTopK(t *testing.T) {
 	}
 }
 
+// TestValueCounterEvictionOrder pins the space-saving replacement: the
+// victim is the minimum count with ties broken by the lowest slot, and the
+// new tuple takes over that slot with the victim's count plus one.
+func TestValueCounterEvictionOrder(t *testing.T) {
+	c := &ValueCounter{}
+	for i := 0; i < counterCapacity; i++ {
+		c.Observe(int64(i), 0)
+	}
+	c.Observe(0, 0)   // slot 0 → 2; slots 1..15 hold 1
+	c.Observe(100, 0) // evicts slot 1 (lowest of the 1s) → 2
+	c.Observe(101, 0) // evicts slot 2 → 2
+	c.Observe(1, 0)   // 1 was evicted: takes slot 3 → 2
+	c.Observe(100, 0) // hit in slot 1 → 3
+	for i := 4; i < counterCapacity; i++ {
+		c.Observe(int64(i), 0) // slots 4..15 → 2: every count ≥ 2
+	}
+	c.Observe(102, 0) // all-2 tie at slots 0, 2..15: evicts slot 0 → 3
+
+	wantKeys := []int64{102, 100, 101, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
+	wantCounts := []int64{3, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}
+	for i := range wantKeys {
+		if c.keys[i] != (valueKey{wantKeys[i], 0}) || c.counts[i] != wantCounts[i] {
+			t.Fatalf("slot %d = %v×%d, want %d×%d", i, c.keys[i], c.counts[i], wantKeys[i], wantCounts[i])
+		}
+	}
+	if c.Total() != 34 || c.Distinct() != 19 {
+		t.Fatalf("total %d distinct %d, want 34 and 19", c.Total(), c.Distinct())
+	}
+	if got := c.TopK(3); got != 8 {
+		t.Fatalf("TopK(3) = %d, want 8", got)
+	}
+}
+
+// TestValueCounterDistinctSaturates: the distinct estimate stops at
+// distinctSaturation, and TopK never allocates.
+func TestValueCounterDistinctSaturates(t *testing.T) {
+	c := &ValueCounter{}
+	for i := 0; i < 3*distinctSaturation; i++ {
+		c.Observe(int64(i), int64(i))
+	}
+	if c.Distinct() != distinctSaturation {
+		t.Fatalf("distinct = %d, want %d", c.Distinct(), distinctSaturation)
+	}
+	if n := testing.AllocsPerRun(10, func() { c.TopK(InvariantK) }); n != 0 {
+		t.Fatalf("TopK allocates %.0f objects", n)
+	}
+}
+
 // TestValueCounterSpaceSavingOverestimates: the space-saving approximation
 // never undercounts the true top-k weight (standard property of the
 // algorithm: counts are upper bounds).
 func TestValueCounterSpaceSavingOverestimates(t *testing.T) {
 	f := func(vals []uint8) bool {
-		c := newValueCounter()
+		c := &ValueCounter{}
 		exact := map[int64]int64{}
 		for _, v := range vals {
 			x := int64(v % 40) // up to 40 distinct values, over capacity 16
@@ -155,6 +205,17 @@ func TestInvarianceOfNarrowDomain(t *testing.T) {
 	acc := ir.InstrRef{Func: 0, Block: 2, Index: 3}
 	if inv := prof.Invariance(acc, 5); inv > 0.5 {
 		t.Fatalf("accumulator invariance = %f, want low", inv)
+	}
+}
+
+// TestUnknownFunctionQueries: a reference to a function the program does
+// not have reads as never profiled rather than indexing the tables at -1.
+func TestUnknownFunctionQueries(t *testing.T) {
+	_, prof := profiled(t, 16)
+	ref := ir.InstrRef{Func: 99, Block: 0, Index: 0}
+	if prof.Exec(ref) != 0 || prof.Invariance(ref, InvariantK) != 0 ||
+		prof.Distinct(ref) != 0 || prof.MemReuse(ref) != 0 || prof.TakenRatio(ref) != 0 {
+		t.Fatal("unknown function reported a profile")
 	}
 }
 
@@ -299,5 +360,38 @@ func TestLoopProfileMemoryBreaksRecurrence(t *testing.T) {
 	}
 	if lp.ReuseOpportunity() > 0.05 {
 		t.Fatalf("mutating table must kill recurrence: %f", lp.ReuseOpportunity())
+	}
+}
+
+// TestDebugHistoryMinInt64 records a loop invocation whose used input is
+// math.MinInt64 and checks that the dump prints it in full.
+func TestDebugHistoryMinInt64(t *testing.T) {
+	pb := ir.NewProgramBuilder("minint")
+	f := pb.Func("main", 1)
+	entry := f.NewBlock()
+	head := f.NewBlock()
+	body := f.NewBlock()
+	exit := f.NewBlock()
+	i, s := f.NewReg(), f.NewReg()
+	entry.MovI(i, 0)
+	entry.MovI(s, 0)
+	head.BgeI(i, 4, exit.ID())
+	body.Add(s, s, f.Param(0))
+	body.AddI(i, i, 1)
+	body.Jmp(head.ID())
+	exit.Ret(s)
+	p := pb.Build()
+	ir.MustVerify(p)
+	pr := NewProfiler(p)
+	m := emu.New(p)
+	m.Trace = pr.Tracer()
+	if _, err := m.Run(math.MinInt64); err != nil {
+		t.Fatal(err)
+	}
+	pr.Finish()
+	got := pr.DebugHistory(0, head.ID())
+	want := "r1=-9223372036854775808"
+	if !strings.Contains(got, want) {
+		t.Fatalf("DebugHistory = %q, want it to contain %q", got, want)
 	}
 }

@@ -15,8 +15,10 @@
 #
 # Environment:
 #   COUNT   repetitions per benchmark (default 6)
-#   BENCH   benchmark regex (default: the fast emulator/CRB suite; the
-#           Figure* end-to-end benchmarks take ~1s/op — opt in with
+#   BENCH   benchmark regex (default: the fast emulator/CRB suite plus
+#           the traced timing model and the compile pipeline, whose
+#           profiling run is the compiler's costliest layer; the Figure*
+#           end-to-end benchmarks take ~1s/op — opt in with
 #           BENCH='Figure8a' etc.)
 #   GATE    max ns/op regression vs "current", percent (default 25)
 #   MINSPEEDUP  required MachineRun speedup vs "baseline" (default 1.5)
@@ -25,7 +27,7 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-check}"
 COUNT="${COUNT:-6}"
-BENCH="${BENCH:-MachineRun$|MachineRunCCR$|MachineRunDTM$|Emulator$|CRBLookup$|DTMLookup$|TelemetrySink$}"
+BENCH="${BENCH:-MachineRun$|MachineRunCCR$|MachineRunDTM$|Emulator$|CRBLookup$|DTMLookup$|TelemetrySink$|CompilePipeline$|TimingSimulation$}"
 GATE="${GATE:-25}"
 MINSPEEDUP="${MINSPEEDUP:-1.5}"
 
