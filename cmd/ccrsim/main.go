@@ -8,14 +8,15 @@
 // exit status 1 if any architectural observable diverged — the paper's
 // §3.1 transparency contract for this benchmark, input and CRB geometry.
 //
-// -trace records the CCR run's reuse-relevant events (region entries,
+// -spans DIR streams the CCR run's reuse-relevant events (region entries,
 // reuse hits with eliminated-instruction counts, invalidations with
-// fan-out) with cycle timestamps and writes them as Chrome trace-event
-// JSON — load the file in chrome://tracing or https://ui.perfetto.dev.
-// -trace-jsonl writes the same events as a compact JSONL stream, and
-// -metrics writes the cause-attributed per-region CRB counters (misses
-// split cold/conflict/input/mem-invalid, evictions split capacity vs
-// invalidation, per-object invalidation fan-out) as JSON.
+// fan-out) into an obsv span log under DIR, one span per event stamped
+// with the timing model's cycle count. `ccrviz timeline -dir DIR` renders
+// it as Chrome trace-event JSON — load that in chrome://tracing or
+// https://ui.perfetto.dev. -metrics writes the cause-attributed
+// per-region CRB counters (misses split cold/conflict/input/mem-invalid,
+// evictions split capacity vs invalidation, per-object invalidation
+// fan-out) as JSON.
 //
 // -scheme selects the reuse scheme under test: "ccr" (the default,
 // compiler-directed regions + CRB), "dtm" (dynamic trace memoization on
@@ -29,7 +30,7 @@
 //	ccrsim -bench m88ksim [-scale medium] [-scheme ccr] [-entries 128]
 //	       [-cis 8] [-assoc 1] [-nomem 0] [-tentries 256] [-tinstances 4]
 //	       [-tassoc 2] [-minrun 3] [-ref] [-list] [-jobs N] [-manifest run.json]
-//	       [-trace out.json] [-trace-jsonl out.jsonl] [-metrics out.metrics.json]
+//	       [-spans DIR] [-metrics out.metrics.json]
 //	       [-verify] [-cell-timeout 30s] [-retries 1] [-version]
 package main
 
@@ -42,6 +43,7 @@ import (
 
 	"ccr/internal/buildinfo"
 	"ccr/internal/core"
+	"ccr/internal/obsv"
 	"ccr/internal/opt"
 	"ccr/internal/oracle"
 	"ccr/internal/reuse"
@@ -70,9 +72,7 @@ func main() {
 	verify := flag.Bool("verify", false, "differentially check the §3.1 transparency contract")
 	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-time bound (0 = none)")
 	retries := flag.Int("retries", 0, "re-run a failed cell up to N more times")
-	tracePath := flag.String("trace", "", "write the CCR run's reuse events as Chrome trace JSON to this file")
-	traceJSONL := flag.String("trace-jsonl", "", "write the CCR run's reuse events as JSONL to this file")
-	traceCap := flag.Int("trace-cap", 0, "trace ring-buffer capacity in events (0 = default)")
+	spansDir := flag.String("spans", "", "stream the CCR run's reuse events as a span log into this directory")
 	metricsPath := flag.String("metrics", "", "write cause-attributed per-region CRB metrics JSON to this file")
 	showVersion := flag.Bool("version", false, "print build/version info and exit")
 	flag.Parse()
@@ -159,13 +159,16 @@ func main() {
 		Manifest:    runner.NewManifest(fmt.Sprintf("ccrsim -bench %s -scale %s", b.Name, *scale), *jobs),
 	}
 	var tel *core.Telemetry
-	if *tracePath != "" || *traceJSONL != "" || *metricsPath != "" {
+	if *spansDir != "" || *metricsPath != "" {
 		tel = &core.Telemetry{}
 		if *metricsPath != "" {
 			tel.Metrics = telemetry.NewMetrics()
 		}
-		if *tracePath != "" || *traceJSONL != "" {
-			tel.Trace = telemetry.NewTrace(*traceCap)
+		if *spansDir != "" {
+			tel.Spans, err = obsv.OpenSpanLog(*spansDir, fmt.Sprintf("ccrsim-%d", os.Getpid()))
+			if err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 	ccrCellID := string(scheme) + "/" + b.Name + "/" + rc.Key()
@@ -209,7 +212,20 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	writeTelemetry(tel, *tracePath, *traceJSONL, *metricsPath)
+	if tel != nil {
+		if err := tel.Spans.Close(); err != nil {
+			log.Fatal(err)
+		}
+		if *metricsPath != "" {
+			data, err := tel.Metrics.JSON()
+			if err != nil {
+				log.Fatal(err)
+			}
+			if err := os.WriteFile(*metricsPath, append(data, '\n'), 0o644); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
 	if base.Result != ccr.Result {
 		log.Fatalf("architectural mismatch: base %d, ccr %d", base.Result, ccr.Result)
 	}
@@ -253,47 +269,6 @@ func main() {
 		}
 		fmt.Printf("transparency verified: %d stores, %d rets, %d mem words identical to base\n",
 			baseDigest.StoreCount, baseDigest.RetCount, baseDigest.MemWords)
-	}
-}
-
-// writeTelemetry flushes the requested trace and metrics exports.
-func writeTelemetry(tel *core.Telemetry, tracePath, traceJSONL, metricsPath string) {
-	if tel == nil {
-		return
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.Trace.WriteChrome(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("trace: %d events (%d dropped) -> %s\n", tel.Trace.Len(), tel.Trace.Dropped(), tracePath)
-	}
-	if traceJSONL != "" {
-		f, err := os.Create(traceJSONL)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.Trace.WriteJSONL(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if metricsPath != "" {
-		data, err := tel.Metrics.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(metricsPath, append(data, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
 	}
 }
 

@@ -6,13 +6,16 @@
 //	ccrviz -bench m88ksim -func ckbrkpts -ccr | dot -Tsvg > ckbrkpts.svg
 //	ccrviz -run prog.ccr -func main
 //
-// The timeline subcommand merges the span logs of a distributed fabric
-// sweep — every coordinator incarnation, every worker — into one Chrome
-// trace-event JSON file, ordered by the journal's commit sequence so the
-// picture survives kill/resume seams. Open the output in Perfetto or
-// chrome://tracing.
+// The timeline subcommand merges span logs into one Chrome trace-event
+// JSON file; open the output in Perfetto or chrome://tracing. With
+// -journal it merges a distributed fabric sweep — every coordinator
+// incarnation, every worker — ordered by the journal's commit sequence so
+// the picture survives kill/resume seams. Without it, each process's
+// spans are laid out on their own clock, e.g. the cycle-stamped reuse
+// events of `ccrsim -spans`.
 //
 //	ccrviz timeline -dir RUN/spans -journal RUN/journal.jsonl -o timeline.json
+//	ccrviz timeline -dir SPANS -o trace.json
 package main
 
 import (
@@ -94,8 +97,8 @@ func main() {
 // timelineMain merges span logs into a Chrome trace-event document.
 func timelineMain(args []string) {
 	fs := flag.NewFlagSet("ccrviz timeline", flag.ExitOnError)
-	dir := fs.String("dir", "", "span-log directory (fabric -spans / ccrd -spans)")
-	journal := fs.String("journal", "", "fabric journal.jsonl supplying the commit-order time axis")
+	dir := fs.String("dir", "", "span-log directory (fabric, ccrd or ccrsim -spans)")
+	journal := fs.String("journal", "", "fabric journal.jsonl supplying the commit-order time axis (default: each span log's own clock)")
 	out := fs.String("o", "", "output file (default stdout)")
 	fs.Parse(args)
 	if *dir == "" {
@@ -103,10 +106,13 @@ func timelineMain(args []string) {
 		os.Exit(2)
 	}
 
-	procs, err := obsv.ReadSpanDir(*dir)
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "ccrviz timeline:", err)
 		os.Exit(1)
+	}
+	procs, err := obsv.ReadSpanDir(*dir)
+	if err != nil {
+		fail(err)
 	}
 	if len(procs) == 0 {
 		fmt.Fprintf(os.Stderr, "ccrviz timeline: no span logs under %s\n", *dir)
@@ -118,8 +124,7 @@ func timelineMain(args []string) {
 		var torn bool
 		cells, torn, err = fabric.JournalCellOrder(*journal)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccrviz timeline:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if torn {
 			fmt.Fprintf(os.Stderr, "ccrviz timeline: journal %s has a torn tail; using the valid prefix (%d cells)\n",
@@ -129,19 +134,22 @@ func timelineMain(args []string) {
 
 	w := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccrviz timeline:", err)
-			os.Exit(1)
+		if w, err = os.Create(*out); err != nil {
+			fail(err)
 		}
-		defer f.Close()
-		w = f
 	}
-	if err := obsv.WriteTimeline(w, procs, cells); err != nil {
-		fmt.Fprintln(os.Stderr, "ccrviz timeline:", err)
-		os.Exit(1)
+	if *journal != "" {
+		err = obsv.WriteTimeline(w, procs, cells)
+	} else {
+		err = obsv.WriteClockTimeline(w, procs)
+	}
+	if err != nil {
+		fail(err)
 	}
 	if *out != "" {
+		if err := w.Close(); err != nil {
+			fail(err)
+		}
 		var spans int
 		for _, p := range procs {
 			spans += len(p.Spans)

@@ -17,11 +17,13 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"ccr/internal/alias"
 	"ccr/internal/crb"
 	"ccr/internal/emu"
 	"ccr/internal/ir"
+	"ccr/internal/obsv"
 	"ccr/internal/oracle"
 	"ccr/internal/region"
 	"ccr/internal/reuse"
@@ -142,27 +144,22 @@ type SimResult struct {
 }
 
 // Telemetry bundles the opt-in observability attachments of one simulated
-// run (internal/telemetry). Both fields are optional; a nil Telemetry (or
-// nil fields) reproduces the uninstrumented fast path exactly.
+// run. Both fields are optional; a nil Telemetry (or nil fields)
+// reproduces the uninstrumented fast path exactly.
 type Telemetry struct {
 	// Metrics, when non-nil, is attached to the CRB as its sink and
 	// accumulates cause-attributed per-region counters.
 	Metrics *telemetry.Metrics
-	// Trace, when non-nil, collects reuse-relevant dynamic events; timed
-	// runs stamp them with the timing model's cycle counter.
-	Trace *telemetry.Trace
+	// Spans, when non-nil, receives one span per reuse-relevant dynamic
+	// event (see spanTracer), stamped with the timing model's cycle count.
+	Spans *obsv.SpanLog
 }
 
 // Simulate executes prog with the cycle-level timing model. A non-nil
 // crbCfg attaches a Computation Reuse Buffer, enabling the CCR extensions;
 // with nil, reuse instructions (if any) always miss.
 func Simulate(prog *ir.Program, crbCfg *crb.Config, ucfg uarch.Config, args []int64, limit int64) (*SimResult, error) {
-	return SimulateWith(prog, crbCfg, ucfg, args, limit, nil)
-}
-
-// SimulateWith is Simulate with an optional telemetry attachment.
-func SimulateWith(prog *ir.Program, crbCfg *crb.Config, ucfg uarch.Config, args []int64, limit int64, tel *Telemetry) (*SimResult, error) {
-	return SimulateReuse(prog, reuseConfigOf(crbCfg), ucfg, args, limit, tel)
+	return SimulateReuse(prog, reuseConfigOf(crbCfg), ucfg, args, limit, nil)
 }
 
 // reuseConfigOf maps the legacy optional-CRB calling convention onto the
@@ -200,15 +197,14 @@ func attachReuse(m *emu.Machine, prog *ir.Program, rc reuse.Config, tel *Telemet
 // SimulateReuse executes prog with the cycle-level timing model under an
 // arbitrary reuse scheme: a CRB for ccr, a trace-memoization buffer for
 // dtm, both side by side for both, and neither for off. It is the
-// scheme-generic core that SimulateWith wraps.
+// scheme-generic core that Simulate wraps.
 func SimulateReuse(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, tel *Telemetry) (*SimResult, error) {
 	m := emu.New(prog)
 	m.Limit = limit
 	buf, dtm := attachReuse(m, prog, rc, tel)
 	sim := uarch.NewSimulator(ucfg, prog)
-	if tel != nil && tel.Trace != nil {
-		tel.Trace.SetClock(sim.CycleCount)
-		m.Trace = emu.Tee(sim.Tracer(), emu.TelemetryTracer(tel.Trace))
+	if tel != nil && tel.Spans != nil {
+		m.Trace = emu.Tee(sim.Tracer(), spanTracer(tel.Spans, sim.CycleCount))
 	} else {
 		m.Trace = sim.Tracer()
 	}
@@ -232,6 +228,34 @@ func SimulateReuse(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []
 		out.DTMHeads = dtm.HeadStats()
 	}
 	return out, nil
+}
+
+// spanTracer streams a run's reuse-relevant events to l, one span each,
+// stamped with clock: a reuse miss is an "enter" instant (the region body
+// executes), a reuse hit a "hit" span lasting the instructions it
+// eliminated, and a computation-invalidate an "inval" instant whose N is
+// the instances it killed. Slot is the lane ("region N" or "mem N") and
+// Cell the instruction's pc. Any other instruction costs one opcode
+// compare.
+func spanTracer(l *obsv.SpanLog, clock func() int64) emu.Tracer {
+	return func(ev *emu.Event) {
+		var s obsv.Span
+		switch ev.Instr.Op {
+		case ir.Reuse:
+			s.Phase, s.Slot = "enter", fmt.Sprintf("region %d", ev.Instr.Region)
+			if ev.ReuseHit {
+				s.Phase = "hit"
+				s.DurUS, s.N = int64(ev.ReusedInstrs), int64(ev.ReusedInstrs)
+			}
+		case ir.Inval:
+			s.Phase, s.Slot = "inval", fmt.Sprintf("mem %d", ev.Instr.Mem)
+			s.N = int64(ev.InvalCount)
+		default:
+			return
+		}
+		s.Cell, s.Seq, s.StartUS = strconv.FormatInt(ev.PC, 10), -1, clock()
+		l.Emit(s)
+	}
 }
 
 // RunFunctional executes prog without timing, optionally with a CRB —

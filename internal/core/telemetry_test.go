@@ -1,19 +1,58 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
 	"ccr/internal/crb"
 	"ccr/internal/emu"
+	"ccr/internal/obsv"
 	"ccr/internal/oracle"
+	"ccr/internal/reuse"
 	"ccr/internal/telemetry"
 	"ccr/internal/workloads"
 )
 
+// spanLog opens a span log in a fresh directory; readSpans closes it and
+// reads every span back.
+func spanLog(t *testing.T) (*obsv.SpanLog, string) {
+	t.Helper()
+	dir := t.TempDir()
+	l, err := obsv.OpenSpanLog(dir, "ccrsim-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l, dir
+}
+
+func readSpans(t *testing.T, l *obsv.SpanLog, dir string) []obsv.ProcSpans {
+	t.Helper()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	procs, err := obsv.ReadSpanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return procs
+}
+
+// phaseCounts tallies the spans of procs by phase.
+func phaseCounts(procs []obsv.ProcSpans) map[string]int64 {
+	n := map[string]int64{}
+	for _, p := range procs {
+		for _, s := range p.Spans {
+			n[s.Phase]++
+		}
+	}
+	return n
+}
+
 // TestTelemetryDoesNotPerturbSimulation is the timing-level half of the
 // zero-overhead sink invariant (DESIGN.md §9): attaching the full
-// telemetry bundle — metrics sink on the CRB plus the event trace teed
+// telemetry bundle — metrics sink on the CRB plus the span tracer teed
 // into the timing tracer — must leave every architectural and
 // microarchitectural observable of the run bit-identical to the
 // uninstrumented path.
@@ -30,8 +69,9 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("simulate plain: %v", err)
 	}
-	tel := &Telemetry{Metrics: telemetry.NewMetrics(), Trace: telemetry.NewTrace(0)}
-	instr, err := SimulateWith(cr.Prog, &opts.CRB, opts.Uarch, []int64{iters}, 0, tel)
+	spans, dir := spanLog(t)
+	tel := &Telemetry{Metrics: telemetry.NewMetrics(), Spans: spans}
+	instr, err := SimulateReuse(cr.Prog, reuse.CCR(opts.CRB), opts.Uarch, []int64{iters}, 0, tel)
 	if err != nil {
 		t.Fatalf("simulate instrumented: %v", err)
 	}
@@ -51,13 +91,13 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 	if *plain.CRB != *instr.CRB {
 		t.Errorf("CRB stats diverged:\nplain: %+v\ninstr: %+v", *plain.CRB, *instr.CRB)
 	}
-	if tel.Trace.Total() == 0 {
-		t.Error("trace collected nothing on a reuse-heavy run")
+	if phaseCounts(readSpans(t, spans, dir))["hit"] == 0 {
+		t.Error("span log recorded no hits on a reuse-heavy run")
 	}
 }
 
 // TestTelemetryPreservesOracleDigest is the oracle-level transparency
-// gate: a CCR run with the metrics sink and event trace attached must
+// gate: a CCR run with the metrics sink and span tracer attached must
 // produce the exact architectural digest — including the full dynamic
 // trace checksum, which Compare deliberately ignores — of the same run
 // uninstrumented.
@@ -79,7 +119,8 @@ func TestTelemetryPreservesOracleDigest(t *testing.T) {
 	buf.SetSink(telemetry.NewMetrics())
 	m.CRB = buf
 	col := oracle.NewCollector(cr.Prog)
-	m.Trace = emu.Tee(col.Tracer(), emu.TelemetryTracer(telemetry.NewTrace(0)))
+	spans, dir := spanLog(t)
+	m.Trace = emu.Tee(col.Tracer(), spanTracer(spans, func() int64 { return 0 }))
 	res, err := m.Run(iters)
 	if err != nil {
 		t.Fatalf("instrumented run: %v", err)
@@ -91,6 +132,9 @@ func TestTelemetryPreservesOracleDigest(t *testing.T) {
 	}
 	if plain != instr {
 		t.Fatalf("digest identity diverged:\nplain: %+v\ninstr: %+v", plain, instr)
+	}
+	if phaseCounts(readSpans(t, spans, dir))["hit"] == 0 {
+		t.Error("span log recorded no hits")
 	}
 }
 
@@ -112,8 +156,9 @@ func TestMetricsSumToFlatStats(t *testing.T) {
 	}
 
 	cfg := crb.Config{Entries: 2, Instances: 1}
-	tel := &Telemetry{Metrics: telemetry.NewMetrics(), Trace: telemetry.NewTrace(1 << 20)}
-	res, err := SimulateWith(cr.Prog, &cfg, opts.Uarch, b.Train, 0, tel)
+	spans, dir := spanLog(t)
+	tel := &Telemetry{Metrics: telemetry.NewMetrics(), Spans: spans}
+	res, err := SimulateReuse(cr.Prog, reuse.CCR(cfg), opts.Uarch, b.Train, 0, tel)
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
@@ -153,22 +198,77 @@ func TestMetricsSumToFlatStats(t *testing.T) {
 		t.Errorf("no invalidation traffic in %+v", s)
 	}
 
-	// Trace-side cross-check: event counts equal the emulator's own view.
-	var hits, enters, invals int64
-	for _, ev := range tel.Trace.Events() {
-		switch ev.Kind {
-		case telemetry.EventReuseHit:
-			hits++
-		case telemetry.EventRegionEnter:
-			enters++
-		case telemetry.EventInvalidate:
-			invals++
+	// Span-side cross-check: span counts equal the emulator's own view.
+	n := phaseCounts(readSpans(t, spans, dir))
+	check("hit spans", n["hit"], res.Emu.ReuseHits)
+	check("enter spans", n["enter"], res.Emu.ReuseMisses)
+	check("inval spans", n["inval"], res.Emu.Invalidations)
+}
+
+// TestSpanTimelineMatchesRun is the end-to-end check behind `ccrsim
+// -spans D` followed by `ccrviz timeline -dir D`: the rendered Chrome
+// trace is valid JSON whose hit/enter/inval event counts equal the run's
+// reuse hits, misses and invalidations, with every hit an X span lasting
+// its eliminated instructions on the cycle clock.
+func TestSpanTimelineMatchesRun(t *testing.T) {
+	b, err := workloads.Lookup("compress", workloads.Tiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	cr, err := Compile(b.Prog, b.Train, opts)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	spans, dir := spanLog(t)
+	res, err := SimulateReuse(cr.Prog, reuse.CCR(opts.CRB), opts.Uarch, b.Train, 0, &Telemetry{Spans: spans})
+	if err != nil {
+		t.Fatalf("simulate: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := obsv.WriteClockTimeline(&buf, readSpans(t, spans, dir)); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			PID  *int    `json:"pid"`
+			Args struct {
+				N float64 `json:"n"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("timeline is not JSON: %v", err)
+	}
+	n := map[string]int64{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "" || ev.PID == nil {
+			t.Fatalf("event %q lacks ph or pid", ev.Name)
+		}
+		if ev.Ph == "M" {
+			continue
+		}
+		n[ev.Name]++
+		if ev.TS < 0 || ev.TS > float64(res.Cycles) {
+			t.Errorf("%s at ts %v, outside the run's %d cycles", ev.Name, ev.TS, res.Cycles)
+		}
+		if ev.Name == "hit" && (ev.Ph != "X" || ev.Dur != ev.Args.N || ev.Dur < 1) {
+			t.Errorf("hit event ph %q dur %v n %v, want an X span lasting n", ev.Ph, ev.Dur, ev.Args.N)
 		}
 	}
-	if tel.Trace.Dropped() != 0 {
-		t.Fatalf("trace overflowed (%d dropped); raise the test capacity", tel.Trace.Dropped())
+	if res.Emu.ReuseHits == 0 || res.Emu.ReuseMisses == 0 {
+		t.Fatalf("compress tiny ran no reuse: %+v", res.Emu)
 	}
-	check("trace hits", hits, res.Emu.ReuseHits)
-	check("trace enters", enters, res.Emu.ReuseMisses)
-	check("trace invals", invals, res.Emu.Invalidations)
+	for _, c := range []struct {
+		phase string
+		want  int64
+	}{{"hit", res.Emu.ReuseHits}, {"enter", res.Emu.ReuseMisses}, {"inval", res.Emu.Invalidations}} {
+		if n[c.phase] != c.want {
+			t.Errorf("%s events %d, want %d", c.phase, n[c.phase], c.want)
+		}
+	}
 }

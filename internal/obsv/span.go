@@ -12,12 +12,13 @@ import (
 	"time"
 )
 
-// A Span is one timed phase of distributed work, recorded by whichever
-// process did it. Times are microseconds on the emitting process's own
-// monotonic clock (relative to its SpanLog open) — they order spans
-// within one process and measure durations, but are never compared
-// across processes: the timeline merge lays spans out by journal
-// sequence number instead (see timeline.go).
+// A Span is one timed phase of work, recorded by whichever process did
+// it. StartUS and DurUS are on the emitter's own clock: wall
+// microseconds since SpanLog open for fabric and ccrd, simulated cycles
+// for ccrsim's reuse events. They order spans within one process and
+// measure durations, but are never compared across processes: the
+// journal merge lays spans out by journal sequence number instead (see
+// timeline.go).
 type Span struct {
 	// Cell is the unit of work (a fabric cell ID, or a request tag for
 	// daemon-side request spans).
@@ -30,9 +31,12 @@ type Span struct {
 	// Seq is the cell's journal sequence number when the emitter knows it
 	// (commit spans); -1 otherwise.
 	Seq int64 `json:"seq"`
-	// StartUS/DurUS are the process-local monotonic start and duration.
+	// StartUS/DurUS are the start and duration on the emitter's clock.
 	StartUS int64 `json:"start_us"`
 	DurUS   int64 `json:"dur_us"`
+	// N is the span's count, when its phase has one: instructions a
+	// reuse hit eliminated, instances an invalidation killed.
+	N int64 `json:"n,omitempty"`
 	// Err carries the failure cause for attempt/requeue spans.
 	Err string `json:"err,omitempty"`
 }

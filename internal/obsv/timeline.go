@@ -8,7 +8,9 @@ import (
 )
 
 // The timeline merge turns per-process span logs into one Chrome
-// trace-event (Perfetto-loadable) document. Wall clocks of different
+// trace-event (Perfetto-loadable) document. Span logs with no journal
+// are laid out on their own clocks (WriteClockTimeline); the rest of
+// this comment describes the journal layout. Wall clocks of different
 // processes — possibly different machines, possibly separated by a
 // SIGKILL and a resume — are never compared: the journal's append order
 // is the only cross-process sequence authority. Each journaled cell gets
@@ -61,6 +63,7 @@ type spanArgs struct {
 	Slot string  `json:"slot,omitempty"`
 	Seq  int64   `json:"seq"`
 	MS   float64 `json:"ms"`
+	N    int64   `json:"n,omitempty"`
 	Err  string  `json:"err,omitempty"`
 }
 
@@ -130,13 +133,24 @@ func mergeTimeline(procs []ProcSpans, journalCells []string) (*timelineDoc, erro
 		slot[cell] = len(journalCells) + i
 	}
 
+	doc := layout(procs, "sweep", func(s Span) (float64, float64, bool) {
+		off, dur, instant := phaseGeom(s.Phase)
+		return float64(slot[s.Cell]*cellSlotUS) + off, dur, instant
+	})
+	doc.OtherData.JournalCells, doc.OtherData.ExtraCells = len(journalCells), len(extras)
+	return doc, nil
+}
+
+// layout renders every span of procs as one Chrome event, with one pid
+// per process and one tid per slot name; place positions each span.
+func layout(procs []ProcSpans, cat string, place func(Span) (ts, dur float64, instant bool)) *timelineDoc {
 	// procs arrive sorted from ReadSpanDir; sort defensively so direct
 	// callers get the same deterministic pid assignment.
 	ps := append([]ProcSpans(nil), procs...)
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Proc < ps[j].Proc })
 
 	doc := &timelineDoc{DisplayTimeUnit: "ms"}
-	doc.OtherData = timelineMeta{JournalCells: len(journalCells), ExtraCells: len(extras), Procs: len(ps)}
+	doc.OtherData.Procs = len(ps)
 	for pi, p := range ps {
 		pid := pi + 1
 		doc.OtherData.Torn = doc.OtherData.Torn || p.Torn
@@ -164,14 +178,13 @@ func mergeTimeline(procs []ProcSpans, journalCells []string) (*timelineDoc, erro
 			})
 		}
 		for _, s := range p.Spans {
-			off, dur, instant := phaseGeom(s.Phase)
-			ts := float64(slot[s.Cell]*cellSlotUS) + off
+			ts, dur, instant := place(s)
 			ev := chromeEvent{
-				Name: s.Phase, Cat: "sweep", Ph: "X", TS: ts, Dur: dur,
+				Name: s.Phase, Cat: cat, Ph: "X", TS: ts, Dur: dur,
 				PID: pid, TID: lanes[s.Slot],
 				Args: spanArgs{
 					Cell: s.Cell, Slot: s.Slot, Seq: s.Seq,
-					MS: float64(s.DurUS) / 1000, Err: s.Err,
+					MS: float64(s.DurUS) / 1000, N: s.N, Err: s.Err,
 				},
 			}
 			if instant {
@@ -181,7 +194,7 @@ func mergeTimeline(procs []ProcSpans, journalCells []string) (*timelineDoc, erro
 			doc.OtherData.Spans++
 		}
 	}
-	return doc, nil
+	return doc
 }
 
 // WriteTimeline merges and writes the trace as indented JSON — the form
@@ -192,6 +205,20 @@ func WriteTimeline(w io.Writer, procs []ProcSpans, journalCells []string) error 
 	if err != nil {
 		return err
 	}
+	return writeDoc(w, doc)
+}
+
+// WriteClockTimeline writes span logs that have no journal, such as
+// ccrsim's cycle-stamped reuse events, in WriteTimeline's format. Each
+// process's spans are laid out on its own clock: a span starts at
+// StartUS and lasts DurUS, and DurUS == 0 draws as an instant.
+func WriteClockTimeline(w io.Writer, procs []ProcSpans) error {
+	return writeDoc(w, layout(procs, "span", func(s Span) (float64, float64, bool) {
+		return float64(s.StartUS), float64(s.DurUS), s.DurUS == 0
+	}))
+}
+
+func writeDoc(w io.Writer, doc *timelineDoc) error {
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err

@@ -42,10 +42,37 @@ func TestTimelineGolden(t *testing.T) {
 	if err := WriteTimeline(&buf, procs, cells); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "timeline.golden.json")
+	checkGolden(t, "timeline.golden.json", buf.Bytes())
+}
+
+// clockProcs is a ccrsim reuse-event log: spans on the cycle clock, one
+// lane per region or memory object, with no journal.
+func clockProcs() []ProcSpans {
+	return []ProcSpans{{Proc: "ccrsim-7", Spans: []Span{
+		{Cell: "40", Phase: "enter", Slot: "region 3", Seq: -1, StartUS: 100},
+		{Cell: "40", Phase: "hit", Slot: "region 3", Seq: -1, StartUS: 180, DurUS: 12, N: 12},
+		{Cell: "96", Phase: "inval", Slot: "mem 2", Seq: -1, StartUS: 250, N: 1},
+	}}}
+}
+
+// TestClockTimelineGolden pins the no-journal layout: the enter and
+// inval spans are instants at their cycle stamps, the hit is an X span
+// whose dur is the eliminated instruction count, n rides in args, and
+// each lane gets process/thread metadata.
+func TestClockTimelineGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteClockTimeline(&buf, clockProcs()); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "timeline_nojournal.golden.json", buf.Bytes())
+}
+
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		os.MkdirAll("testdata", 0o755)
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,8 +80,8 @@ func TestTimelineGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("timeline drifted from golden:\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s drifted from golden:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package telemetry is the opt-in observability layer of the CCR stack:
+// Package telemetry is the opt-in metrics layer of the CCR stack:
 // cause-attributed Computation Reuse Buffer metrics (which region hit, why
-// an instance died, where invalidations fan out) and a ring-buffered trace
-// of reuse-relevant dynamic events, exportable as Chrome trace-event JSON
-// (chrome://tracing, Perfetto) or as a compact JSONL stream.
+// an instance died, where invalidations fan out) and the matching per-head
+// counters of the DTM trace buffer. The time-ordered view of the same
+// reuse events is an obsv span log (core.Telemetry.Spans).
 //
 // The layer is wired into the hardware model through the Sink interface:
 // crb.CRB calls a Sink, when one is attached, at every architectural CRB

@@ -1,13 +1,8 @@
 package telemetry
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
-
-	"ccr/internal/ir"
 )
 
 func TestMetricsAccumulation(t *testing.T) {
@@ -96,149 +91,5 @@ func TestReportSortedAndSerializable(t *testing.T) {
 	}
 	if len(decoded.Regions) != 3 || len(decoded.Mem) != 2 {
 		t.Errorf("decoded %d regions, %d mem rows", len(decoded.Regions), len(decoded.Mem))
-	}
-}
-
-func TestTraceSequenceStamping(t *testing.T) {
-	tr := NewTrace(8)
-	tr.Add(TraceEvent{Kind: EventRegionEnter, Region: 1})
-	tr.Add(TraceEvent{Kind: EventReuseHit, Region: 1, Reused: 5})
-	ev := tr.Events()
-	if ev[0].When != 0 || ev[1].When != 1 {
-		t.Errorf("sequence stamps = %d,%d, want 0,1", ev[0].When, ev[1].When)
-	}
-
-	// With a clock installed, When comes from the clock, ignoring the
-	// caller-supplied value.
-	cycles := int64(100)
-	tr.SetClock(func() int64 { return cycles })
-	tr.Add(TraceEvent{Kind: EventReuseHit, Region: 2, When: -7})
-	if got := tr.Events()[2].When; got != 100 {
-		t.Errorf("clock stamp = %d, want 100", got)
-	}
-}
-
-func TestTraceRingOverwritesOldest(t *testing.T) {
-	tr := NewTrace(4)
-	for i := 0; i < 10; i++ {
-		tr.Add(TraceEvent{Kind: EventRegionEnter, Region: ir.RegionID(i)})
-	}
-	if tr.Len() != 4 || tr.Total() != 10 || tr.Dropped() != 6 {
-		t.Fatalf("len=%d total=%d dropped=%d, want 4/10/6", tr.Len(), tr.Total(), tr.Dropped())
-	}
-	ev := tr.Events()
-	for i, e := range ev {
-		if want := ir.RegionID(6 + i); e.Region != want {
-			t.Errorf("event %d region %d, want %d (most recent window)", i, e.Region, want)
-		}
-		if i > 0 && ev[i].When <= ev[i-1].When {
-			t.Errorf("events out of chronological order: %v", ev)
-		}
-	}
-}
-
-func TestTraceDefaultCapacity(t *testing.T) {
-	for _, capacity := range []int{0, -5} {
-		tr := NewTrace(capacity)
-		tr.Add(TraceEvent{})
-		if got := cap(tr.buf); got != DefaultTraceCap {
-			t.Errorf("NewTrace(%d) capacity %d, want DefaultTraceCap %d", capacity, got, DefaultTraceCap)
-		}
-	}
-}
-
-// TestWriteChromeFormat pins the container shape the trace viewers require:
-// a top-level traceEvents array whose entries all carry ph/pid/ts, with
-// process/thread metadata and the dropped-event accounting when the ring
-// overflowed.
-func TestWriteChromeFormat(t *testing.T) {
-	tr := NewTrace(2)
-	tr.Add(TraceEvent{Kind: EventRegionEnter, Region: 3, PC: 40})
-	tr.Add(TraceEvent{Kind: EventReuseHit, Region: 3, Reused: 12, PC: 40})
-	tr.Add(TraceEvent{Kind: EventInvalidate, Mem: 2, Fanout: 1, PC: 96})
-
-	var buf bytes.Buffer
-	if err := tr.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name  string         `json:"name"`
-			Phase string         `json:"ph"`
-			TS    *int64         `json:"ts"`
-			Dur   int64          `json:"dur"`
-			PID   int            `json:"pid"`
-			TID   int            `json:"tid"`
-			Args  map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string         `json:"displayTimeUnit"`
-		OtherData       map[string]any `json:"otherData"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("chrome trace does not parse: %v\n%s", err, buf.String())
-	}
-	if out.DisplayTimeUnit == "" {
-		t.Error("missing displayTimeUnit")
-	}
-	var hits, instants, meta int
-	for _, ev := range out.TraceEvents {
-		if ev.Phase == "" {
-			t.Fatalf("event %q missing ph", ev.Name)
-		}
-		switch ev.Phase {
-		case "X":
-			hits++
-			if ev.Dur != 12 {
-				t.Errorf("hit span dur = %d, want 12 (eliminated instrs)", ev.Dur)
-			}
-		case "i":
-			instants++
-		case "M":
-			meta++
-		}
-	}
-	// The capacity-2 ring dropped the enter event: one hit span, one
-	// invalidation instant, and metadata for both processes plus the two
-	// named tracks.
-	if hits != 1 || instants != 1 {
-		t.Errorf("got %d spans, %d instants (events: %s)", hits, instants, buf.String())
-	}
-	if meta < 3 {
-		t.Errorf("only %d metadata events; want process and thread names", meta)
-	}
-	if out.OtherData["dropped_events"] == nil {
-		t.Error("overflowed trace did not report dropped_events")
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	tr := NewTrace(8)
-	tr.Add(TraceEvent{Kind: EventRegionEnter, Region: 3, PC: 40})
-	tr.Add(TraceEvent{Kind: EventReuseHit, Region: 3, Reused: 12, PC: 40})
-	tr.Add(TraceEvent{Kind: EventInvalidate, Mem: 2, Fanout: 1, PC: 96})
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var kinds []string
-	for sc.Scan() {
-		var je map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &je); err != nil {
-			t.Fatalf("line %q does not parse: %v", sc.Text(), err)
-		}
-		kind, _ := je["kind"].(string)
-		kinds = append(kinds, kind)
-		if kind == "inval" {
-			if je["mem"] == nil || je["region"] != nil {
-				t.Errorf("inval line fields wrong: %q", sc.Text())
-			}
-		} else if je["region"] == nil || je["mem"] != nil {
-			t.Errorf("reuse line fields wrong: %q", sc.Text())
-		}
-	}
-	if got := strings.Join(kinds, ","); got != "enter,hit,inval" {
-		t.Errorf("kinds = %s, want enter,hit,inval", got)
 	}
 }

@@ -9,8 +9,7 @@
 #   scripts/serve_smoke.sh [outdir]
 #
 # Environment:
-#   SCALE     workload scale (default tiny; CI uses tiny, the committed
-#             BENCH_serve.json record is captured at small)
+#   SCALE     workload scale (default tiny; CI uses tiny)
 #   CLIENTS   loadgen concurrent clients (default 8)
 #   REQUESTS  loadgen hammer-phase requests (default 200)
 #   MINWARM   required cold/warm median latency ratio (default 5)
