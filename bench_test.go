@@ -226,7 +226,7 @@ func BenchmarkTimingSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := emu.New(w.Prog)
 		sim := uarch.NewSimulator(cfg, w.Prog)
-		m.Trace = sim.Tracer()
+		sim.Attach(m)
 		if _, err := m.Run(w.Train...); err != nil {
 			b.Fatal(err)
 		}

@@ -204,10 +204,9 @@ func SimulateReuse(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []
 	buf, dtm := attachReuse(m, prog, rc, tel)
 	sim := uarch.NewSimulator(ucfg, prog)
 	if tel != nil && tel.Spans != nil {
-		m.Trace = emu.Tee(sim.Tracer(), spanTracer(tel.Spans, sim.CycleCount))
-	} else {
-		m.Trace = sim.Tracer()
+		m.Trace = spanTracer(tel.Spans, sim.CycleCount)
 	}
+	sim.Attach(m)
 	res, err := m.Run(args...)
 	if err != nil {
 		return nil, err

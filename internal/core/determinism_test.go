@@ -1,9 +1,12 @@
 package core
 
 import (
+	"runtime/debug"
 	"sync"
 	"testing"
 
+	"ccr/internal/emu"
+	"ccr/internal/uarch"
 	"ccr/internal/workloads"
 )
 
@@ -68,5 +71,36 @@ func TestProfileRunSteadyStateAllocs(t *testing.T) {
 	short, long := allocs(n), allocs(8*n)
 	if short != long {
 		t.Fatalf("profiling %d iterations: %.0f allocs; %d iterations: %.0f allocs", n, short, 8*n, long)
+	}
+}
+
+// TestTimedRunSteadyStateAllocs checks that the timing model allocates
+// nothing per call or per executed run: a timed m88ksim run (machine,
+// simulator and the run itself) makes the same small number of heap
+// allocations at tiny and at small scale, which executes several times as
+// many calls. Call frames reuse one ready array per call depth.
+func TestTimedRunSteadyStateAllocs(t *testing.T) {
+	allocs := func(s workloads.Scale) float64 {
+		w := workloads.Load("m88ksim", s)
+		cfg := uarch.DefaultConfig()
+		return testing.AllocsPerRun(3, func() {
+			m := emu.New(w.Prog)
+			sim := uarch.NewSimulator(cfg, w.Prog)
+			sim.Attach(m)
+			if _, err := m.Run(w.Train...); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// A collection cycle during the measurement adds a few runtime
+	// allocations of its own; the runs are small, so collection is off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	tiny, small := allocs(workloads.Tiny), allocs(workloads.Small)
+	t.Logf("allocs per timed run: tiny %.0f, small %.0f", tiny, small)
+	if tiny != small {
+		t.Fatalf("timed m88ksim run: %.0f allocs at tiny, %.0f at small", tiny, small)
+	}
+	if tiny > 64 {
+		t.Fatalf("timed m88ksim run: %.0f allocs, want at most 64", tiny)
 	}
 }

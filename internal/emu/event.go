@@ -51,6 +51,36 @@ type Event struct {
 // call overhead reasons; nil disables tracing.
 type Tracer func(*Event)
 
+// Run describes one executed straight-line segment of a function: the
+// instructions at flat PCs [Start, End] of function Fn ran in order, with
+// only End able to transfer control. End is the run's control transfer,
+// or — when a fault or the instruction limit cut the run — the last
+// instruction that executed. Everything static about those instructions
+// is in the decoded program; Run carries only the dynamic facts. A single
+// Run value is reused across the execution; consumers must copy anything
+// they keep.
+type Run struct {
+	Fn         ir.FuncID
+	Start, End int32
+
+	// Addrs are the effective word addresses of the run's Ld and St
+	// instructions, in execution order.
+	Addrs []int64
+
+	// Taken is End's branch outcome (Event.Taken). It is explicit because
+	// a branch whose target is End+1 is taken yet falls through.
+	Taken bool
+
+	// ReuseHit, ReuseOut and ReusedInstrs are the Event reuse facts of a
+	// Reuse at End; they are meaningless for any other End.
+	ReuseHit     bool
+	ReuseOut     int
+	ReusedInstrs int
+}
+
+// RunHook receives every executed run (Machine.OnRun); nil disables it.
+type RunHook func(*Run)
+
 // Tee fans one event stream out to several tracers, invoked in order. Nil
 // tracers are skipped; with zero or one live tracer no wrapper is built.
 func Tee(tracers ...Tracer) Tracer {

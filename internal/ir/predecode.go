@@ -1,5 +1,7 @@
 package ir
 
+import "sync"
+
 // This file implements the predecoded ("flattened") program representation
 // the execution engine runs on. At link time each function's basic blocks
 // are lowered into one dense PInstr array in block order, with every
@@ -172,9 +174,9 @@ const (
 	XBleRI
 	XBgtRR
 	XBgtRI
-	XCall // callee in ObjLo
-	XRetR // return Src1
-	XRetI // return Imm
+	XCall  // callee in ObjLo
+	XRetR  // return Src1
+	XRetI  // return Imm
 	XReuse // region in ObjLo
 	XInval // object in ObjLo
 	XEnd   // the OpSentinel slot
@@ -242,6 +244,29 @@ func (df *DecodedFunc) Addr(pc int32) int64 {
 type DecodedProgram struct {
 	Prog  *Program
 	Funcs []*DecodedFunc // indexed by FuncID
+
+	// MaxRun is the length in instructions of the program's longest
+	// straight-line run (max RunEnd[pc]-pc+1 over every function): an
+	// upper bound on the instructions one run entry executes, which sizes
+	// per-run scratch buffers once per program.
+	MaxRun int
+
+	// ext caches tables other packages derive from this form (see Ext).
+	ext sync.Map
+}
+
+// Ext returns the table build derives from d, building it on the first
+// call per key and caching it for the life of the decoded form (Link
+// discards both). Keys should be values of an unexported type of the
+// calling package so packages never collide. Concurrent first callers may
+// each build; one result wins, so build must be deterministic and its
+// result read-only.
+func (d *DecodedProgram) Ext(key any, build func(*DecodedProgram) any) any {
+	if v, ok := d.ext.Load(key); ok {
+		return v
+	}
+	v, _ := d.ext.LoadOrStore(key, build(d))
+	return v
 }
 
 // Decoded returns the predecoded form of the program, building and
@@ -264,7 +289,13 @@ func (p *Program) Decoded() *DecodedProgram {
 func decodeProgram(p *Program) *DecodedProgram {
 	d := &DecodedProgram{Prog: p, Funcs: make([]*DecodedFunc, len(p.Funcs))}
 	for _, f := range p.Funcs {
-		d.Funcs[f.ID] = decodeFunc(p, f)
+		df := decodeFunc(p, f)
+		d.Funcs[f.ID] = df
+		for pc, end := range df.RunEnd {
+			if n := int(end) - pc + 1; n > d.MaxRun {
+				d.MaxRun = n
+			}
+		}
 	}
 	return d
 }

@@ -319,22 +319,17 @@ func (s *Simulator) observeInstrReuse(ev *emu.Event, fetch int64) bool {
 	return true
 }
 
-// blockSkip tracks an in-flight block-reuse skip.
-type blockSkip struct {
-	active bool
-	pc     int64 // start PC of the reused block
-	endPC  int64 // PC of the last instruction of the block
-}
-
 // observeBlockReuse implements the block-reuse timing shortcut; returns
-// true when the event belongs to a reused block and was handled.
-func (s *Simulator) observeBlockReuse(ev *emu.Event, fetch int64) bool {
-	if s.bskip.active {
+// true when the event belongs to a reused block and was handled. A hit
+// covers the block's remaining size−1 instructions, which are the next
+// size−1 events (eligible blocks hold no calls), so those are skipped by
+// count: a block that branches back to its own start is looked up again
+// on every iteration.
+func (s *Simulator) observeBlockReuse(ev *emu.Event) bool {
+	if s.bskip > 0 {
 		// Skipping the remainder of a reused block.
-		if ev.PC <= s.bskip.endPC && ev.PC >= s.bskip.pc {
-			return true
-		}
-		s.bskip.active = false
+		s.bskip--
+		return true
 	}
 	if ev.Index != 0 {
 		return false
@@ -350,14 +345,12 @@ func (s *Simulator) observeBlockReuse(ev *emu.Event, fetch int64) bool {
 	s.stats.BlockReuseHits++
 	s.stats.BlockReuseInstrs += int64(bi.size)
 	// Access + validate, then commit the block's definitions.
-	issue := s.issueAt(fetch, ir.FUBranch)
+	issue := s.issueAt(s.head, ir.FUBranch)
 	done := issue + 2 + int64((len(bi.defs)+s.cfg.ReuseCommitWidth-1)/s.cfg.ReuseCommitWidth)
 	for _, d := range bi.defs {
 		s.setReady(d, done)
 	}
 	s.redirect(done-1, int64(s.cfg.TakenBubble))
-	if bi.size > 1 {
-		s.bskip = blockSkip{active: true, pc: ev.PC, endPC: ev.PC + int64(bi.size-1)*4}
-	}
+	s.bskip = bi.size - 1
 	return true
 }

@@ -12,7 +12,7 @@ func timeWith(t *testing.T, cfg Config, p *ir.Program, args ...int64) (Stats, in
 	t.Helper()
 	m := emu.New(p)
 	sim := NewSimulator(cfg, p)
-	m.Trace = sim.Tracer()
+	sim.Attach(m)
 	res, err := m.Run(args...)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -155,5 +155,40 @@ func TestBlockReuseIneligibleBlocks(t *testing.T) {
 	st, _ := timeWith(t, cfg, p, 128)
 	if st.BlockReuseHits != 0 {
 		t.Fatalf("store-carrying block reused %d times", st.BlockReuseHits)
+	}
+}
+
+// TestBlockReuseSelfLoop: after a block-reuse hit on a block that branches
+// back to its own start, every later iteration is looked up again rather
+// than swallowed by the skip. main(5) runs the two-instruction self-loop
+// L: k++; if k < n goto L three times; the first pass records the five
+// signatures k=0..4 and each later pass hits all five (the surrounding
+// blocks store or see fresh inputs, so they never hit).
+func TestBlockReuseSelfLoop(t *testing.T) {
+	pb := ir.NewProgramBuilder("selfloop")
+	obj := pb.Object("o", 1, nil)
+	f := pb.Func("main", 1)
+	entry, outer, loop, latch, exit := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
+	j, k, base := f.NewReg(), f.NewReg(), f.NewReg()
+	entry.MovI(j, 0)
+	entry.Lea(base, obj, 0)
+	outer.St(base, 0, j, obj)
+	outer.MovI(k, 0)
+	loop.AddI(k, k, 1)
+	loop.Blt(k, f.Param(0), loop.ID())
+	latch.AddI(j, j, 1)
+	latch.BltI(j, 3, outer.ID())
+	exit.Ret(k)
+	p := ir.MustVerify(pb.Build())
+
+	cfg := DefaultConfig()
+	cfg.BlockReuse = true
+	st, res := timeWith(t, cfg, p, 5)
+	if res != 5 {
+		t.Fatalf("result %d, want 5", res)
+	}
+	if st.BlockReuseHits != 10 || st.BlockReuseInstrs != 20 {
+		t.Fatalf("block reuse: %d hits covering %d instrs, want 10 covering 20",
+			st.BlockReuseHits, st.BlockReuseInstrs)
 	}
 }

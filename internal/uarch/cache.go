@@ -1,15 +1,15 @@
 package uarch
 
 // cache is a direct-mapped cache model: it tracks only hit/miss, since the
-// timing model charges a flat miss penalty.
+// timing model charges a flat miss penalty. tags holds each set's resident
+// line, -1 when empty (lines are never negative).
 type cache struct {
 	lineShift uint
 	mask      int64
 	tags      []int64
-	valid     []bool
 }
 
-func newCache(sizeBytes, lineBytes int) *cache {
+func newCache(sizeBytes, lineBytes int) cache {
 	lines := sizeBytes / lineBytes
 	if lines < 1 {
 		lines = 1
@@ -18,22 +18,24 @@ func newCache(sizeBytes, lineBytes int) *cache {
 	for 1<<shift < lineBytes {
 		shift++
 	}
-	return &cache{
+	c := cache{
 		lineShift: shift,
 		mask:      int64(lines - 1),
 		tags:      make([]int64, lines),
-		valid:     make([]bool, lines),
 	}
+	for i := range c.tags {
+		c.tags[i] = -1
+	}
+	return c
 }
 
 // access looks up the byte address, allocating the line; it reports a hit.
 func (c *cache) access(addr int64) bool {
 	line := addr >> c.lineShift
 	idx := line & c.mask
-	if c.valid[idx] && c.tags[idx] == line {
+	if c.tags[idx] == line {
 		return true
 	}
-	c.valid[idx] = true
 	c.tags[idx] = line
 	return false
 }
@@ -42,55 +44,56 @@ func (c *cache) access(addr int64) bool {
 // with a stored target for direction-and-target prediction.
 type btb struct {
 	mask    int64
-	tags    []int64
-	ctr     []uint8
-	targets []int64
-	valid   []bool
+	entries []btbEntry
 }
 
-func newBTB(entries int) *btb {
+type btbEntry struct {
+	tag    int64
+	target int64
+	ctr    uint8
+	valid  bool
+}
+
+func newBTB(entries int) btb {
 	if entries < 1 {
 		entries = 1
 	}
-	return &btb{
+	return btb{
 		mask:    int64(entries - 1),
-		tags:    make([]int64, entries),
-		ctr:     make([]uint8, entries),
-		targets: make([]int64, entries),
-		valid:   make([]bool, entries),
+		entries: make([]btbEntry, entries),
 	}
 }
 
 // predict returns the predicted direction and target for the branch at pc.
 // Unknown branches predict not-taken (fall through).
 func (b *btb) predict(pc int64) (taken bool, target int64) {
-	idx := (pc >> 2) & b.mask
-	if !b.valid[idx] || b.tags[idx] != pc {
+	e := &b.entries[(pc>>2)&b.mask]
+	if !e.valid || e.tag != pc {
 		return false, 0
 	}
-	return b.ctr[idx] >= 2, b.targets[idx]
+	return e.ctr >= 2, e.target
 }
 
 // update trains the entry with the actual outcome.
 func (b *btb) update(pc int64, taken bool, target int64) {
-	idx := (pc >> 2) & b.mask
-	if !b.valid[idx] || b.tags[idx] != pc {
-		b.valid[idx] = true
-		b.tags[idx] = pc
+	e := &b.entries[(pc>>2)&b.mask]
+	if !e.valid || e.tag != pc {
+		e.valid = true
+		e.tag = pc
 		if taken {
-			b.ctr[idx] = 2
+			e.ctr = 2
 		} else {
-			b.ctr[idx] = 1
+			e.ctr = 1
 		}
-		b.targets[idx] = target
+		e.target = target
 		return
 	}
 	if taken {
-		if b.ctr[idx] < 3 {
-			b.ctr[idx]++
+		if e.ctr < 3 {
+			e.ctr++
 		}
-		b.targets[idx] = target
-	} else if b.ctr[idx] > 0 {
-		b.ctr[idx]--
+		e.target = target
+	} else if e.ctr > 0 {
+		e.ctr--
 	}
 }

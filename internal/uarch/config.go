@@ -6,9 +6,13 @@
 // BTB with 2-bit saturating counters and an 8-cycle misprediction penalty.
 // Failed computation reuse costs a delay equal to the misprediction penalty.
 //
-// The simulator consumes the functional emulator's dynamic instruction
-// stream (emulation-driven timing simulation), so architectural semantics
-// live in one place.
+// The simulator is driven by the functional emulator (emulation-driven
+// timing simulation), so architectural semantics live in one place. It
+// reads static instruction facts from a per-PC table built once per
+// program, and takes only the dynamic facts from the emulator: one call
+// per executed straight-line run (emu.Run) for the in-order model, or one
+// event per instruction for the configurations that need operand values
+// or mid-run cycle stamps (see Simulator.Attach).
 package uarch
 
 // Config selects the machine parameters. DefaultConfig reproduces §5.1.

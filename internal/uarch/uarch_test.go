@@ -55,7 +55,7 @@ func timeProgram(t *testing.T, p *ir.Program, args ...int64) Stats {
 	t.Helper()
 	m := emu.New(p)
 	sim := NewSimulator(DefaultConfig(), p)
-	m.Trace = sim.Tracer()
+	sim.Attach(m)
 	if _, err := m.Run(args...); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -265,7 +265,7 @@ func TestOutOfOrderHidesLatency(t *testing.T) {
 	cfg.ROBSize = 64
 	m := emu.New(p)
 	sim := NewSimulator(cfg, p)
-	m.Trace = sim.Tracer()
+	sim.Attach(m)
 	if _, err := m.Run(1024); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestOutOfOrderROBBound(t *testing.T) {
 		cfg.ROBSize = rob
 		m := emu.New(p)
 		sim := NewSimulator(cfg, p)
-		m.Trace = sim.Tracer()
+		sim.Attach(m)
 		if _, err := m.Run(2048); err != nil {
 			t.Fatal(err)
 		}
