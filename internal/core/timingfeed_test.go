@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,7 +16,8 @@ import (
 // per executed run (Machine.OnRun, which the engine feeds from its batch
 // tier, its careful tier and — through an event adapter — the
 // interpreter). These tests require every feed to produce the same
-// uarch.Stats, result, error and emu.Stats on generated programs.
+// uarch.Stats, result, error and emu.Stats on generated programs, for the
+// in-order and the out-of-order machine model.
 
 // timingFeed names one way of attaching the timing model to a machine.
 type timingFeed int
@@ -47,15 +49,15 @@ func runTimingFeed(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []
 	attachReuse(m, prog, rc, nil)
 	sim := uarch.NewSimulator(ucfg, prog)
 	if feed == feedEvents {
-		m.Trace = sim.Tracer()
-	} else {
-		sim.Attach(m)
-		if m.OnRun == nil {
-			panic("in-order Attach did not install the run feed")
-		}
-		if feed == feedCareful {
-			m.Trace = func(*emu.Event) {}
-		}
+		// Attach feeds a machine that already carries a tracer per event.
+		m.Trace = func(*emu.Event) {}
+	}
+	sim.Attach(m)
+	if (m.OnRun == nil) != (feed == feedEvents) {
+		panic(fmt.Sprintf("Attach chose the wrong feed for the %s feed", feed))
+	}
+	if feed == feedCareful {
+		m.Trace = func(*emu.Event) {}
 	}
 	var out feedOutcome
 	var err error
@@ -68,7 +70,8 @@ func runTimingFeed(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []
 }
 
 // feedCase is one differential input: a generated program shape, its
-// argument, an instruction limit (0: unlimited) and the reuse scheme.
+// argument, an instruction limit (0: unlimited), the reuse scheme and the
+// machine model.
 type feedCase struct {
 	seed   uint64
 	knobs  uint32
@@ -76,6 +79,7 @@ type feedCase struct {
 	limit  int64
 	scheme reuse.Scheme
 	spec   bool
+	ooo    bool
 }
 
 // progenConfig derives a program shape from knobs, a few bits per field.
@@ -112,6 +116,7 @@ func checkTimingFeeds(t *testing.T, c feedCase) (limited bool, hits int64) {
 	rc := reuse.Config{Scheme: c.scheme, CRB: opts.CRB, DTM: opts.DTM}
 	ucfg := opts.Uarch
 	ucfg.SpeculativeValidation = c.spec
+	ucfg.OutOfOrder = c.ooo
 	limit := c.limit
 	if limit <= 0 {
 		limit = opts.Limit
@@ -128,10 +133,11 @@ func checkTimingFeeds(t *testing.T, c feedCase) (limited bool, hits int64) {
 
 // TestTimingFeedsAgree is the deterministic tier-1 slice of
 // FuzzTimingFeed: 50 generated programs across every scheme, half of them
-// cut by a small instruction limit.
+// cut by a small instruction limit and a third of them on the out-of-order
+// machine.
 func TestTimingFeedsAgree(t *testing.T) {
 	schemes := reuse.Schemes()
-	var limited, hits int
+	var limited, hits, oooHits int
 	for seed := uint64(0); seed < 50; seed++ {
 		c := feedCase{
 			seed:   seed,
@@ -139,6 +145,7 @@ func TestTimingFeedsAgree(t *testing.T) {
 			arg:    int64(seed%7) - 1,
 			scheme: schemes[seed%uint64(len(schemes))],
 			spec:   seed%5 == 0,
+			ooo:    seed%3 == 0,
 		}
 		if seed%2 == 1 {
 			c.limit = int64(5 + seed*seed*7%300)
@@ -150,21 +157,25 @@ func TestTimingFeedsAgree(t *testing.T) {
 			}
 			if h > 0 {
 				hits++
+				if c.ooo {
+					oooHits++
+				}
 			}
 		})
 	}
-	t.Logf("%d of 50 runs cut by the limit, %d with reuse hits", limited, hits)
-	if limited == 0 || hits == 0 {
-		t.Fatalf("vacuous inputs: %d runs cut by the limit, %d with reuse hits", limited, hits)
+	t.Logf("%d of 50 runs cut by the limit, %d with reuse hits (%d out of order)", limited, hits, oooHits)
+	if limited == 0 || oooHits == 0 || oooHits == hits {
+		t.Fatalf("vacuous inputs: %d runs cut by the limit, %d with reuse hits (%d out of order)", limited, hits, oooHits)
 	}
 }
 
 // FuzzTimingFeed checks the run feed against the per-event feed on
-// arbitrary generated programs, arguments, instruction limits and
-// schemes.
+// arbitrary generated programs, arguments, instruction limits, schemes and
+// machine models. The scheme byte's low bits pick the scheme, bit 0x40 the
+// out-of-order machine and bit 0x80 speculative validation.
 func FuzzTimingFeed(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
-		f.Add(seed, uint32(seed*0x9E3779B9), int8(seed), uint16(seed*97), uint8(seed))
+		f.Add(seed, uint32(seed*0x9E3779B9), int8(seed), uint16(seed*97), uint8(seed|seed&4<<4))
 	}
 	schemes := reuse.Schemes()
 	f.Fuzz(func(t *testing.T, seed uint64, knobs uint32, arg int8, limit uint16, scheme uint8) {
@@ -175,6 +186,7 @@ func FuzzTimingFeed(f *testing.F) {
 			limit:  int64(limit),
 			scheme: schemes[int(scheme)%len(schemes)],
 			spec:   scheme&0x80 != 0,
+			ooo:    scheme&0x40 != 0,
 		})
 	})
 }

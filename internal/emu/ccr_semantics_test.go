@@ -312,7 +312,7 @@ func TestEventFieldsOverwritten(t *testing.T) {
 					Func: p.Funcs[0], Block: 99, Index: 99, Instr: &ir.Instr{},
 					PC: 99, Regs: []int64{99}, Val1: 99, Val2: 99, Result: 99,
 					Addr: 99, Taken: true, TargetPC: 99, ReuseHit: true,
-					ReuseIn: 99, ReuseOut: 99, ReusedInstrs: 99, InvalCount: 99,
+					ReuseOut: 99, ReusedInstrs: 99, InvalCount: 99,
 				}
 			}
 		}

@@ -110,7 +110,7 @@ func (m *Machine) emitFlat(trace Tracer, df *ir.DecodedFunc, pc int, in *ir.PIns
 	ev.Regs = regs
 	ev.Val1, ev.Val2, ev.Addr, ev.Result = v1, v2, addr, result
 	ev.Taken, ev.TargetPC = taken, tpc
-	ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = false, 0, 0, 0
+	ev.ReuseHit, ev.ReuseOut, ev.ReusedInstrs = false, 0, 0
 	ev.InvalCount = 0
 	if in.Op == ir.Inval {
 		ev.InvalCount = m.lastInval
@@ -664,7 +664,7 @@ outer:
 						continue outer
 					case ir.XReuse:
 						m.Stats.DynInstrs = limit - rem
-						hit, _, rout, reused := m.execReuse(ir.RegionID(in.ObjLo), fr.regs, df.Fn.NumRegs, len(m.fframes))
+						hit, rout, reused := m.execReuse(ir.RegionID(in.ObjLo), fr.regs, df.Fn.NumRegs, len(m.fframes))
 						m.run.ReuseHit, m.run.ReuseOut, m.run.ReusedInstrs = hit, rout, reused
 						if hit {
 							npc = int(in.Target)
@@ -1014,7 +1014,7 @@ outer:
 				continue outer
 			case ir.Reuse:
 				m.Stats.DynInstrs = limit - rem
-				hit, rin, rout, reused := m.execReuse(ir.RegionID(in.Aux), regs, df.Fn.NumRegs, len(m.fframes))
+				hit, rout, reused := m.execReuse(ir.RegionID(in.Aux), regs, df.Fn.NumRegs, len(m.fframes))
 				taken = hit
 				if hit {
 					nextPC = int(in.Target)
@@ -1035,7 +1035,7 @@ outer:
 					ev.Regs = regs
 					ev.Val1, ev.Val2, ev.Addr, ev.Result = 0, 0, 0, 0
 					ev.Taken, ev.TargetPC = hit, tpc
-					ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = hit, rin, rout, reused
+					ev.ReuseHit, ev.ReuseOut, ev.ReusedInstrs = hit, rout, reused
 					ev.InvalCount = 0
 					trace(ev)
 				}

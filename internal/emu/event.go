@@ -36,9 +36,9 @@ type Event struct {
 
 	// Reuse-instruction facts.
 	ReuseHit bool
-	// ReuseIn and ReuseOut are the matched instance's bank sizes on a
-	// hit (they bound the read-state and commit phases of §3.3).
-	ReuseIn, ReuseOut int
+	// ReuseOut is the matched instance's live-out count on a hit (it
+	// bounds the commit phase of §3.3).
+	ReuseOut int
 	// ReusedInstrs is the dynamic instruction count eliminated by a hit.
 	ReusedInstrs int
 

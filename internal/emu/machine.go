@@ -961,7 +961,7 @@ func (m *Machine) interpLoop(mainFn *ir.Func, args []int64, trace Tracer) (int64
 			}
 			continue
 		case ir.Reuse:
-			hit, rin, rout, reused := m.execReuse(in.Region, regs, fr.f.NumRegs, len(m.frames))
+			hit, rout, reused := m.execReuse(in.Region, regs, fr.f.NumRegs, len(m.frames))
 			taken = hit
 			if hit {
 				nextB, nextI = in.Target, 0
@@ -977,7 +977,7 @@ func (m *Machine) interpLoop(mainFn *ir.Func, args []int64, trace Tracer) (int64
 				ev.Regs = fr.regs
 				ev.Val1, ev.Val2, ev.Addr, ev.Result = 0, 0, 0, 0
 				ev.Taken, ev.TargetPC = hit, tpc
-				ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = hit, rin, rout, reused
+				ev.ReuseHit, ev.ReuseOut, ev.ReusedInstrs = hit, rout, reused
 				ev.InvalCount = 0
 				trace(ev)
 			}
@@ -1056,7 +1056,7 @@ func (m *Machine) emit(trace Tracer, ev *Event, f *ir.Func, b ir.BlockID, idx in
 	ev.Regs = m.frames[len(m.frames)-1].regs
 	ev.Val1, ev.Val2, ev.Addr, ev.Result = v1, v2, addr, result
 	ev.Taken, ev.TargetPC = taken, tpc
-	ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = false, 0, 0, 0
+	ev.ReuseHit, ev.ReuseOut, ev.ReusedInstrs = false, 0, 0
 	ev.InvalCount = 0
 	if in.Op == ir.Inval {
 		ev.InvalCount = m.lastInval
@@ -1070,7 +1070,7 @@ func (m *Machine) emit(trace Tracer, ev *Event, f *ir.Func, b ir.BlockID, idx in
 // region memoization mode. regs is the executing frame's register file,
 // numRegs its function's register count, and depth the current call-stack
 // depth (for function-level markers). Shared by both engines.
-func (m *Machine) execReuse(id ir.RegionID, regs []int64, numRegs, depth int) (hit bool, rin, rout, reused int) {
+func (m *Machine) execReuse(id ir.RegionID, regs []int64, numRegs, depth int) (hit bool, rout, reused int) {
 	region := m.Prog.Region(id)
 	rs := m.regionStat(id)
 	if m.memo.active {
@@ -1081,7 +1081,7 @@ func (m *Machine) execReuse(id ir.RegionID, regs []int64, numRegs, depth int) (h
 	if m.CRB == nil {
 		m.Stats.ReuseMisses++
 		rs.Misses++
-		return false, 0, 0, 0
+		return false, 0, 0
 	}
 	ci, ok := m.CRB.Lookup(id, regs)
 	if ok {
@@ -1092,7 +1092,7 @@ func (m *Machine) execReuse(id ir.RegionID, regs []int64, numRegs, depth int) (h
 		m.Stats.ReusedInstrs += int64(ci.ReplacedInstrs)
 		rs.Hits++
 		rs.ReusedInstrs += int64(ci.ReplacedInstrs)
-		return true, len(ci.Inputs), len(ci.Outputs), ci.ReplacedInstrs
+		return true, len(ci.Outputs), ci.ReplacedInstrs
 	}
 	m.Stats.ReuseMisses++
 	rs.Misses++
@@ -1107,10 +1107,10 @@ func (m *Machine) execReuse(id ir.RegionID, regs []int64, numRegs, depth int) (h
 			fm.inputs[i] = crb.RegVal{Reg: r, Val: regs[r]}
 		}
 		m.funcMemos = append(m.funcMemos, fm)
-		return false, 0, 0, 0
+		return false, 0, 0
 	}
 	m.memo.reset(region, numRegs)
-	return false, 0, 0, 0
+	return false, 0, 0
 }
 
 // commitFuncMemos commits any pending function-level recording whose call

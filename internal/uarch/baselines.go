@@ -45,16 +45,21 @@ type instrRB struct {
 	used    []uint64
 }
 
-const instrRBWays = 4
+// The baselines' buffer sizes: instrRBEntries instruction records in
+// sets of instrRBWays, and blockRBEntries basic blocks × blockRBInstances
+// recorded executions each.
+const (
+	instrRBWays      = 4
+	instrRBEntries   = 1024
+	blockRBEntries   = 128
+	blockRBInstances = 8
+)
 
-func newInstrRB(n int) *instrRB {
-	if n < instrRBWays {
-		n = instrRBWays
-	}
+func newInstrRB() *instrRB {
 	return &instrRB{
-		entries: make([]instrRBEntry, n),
-		sets:    int64(n / instrRBWays),
-		used:    make([]uint64, n),
+		entries: make([]instrRBEntry, instrRBEntries),
+		sets:    instrRBEntries / instrRBWays,
+		used:    make([]uint64, instrRBEntries),
 	}
 }
 
@@ -128,19 +133,15 @@ type blockInfo struct {
 
 // blockRB is the block-level reuse buffer.
 type blockRB struct {
-	table     map[int64]*blockRBEntry // keyed by block start PC
-	instances int
-	capacity  int
-	clock     uint64
-	info      map[int64]*blockInfo // block start PC → static info
+	table map[int64]*blockRBEntry // keyed by block start PC
+	clock uint64
+	info  map[int64]*blockInfo // block start PC → static info
 }
 
-func newBlockRB(prog *ir.Program, capacity, instances int) *blockRB {
+func newBlockRB(prog *ir.Program) *blockRB {
 	b := &blockRB{
-		table:     map[int64]*blockRBEntry{},
-		instances: instances,
-		capacity:  capacity,
-		info:      map[int64]*blockInfo{},
+		table: map[int64]*blockRBEntry{},
+		info:  map[int64]*blockInfo{},
 	}
 	var uses []ir.Reg
 	for _, f := range prog.Funcs {
@@ -234,7 +235,7 @@ func (b *blockRB) record(pc int64, regs []int64, objVer []uint64) {
 	}
 	e := b.table[pc]
 	if e == nil {
-		if len(b.table) >= b.capacity {
+		if len(b.table) >= blockRBEntries {
 			// Evict the least-recently-used resident block, breaking
 			// ties by lowest PC, so runs are reproducible (map
 			// iteration order is not).
@@ -248,7 +249,7 @@ func (b *blockRB) record(pc int64, regs []int64, objVer []uint64) {
 			}
 			delete(b.table, victim)
 		}
-		e = &blockRBEntry{sigs: make([]blockSig, b.instances)}
+		e = &blockRBEntry{sigs: make([]blockSig, blockRBInstances)}
 		b.table[pc] = e
 	}
 	b.clock++

@@ -7,12 +7,13 @@
 // Failed computation reuse costs a delay equal to the misprediction penalty.
 //
 // The simulator is driven by the functional emulator (emulation-driven
-// timing simulation), so architectural semantics live in one place. It
-// reads static instruction facts from a per-PC table built once per
-// program, and takes only the dynamic facts from the emulator: one call
-// per executed straight-line run (emu.Run) for the in-order model, or one
-// event per instruction for the configurations that need operand values
-// or mid-run cycle stamps (see Simulator.Attach).
+// timing simulation), so architectural semantics live in one place. Both
+// the in-order model and the out-of-order variant read static instruction
+// facts from a per-PC table built once per program, and take only the
+// dynamic facts from the emulator: one call per executed straight-line run
+// (emu.Run), or one event per instruction for the reuse baselines, which
+// need operand values, and for machines already carrying a tracer, which
+// may need mid-run cycle stamps (see Simulator.Attach).
 package uarch
 
 // Config selects the machine parameters. DefaultConfig reproduces §5.1.
@@ -58,17 +59,15 @@ type Config struct {
 	SpeculativeValidation bool
 
 	// InstrReuse enables the dynamic instruction-reuse baseline
-	// (Sodani & Sohi, §2.1): a PC-indexed buffer of InstrRBEntries
-	// entries reuses individual instruction results. Runs on the base
-	// program; mutually exclusive with CCR in meaningful comparisons.
-	InstrReuse     bool
-	InstrRBEntries int
+	// (Sodani & Sohi, §2.1): a PC-indexed buffer of 1024 entries reuses
+	// individual instruction results. Runs on the base program; mutually
+	// exclusive with CCR in meaningful comparisons.
+	InstrReuse bool
 	// BlockReuse enables the block-level reuse baseline (Huang & Lilja,
-	// §2.1): up to BlockRBEntries basic blocks × BlockRBInstances
-	// recorded executions each.
-	BlockReuse       bool
-	BlockRBEntries   int
-	BlockRBInstances int
+	// §2.1): up to 128 basic blocks × 8 recorded executions each.
+	// Both baselines model only the in-order machine: OutOfOrder
+	// ignores them.
+	BlockReuse bool
 
 	// OutOfOrder switches the timing model to a dynamically scheduled
 	// machine (idealized scheduling window bounded by ROBSize, in-order

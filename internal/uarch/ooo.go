@@ -13,7 +13,8 @@ import (
 // reuse still eliminates work (fetch bandwidth, functional units, load
 // ports) but no longer shortcuts latency the scheduler could hide.
 //
-// The model is trace-driven: each instruction is fetched in order at up to
+// The model replays the same per-PC table and run facts as the in-order
+// model (replayOOO): each instruction is fetched in order at up to
 // IssueWidth per cycle, dispatches into an idealized window bounded only
 // by the reorder buffer, issues when its operands and a functional unit
 // are ready (possibly out of order), and retires in order. Branch
@@ -82,14 +83,12 @@ func (s *Simulator) oooFetch(pc int64) int64 {
 	o := s.ooo
 	// ROB bound: the slot we are about to reuse must have retired.
 	if oldest := o.retireAt[o.robIdx]; oldest > o.fetchHead {
-		o.fetchHead = oldest
-		o.fetched = 0
+		s.oooRedirect(oldest)
 	}
 	if !s.ifetch(pc) {
 		s.stats.ICacheMisses++
 		s.stats.StallICache += int64(s.cfg.MissPenalty)
-		o.fetchHead += int64(s.cfg.MissPenalty)
-		o.fetched = 0
+		s.oooRedirect(o.fetchHead + int64(s.cfg.MissPenalty))
 	}
 	if o.fetched >= s.cfg.IssueWidth {
 		o.fetchHead++
@@ -113,149 +112,124 @@ func (s *Simulator) oooRetire(done int64) {
 	}
 }
 
-// observeOOO is the out-of-order counterpart of observe.
-func (s *Simulator) observeOOO(ev *emu.Event) {
+// replayOOO times one executed run on the dynamically scheduled machine:
+// the counterpart of replay, reading the same table entries and the same
+// dynamic facts from r.
+func (s *Simulator) replayOOO(r *emu.Run) {
 	cfg := &s.cfg
-	in := ev.Instr
-	s.stats.Instrs++
-	o := s.ooo
+	ents := s.tab.funcs[r.Fn][r.Start : r.End+1]
+	s.stats.Instrs += int64(len(ents))
+	k := 0 // next Ld/St address
+	for i := range ents {
+		e := &ents[i]
+		fetch := s.oooFetch(e.pc)
+		if e.kind == kReuse {
+			s.stepReuseOOO(e, fetch, r)
+			continue
+		}
 
-	if s.objVer != nil && in.Op == ir.St && in.Mem != ir.NoMem {
-		s.objVer[in.Mem]++
-	}
-
-	fetch := s.oooFetch(ev.PC)
-
-	if in.Op == ir.Reuse {
-		s.observeReuseOOO(ev, fetch)
-		return
-	}
-
-	// Operand readiness (dispatch waits for sources, not program order).
-	ready := fetch + 1
-	switch in.Op {
-	case ir.Call:
-		for _, a := range in.Args {
-			if r := s.cur.ready[a]; r > ready {
-				ready = r
+		// Operand readiness (dispatch waits for sources, not program order).
+		ready := s.cur.ready
+		want := fetch + 1
+		if e.kind == kCall {
+			for _, a := range s.tab.ext[e.aux].regs {
+				if rd := ready[a]; rd > want {
+					want = rd
+				}
 			}
-		}
-	default:
-		if r := s.cur.ready[in.Src1]; r > ready {
-			ready = r
-		}
-		if r := s.cur.ready[in.Src2]; r > ready {
-			ready = r
-		}
-	}
-
-	issue := s.issueAtOOO(ready, in.Op.FU())
-	lat := int64(in.Op.Latency())
-	done := issue + lat
-
-	switch in.Op {
-	case ir.Ld:
-		s.stats.DCacheAccess++
-		if !s.dcache.access(ev.Addr * 8) {
-			s.stats.DCacheMisses++
-			s.stats.StallDCache += int64(cfg.MissPenalty)
-			done += int64(cfg.MissPenalty)
-		}
-		s.setReady(in.Dest, done)
-	case ir.St:
-		s.stats.DCacheAccess++
-		if !s.dcache.access(ev.Addr * 8) {
-			s.stats.DCacheMisses++
-		}
-	case ir.Jmp:
-		// Direct jumps redirect at decode; a one-cycle bubble.
-		o.fetchHead = fetch + 1 + int64(cfg.TakenBubble)
-		o.fetched = 0
-	case ir.Beq, ir.Bne, ir.Blt, ir.Bge, ir.Ble, ir.Bgt:
-		s.stats.CondBranches++
-		predTaken, predTarget := s.btb.predict(ev.PC)
-		correct := predTaken == ev.Taken && (!ev.Taken || predTarget == ev.TargetPC)
-		s.btb.update(ev.PC, ev.Taken, ev.TargetPC)
-		if !correct {
-			s.stats.Mispredicts++
-			s.stats.StallBranch += int64(cfg.MispredictPenalty)
-			// Fetch resumes only after the branch resolves.
-			o.fetchHead = done + int64(cfg.MispredictPenalty)
-			o.fetched = 0
-		}
-	case ir.Call:
-		o.fetchHead = fetch + 1 + int64(cfg.TakenBubble)
-		o.fetched = 0
-		fid, pc := s.flatPC(ev)
-		nf := s.push(s.tab.ext[s.tab.funcs[fid][pc].aux].nregs, in.Dest)
-		for i := range in.Args {
-			nf.ready[i+1] = issue + 1
-			nf.frameMax = issue + 1
-		}
-	case ir.Ret:
-		o.fetchHead = fetch + 1 + int64(cfg.TakenBubble)
-		o.fetched = 0
-		retReady := issue + 1
-		if r := s.cur.ready[in.Src1]; r > retReady {
-			retReady = r
-		}
-		s.popTo(retReady)
-	case ir.Inval:
-	default:
-		if d := in.Def(); d != ir.NoReg {
-			s.setReady(d, done)
-		}
-	}
-	s.oooRetire(done)
-}
-
-// observeReuseOOO models the reuse pipeline tasks on the dynamically
-// scheduled machine.
-func (s *Simulator) observeReuseOOO(ev *emu.Event, fetch int64) {
-	cfg := &s.cfg
-	o := s.ooo
-	want := fetch + 1
-	if rg := s.prog.Region(ev.Instr.Region); rg != nil {
-		for _, r := range rg.Inputs {
-			if rd := s.cur.ready[r]; rd > want {
+		} else {
+			if rd := ready[e.src1]; rd > want {
+				want = rd
+			}
+			if rd := ready[e.src2]; rd > want {
 				want = rd
 			}
 		}
+
+		issue := s.issueAtOOO(want, e.fu)
+		done := issue + int64(e.lat)
+
+		switch e.kind {
+		case kLd:
+			s.stats.DCacheAccess++
+			if !s.dcache.access(r.Addrs[k] * 8) {
+				s.stats.DCacheMisses++
+				s.stats.StallDCache += int64(cfg.MissPenalty)
+				done += int64(cfg.MissPenalty)
+			}
+			k++
+			s.setReady(e.def, done)
+		case kSt:
+			s.stats.DCacheAccess++
+			if !s.dcache.access(r.Addrs[k] * 8) {
+				s.stats.DCacheMisses++
+			}
+			k++
+		case kJmp:
+			// Direct jumps redirect at decode; a one-cycle bubble.
+			s.oooRedirect(fetch + 1 + int64(cfg.TakenBubble))
+		case kCBr:
+			s.stats.CondBranches++
+			taken := r.Taken
+			target := e.pc + 4
+			if taken {
+				target = e.pc + int64(e.aux)
+			}
+			predTaken, predTarget := s.btb.predict(e.pc)
+			correct := predTaken == taken && (!taken || predTarget == target)
+			s.btb.update(e.pc, taken, target)
+			if !correct {
+				s.stats.Mispredicts++
+				s.stats.StallBranch += int64(cfg.MispredictPenalty)
+				// Fetch resumes only after the branch resolves.
+				s.oooRedirect(done + int64(cfg.MispredictPenalty))
+			}
+		case kCall:
+			s.oooRedirect(fetch + 1 + int64(cfg.TakenBubble))
+			x := &s.tab.ext[e.aux]
+			nf := s.push(x.nregs, e.def)
+			for i := range x.regs {
+				nf.ready[i+1] = issue + 1
+				nf.frameMax = issue + 1
+			}
+		case kRet:
+			s.oooRedirect(fetch + 1 + int64(cfg.TakenBubble))
+			retReady := issue + 1
+			if rd := ready[e.src1]; rd > retReady {
+				retReady = rd
+			}
+			s.popTo(retReady)
+		case kInval:
+		default:
+			s.setReady(e.def, done)
+		}
+		s.oooRetire(done)
+	}
+}
+
+// oooRedirect restarts fetch at cycle next.
+func (s *Simulator) oooRedirect(next int64) {
+	s.ooo.fetchHead = next
+	s.ooo.fetched = 0
+}
+
+// stepReuseOOO models the reuse pipeline tasks on the dynamically
+// scheduled machine: the lookup waits for the region inputs, not program
+// order, and the reuse instruction retires when its outcome is known.
+func (s *Simulator) stepReuseOOO(e *tentry, fetch int64, r *emu.Run) {
+	x := &s.tab.ext[e.aux]
+	want := fetch + 1
+	for _, reg := range x.regs {
+		if rd := s.cur.ready[reg]; rd > want {
+			want = rd
+		}
 	}
 	issue := s.issueAtOOO(want, ir.FUBranch)
-	validate := int64(cfg.ReuseValidateCycles)
-	if cfg.SpeculativeValidation {
-		validate = 0
-	}
-	access := issue + int64(cfg.ReuseAccessCycles) + validate
-
-	if ev.ReuseHit {
-		s.stats.ReuseHits++
-		s.stats.ReuseInstrs += int64(ev.ReusedInstrs)
-		commitCycles := int64(0)
-		if ev.ReuseOut > 0 {
-			commitCycles = int64((ev.ReuseOut + cfg.ReuseCommitWidth - 1) / cfg.ReuseCommitWidth)
-		}
-		done := access + commitCycles
-		s.stats.ReuseCycles += done - issue
-		if rg := s.prog.Region(ev.Instr.Region); rg != nil {
-			for _, out := range rg.Outputs {
-				s.setReady(out, done)
-			}
-		}
-		o.fetchHead = fetch + 1 + int64(cfg.TakenBubble)
-		o.fetched = 0
-		s.oooRetire(done)
+	done, penalty := s.reuseOutcome(x, issue, r.ReuseHit, r.ReuseOut, r.ReusedInstrs)
+	if r.ReuseHit {
+		s.oooRedirect(fetch + 1 + int64(s.cfg.TakenBubble))
 	} else {
-		s.stats.ReuseMisses++
-		s.stats.MemoizedRuns++
-		penalty := int64(cfg.ReuseFailPenalty)
-		if cfg.SpeculativeValidation {
-			penalty++
-		}
-		s.stats.StallReuse += penalty
-		o.fetchHead = access + penalty
-		o.fetched = 0
-		s.oooRetire(access)
+		s.oooRedirect(done + penalty)
 	}
+	s.oooRetire(done)
 }

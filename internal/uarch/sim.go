@@ -8,17 +8,17 @@ import (
 // Simulator is the timing model. Attach it to an emu.Machine, run the
 // program, then read Stats(). One Simulator models one run.
 //
-// The in-order model times instructions from the program's static per-PC
-// table (table.go), so it needs only each run's dynamic facts: Attach
-// feeds it one call per executed run (emu.Run) and the engine stays on its
-// batch tier. Configurations that read per-instruction values or need
-// mid-run cycle stamps consume per-instruction events instead (observe),
-// each replayed as a one-instruction run, so both feeds apply the same
-// rules.
+// Both machine models time instructions from the program's static per-PC
+// table (table.go), so they need only each run's dynamic facts: Attach
+// feeds the model one call per executed run (emu.Run: replay in order,
+// replayOOO out of order) and the engine stays on its batch tier. The
+// reuse baselines, which read per-instruction values, and machines that
+// already carry a tracer, which may read mid-run cycle stamps, consume
+// per-instruction events instead (observe), each replayed as a
+// one-instruction run, so both feeds apply the same rules.
 type Simulator struct {
-	cfg  Config
-	prog *ir.Program
-	tab  *table
+	cfg Config
+	tab *table
 
 	icache cache
 	dcache cache
@@ -45,7 +45,8 @@ type Simulator struct {
 	frames []simFrame
 	cur    *simFrame
 
-	// Reuse-baseline state (nil / zero unless enabled in Config).
+	// Reuse-baseline state (nil / zero unless enabled in Config; the
+	// baselines model only the in-order machine).
 	irb *instrRB
 	brb *blockRB
 	// bskip counts the events still to skip after a block-reuse hit.
@@ -80,7 +81,6 @@ type simFrame struct {
 func NewSimulator(cfg Config, prog *ir.Program) *Simulator {
 	s := &Simulator{
 		cfg:      cfg,
-		prog:     prog,
 		tab:      tableFor(prog),
 		icache:   newCache(cfg.ICacheBytes, cfg.LineBytes),
 		dcache:   newCache(cfg.DCacheBytes, cfg.LineBytes),
@@ -97,54 +97,38 @@ func NewSimulator(cfg Config, prog *ir.Program) *Simulator {
 	}
 	s.push(s.tab.maxRegs, ir.NoReg)
 	s.evRun.Addrs = s.evAddr[:]
+	if cfg.OutOfOrder {
+		s.ooo = newOOOState(cfg.ROBSize)
+		return s
+	}
 	if cfg.InstrReuse {
-		n := cfg.InstrRBEntries
-		if n <= 0 {
-			n = 1024
-		}
-		s.irb = newInstrRB(n)
+		s.irb = newInstrRB()
 	}
 	if cfg.BlockReuse {
-		entries, insts := cfg.BlockRBEntries, cfg.BlockRBInstances
-		if entries <= 0 {
-			entries = 128
-		}
-		if insts <= 0 {
-			insts = 8
-		}
-		s.brb = newBlockRB(prog, entries, insts)
+		s.brb = newBlockRB(prog)
 	}
 	if cfg.InstrReuse || cfg.BlockReuse {
 		s.objVer = make([]uint64, len(prog.Objects))
 	}
-	if cfg.OutOfOrder {
-		s.ooo = newOOOState(cfg.ROBSize)
-	}
 	return s
 }
 
-// Attach installs the simulator on m, choosing its feed. The in-order
-// model takes the per-run feed (m.OnRun), which keeps the engine on its
-// batch tier. The per-event tracer (Tracer) is used instead, teed ahead of
-// any tracer already on m, when the configuration reads per-instruction
-// values (the instruction- and block-reuse baselines), for the
-// out-of-order model, and when m already has a tracer — which may read
+// Attach installs the simulator on m, choosing its feed; both produce
+// identical Stats. Either machine model takes the per-run feed (m.OnRun),
+// which keeps the engine on its batch tier. The per-event adapter
+// (observe) is used instead, teed ahead of any tracer already on m, when
+// the configuration reads per-instruction values (the instruction- and
+// block-reuse baselines) and when m already has a tracer — which may read
 // CycleCount mid-run, so the model must be current at every event.
 func (s *Simulator) Attach(m *emu.Machine) {
-	if s.irb != nil || s.brb != nil || s.ooo != nil || m.Trace != nil {
-		m.Trace = emu.Tee(s.Tracer(), m.Trace)
-		return
+	switch {
+	case s.irb != nil || s.brb != nil || m.Trace != nil:
+		m.Trace = emu.Tee(s.observe, m.Trace)
+	case s.ooo != nil:
+		m.OnRun = s.replayOOO
+	default:
+		m.OnRun = s.replay
 	}
-	m.OnRun = s.replay
-}
-
-// Tracer returns the per-event hook. Attach picks between it and the
-// per-run feed; both produce identical Stats.
-func (s *Simulator) Tracer() emu.Tracer {
-	if s.ooo != nil {
-		return s.observeOOO
-	}
-	return s.observe
 }
 
 // Stats returns the accumulated timing counters; Cycles is the current
@@ -370,7 +354,7 @@ func (s *Simulator) replay(r *emu.Run) {
 }
 
 // observe is the per-event adapter: the reuse baselines' bookkeeping,
-// then replay over a one-instruction run.
+// then the machine model's replay over a one-instruction run.
 func (s *Simulator) observe(ev *emu.Event) {
 	fid, pc := s.flatPC(ev)
 	e := &s.tab.funcs[fid][pc]
@@ -388,6 +372,10 @@ func (s *Simulator) observe(ev *emu.Event) {
 	r.Fn, r.Start, r.End = fid, pc, pc
 	s.evAddr[0] = ev.Addr
 	r.Taken, r.ReuseHit, r.ReuseOut, r.ReusedInstrs = ev.Taken, ev.ReuseHit, ev.ReuseOut, ev.ReusedInstrs
+	if s.ooo != nil {
+		s.replayOOO(r)
+		return
+	}
 	s.ev = ev
 	s.replay(r)
 	s.ev = nil
@@ -417,13 +405,12 @@ func (s *Simulator) redirect(issue, bubble int64) {
 	}
 }
 
-// stepReuse models the four reuse pipeline tasks of §3.3: CRB access,
-// architectural-state read (interlocked against in-flight writes),
-// instance validation, and live-out commit on a hit — or the
-// misprediction-like redirect on a failed reuse. out is the matched
+// stepReuse models the four reuse pipeline tasks of §3.3 on the in-order
+// machine: CRB access, architectural-state read (interlocked against
+// in-flight writes), instance validation, and live-out commit on a hit —
+// or the misprediction-like redirect on a failed reuse. out is the matched
 // instance's live-out count and reused the instructions a hit eliminated.
 func (s *Simulator) stepReuse(e *tentry, hit bool, out, reused int) {
-	cfg := &s.cfg
 	fetch := s.head
 	if !s.ifetch(e.pc) {
 		fetch = s.imiss()
@@ -441,52 +428,59 @@ func (s *Simulator) stepReuse(e *tentry, hit bool, out, reused int) {
 	}
 	s.stats.StallDep += want - fetch
 	issue := s.issueAt(want, ir.FUBranch)
-	validate := int64(cfg.ReuseValidateCycles)
-	if cfg.SpeculativeValidation {
-		// Validation proceeds in the shadow of the committed values.
-		validate = 0
-	}
-	access := issue + int64(cfg.ReuseAccessCycles) + validate
-
+	done, penalty := s.reuseOutcome(x, issue, hit, out, reused)
 	if hit {
-		s.stats.ReuseHits++
-		s.stats.ReuseInstrs += int64(reused)
-		// Commit the live-out values, ReuseCommitWidth per cycle.
-		commitCycles := int64(0)
-		if out > 0 {
-			commitCycles = int64((out + cfg.ReuseCommitWidth - 1) / cfg.ReuseCommitWidth)
-		}
-		done := access + commitCycles
-		s.stats.ReuseCycles += done - issue
-		for _, r := range x.outs {
-			s.setReady(r, done)
-		}
 		// Control transfers to the continuation like a taken branch.
-		s.redirect(done-1, int64(cfg.TakenBubble))
+		s.redirect(done-1, int64(s.cfg.TakenBubble))
 	} else {
-		s.stats.ReuseMisses++
-		s.stats.MemoizedRuns++
 		// Failed reuse: the pipeline is cleared and fetch is redirected
 		// to the computation code (§3.3), a mispredict-like delay. A
-		// failed value speculation additionally squashes the forwarded
-		// results.
-		penalty := int64(cfg.ReuseFailPenalty)
-		if cfg.SpeculativeValidation {
-			penalty++
+		// speculative validation must first confirm the miss.
+		recovery := int64(0)
+		if s.cfg.SpeculativeValidation {
+			recovery = int64(s.cfg.ReuseValidateCycles)
 		}
-		s.stats.StallReuse += penalty
-		s.redirect(access-1+validateRecovery(cfg), penalty)
+		s.redirect(done-1+recovery, penalty)
 	}
 	if s.head < issue {
 		s.head = issue
 	}
 }
 
-// validateRecovery is the extra cycle a speculative validation needs to
-// confirm before a miss can redirect (the validation it skipped).
-func validateRecovery(cfg *Config) int64 {
+// reuseOutcome is the reuse arithmetic both machine models share, for a
+// reuse instruction of region x issued at issue: the CRB access and
+// validation latency, then on a hit the live-out commit, ReuseCommitWidth
+// results per cycle, and on a miss the failure penalty, with their stats.
+// done is when the hit's live-outs are ready, or when the miss is known;
+// penalty is the miss's redirect delay (0 on a hit).
+func (s *Simulator) reuseOutcome(x *textra, issue int64, hit bool, out, reused int) (done, penalty int64) {
+	cfg := &s.cfg
+	validate := int64(cfg.ReuseValidateCycles)
 	if cfg.SpeculativeValidation {
-		return int64(cfg.ReuseValidateCycles)
+		// Validation proceeds in the shadow of the committed values.
+		validate = 0
 	}
-	return 0
+	done = issue + int64(cfg.ReuseAccessCycles) + validate
+	if !hit {
+		s.stats.ReuseMisses++
+		s.stats.MemoizedRuns++
+		// A failed value speculation additionally squashes the
+		// forwarded results.
+		penalty = int64(cfg.ReuseFailPenalty)
+		if cfg.SpeculativeValidation {
+			penalty++
+		}
+		s.stats.StallReuse += penalty
+		return done, penalty
+	}
+	s.stats.ReuseHits++
+	s.stats.ReuseInstrs += int64(reused)
+	if out > 0 {
+		done += int64((out + cfg.ReuseCommitWidth - 1) / cfg.ReuseCommitWidth)
+	}
+	s.stats.ReuseCycles += done - issue
+	for _, r := range x.outs {
+		s.setReady(r, done)
+	}
+	return done, 0
 }
