@@ -233,6 +233,19 @@ func BenchmarkTimingSimulation(b *testing.B) {
 	}
 }
 
+// BenchmarkDigestRun measures one oracle digest of the base program: a
+// careful-tier run with the digest folded inline.
+func BenchmarkDigestRun(b *testing.B) {
+	w := workloads.Load("m88ksim", workloads.Tiny)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DigestRun(w.Prog, nil, w.Train, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompilePipeline measures the whole compiler support: alias
 // analysis, profiling run, region formation and transformation.
 func BenchmarkCompilePipeline(b *testing.B) {

@@ -126,8 +126,8 @@ func digest(t *testing.T, p *ir.Program, buf emu.ReuseBuffer, n int64) oracle.Di
 	if buf != nil {
 		m.CRB = buf
 	}
-	col := oracle.NewCollector(p)
-	m.Trace = col.Tracer()
+	var col oracle.Collector
+	col.Attach(m)
 	res, err := m.Run(n)
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -110,8 +110,8 @@ func digestDTM(t *testing.T, p *ir.Program, buf emu.TraceBuffer, n int64) oracle
 	if buf != nil {
 		m.DTM = buf
 	}
-	col := oracle.NewCollector(p)
-	m.Trace = col.Tracer()
+	var col oracle.Collector
+	col.Attach(m)
 	res, err := m.Run(n)
 	if err != nil {
 		t.Fatalf("run: %v", err)

@@ -326,8 +326,8 @@ func digestRun(prog *ir.Program, rc reuse.Config, args []int64, limit int64, new
 	m := newMachine(prog)
 	m.Limit = limit
 	attachReuse(m, prog, rc, nil)
-	col := oracle.NewCollector(prog)
-	m.Trace = col.Tracer()
+	var col oracle.Collector
+	col.Attach(m)
 	res, err := m.Run(args...)
 	if err != nil {
 		return oracle.Digest{}, err

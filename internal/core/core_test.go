@@ -175,8 +175,8 @@ func TestSchemeOffBitIdenticalToLegacyRun(t *testing.T) {
 	legacy := func(prog *ir.Program, args []int64, interp bool) oracle.Digest {
 		m := emu.New(prog)
 		m.Interp = interp
-		col := oracle.NewCollector(prog)
-		m.Trace = col.Tracer()
+		var col oracle.Collector
+		col.Attach(m)
 		res, err := m.Run(args...)
 		if err != nil {
 			t.Fatalf("legacy run: %v", err)

@@ -118,9 +118,10 @@ func TestTelemetryPreservesOracleDigest(t *testing.T) {
 	buf := crb.New(opts.CRB, cr.Prog)
 	buf.SetSink(telemetry.NewMetrics())
 	m.CRB = buf
-	col := oracle.NewCollector(cr.Prog)
+	var col oracle.Collector
+	col.Attach(m)
 	spans, dir := spanLog(t)
-	m.Trace = emu.Tee(col.Tracer(), spanTracer(spans, func() int64 { return 0 }))
+	m.Trace = spanTracer(spans, func() int64 { return 0 })
 	res, err := m.Run(iters)
 	if err != nil {
 		t.Fatalf("instrumented run: %v", err)

@@ -13,9 +13,9 @@ package emu
 // The engine is two-tier:
 //
 //   - The *batch* tier runs whenever execution is unobservable per
-//     instruction: no tracer (a Machine.OnRun hook, fed once per run, is
-//     fine), no active memoization, and the function has an XCode
-//     (operand-shape specialized batch form, see ir.batchDecode). Its loop
+//     instruction: no tracer, no digest (a Machine.OnRun hook, fed once
+//     per run, is fine), no active memoization, and the function has an
+//     XCode (operand-shape specialized batch form, see ir.batchDecode). Its loop
 //     carries no per-instruction statistics at all: the instruction
 //     budget is charged per straight-line *run* on entry
 //     (rem -= RunEnd[pc]-pc+1) and entry
@@ -30,10 +30,12 @@ package emu
 //     histograms stay in architectural instructions.
 //   - The *careful* tier is the original instruction-at-a-time loop with
 //     full per-instruction accounting; it is authoritative for tracing,
-//     memoization recording, the limit endgame (where a whole run no
-//     longer fits in the budget), and functions whose shape the batch
-//     decoder rejects. It executes one straight-line run at a time and
-//     returns to the tier dispatch at every control transfer, so batch
+//     digesting (Machine.Digest, folded inline at the points where a
+//     tracer would be called, with no Event built), memoization
+//     recording, the limit endgame (where a whole run no longer fits in
+//     the budget), and functions whose shape the batch decoder rejects.
+//     It executes one straight-line run at a time and returns to the
+//     tier dispatch at every control transfer, so batch
 //     execution resumes as soon as the observable condition (an armed
 //     memo, typically) has passed.
 //
@@ -165,6 +167,7 @@ func (m *Machine) runFast(args []int64) (int64, error) {
 		limit = DefaultLimit
 	}
 	trace := m.Trace
+	digest := m.Digest
 	dtm := m.DTM
 	mem := m.Mem
 	if dtm != nil {
@@ -204,11 +207,11 @@ outer:
 
 		// ---- batch tier ------------------------------------------------
 		// Eligible only when execution is unobservable per instruction (no
-		// tracer, no armed memo; a run hook sees whole runs) and the
-		// function has a batch form. The run containing pc is
+		// tracer, no digest, no armed memo; a run hook sees whole runs)
+		// and the function has a batch form. The run containing pc is
 		// charged up front; if it doesn't fit in the budget the careful
 		// tier below takes over and finds the exact ErrLimit point.
-		if trace == nil && !m.memo.active && df.XCode != nil {
+		if trace == nil && digest == nil && !m.memo.active && df.XCode != nil {
 			xcode := df.XCode
 			runEnd := df.RunEnd
 			cnt := m.entryCnt[df.Fn.ID]
@@ -911,6 +914,9 @@ outer:
 						fmt.Sprintf("store address %d outside hinted object %s [%d,%d)", addr, o.Name, o.Base, o.Base+o.Size)}
 				}
 				mem[addr] = v2
+				if digest != nil {
+					digest.store(addr, v2)
+				}
 				if m.OnRun != nil {
 					m.noteAddr(addr)
 				}
@@ -967,6 +973,9 @@ outer:
 				for i, a := range meta[pc].Src.Args {
 					nf.regs[i+1] = caller.regs[a]
 				}
+				if digest != nil {
+					digest.instr(df.Addr(int32(pc)), 0, true, cdf.Base)
+				}
 				if trace != nil {
 					m.Stats.DynInstrs = limit - rem
 					m.emitFlat(trace, df, pc, in, &meta[pc], v1, v2, 0, 0, true, cdf.Base, nf.regs)
@@ -985,13 +994,19 @@ outer:
 				if in.Src1 != ir.NoReg {
 					retVal = v1
 				}
-				if trace != nil {
+				if trace != nil || digest != nil {
 					tpc := int64(0)
 					if len(m.fframes) > 1 {
 						p := &m.fframes[len(m.fframes)-2]
 						tpc = p.df.Addr(int32(p.pc))
 					}
-					m.emitFlat(trace, df, pc, in, &meta[pc], v1, v2, 0, retVal, true, tpc, regs)
+					if digest != nil {
+						digest.instr(df.Addr(int32(pc)), retVal, true, tpc)
+						digest.ret(retVal)
+					}
+					if trace != nil {
+						m.emitFlat(trace, df, pc, in, &meta[pc], v1, v2, 0, retVal, true, tpc, regs)
+					}
 				}
 				if m.OnRun != nil {
 					m.feedRun(df, pc, true)
@@ -1022,6 +1037,13 @@ outer:
 				if m.OnRun != nil {
 					m.run.ReuseHit, m.run.ReuseOut, m.run.ReusedInstrs = hit, rout, reused
 					m.feedRun(df, pc, hit)
+				}
+				if digest != nil {
+					// tpc is folded only when the hit is taken.
+					digest.instr(df.Addr(int32(pc)), 0, hit, df.Addr(in.Target))
+					if hit {
+						m.digestReuse(ir.RegionID(in.Aux), regs)
+					}
 				}
 				if trace != nil {
 					tpc := df.Addr(in.Target)
@@ -1076,6 +1098,10 @@ outer:
 				m.memoStep(df.Fn, mt.Src, result, nb, ni)
 			}
 
+			if digest != nil {
+				// Only a branch is taken, and its target is nextPC.
+				digest.instr(df.Addr(int32(pc)), result, taken, df.Addr(int32(nextPC)))
+			}
 			if trace != nil {
 				m.Stats.DynInstrs = limit - rem
 				tpc := int64(0)

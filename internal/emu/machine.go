@@ -2,8 +2,9 @@
 // representation. It executes linked programs instruction by instruction,
 // implements the architectural semantics of the CCR instruction-set
 // extensions (reuse lookup, memoization mode, instance commit, and
-// invalidation) against a Computation Reuse Buffer, and streams a dynamic
-// instruction event to an optional tracer.
+// invalidation) against a Computation Reuse Buffer, streams a dynamic
+// instruction event to an optional tracer, and folds an optional oracle
+// digest (Digest) as it executes.
 //
 // Two execution engines share one architectural semantics:
 //
@@ -219,6 +220,10 @@ type Machine struct {
 	DTM TraceBuffer
 	// Trace, when non-nil, receives every executed dynamic instruction.
 	Trace Tracer
+	// Digest, when non-nil, accumulates the run's digest streams (see
+	// Digest). The engine folds them inline, without building events, but
+	// like a tracer a digest keeps it on its careful tier.
+	Digest *Digest
 	// OnRun, when non-nil, receives every executed straight-line run
 	// (see Run): exactly the instructions a Trace would see, grouped per
 	// run, with only their dynamic facts. Unlike Trace it keeps the
@@ -614,15 +619,20 @@ func (m *Machine) dtmInterpEnter(limit int64) error {
 
 // runInterp is the legacy block-structured interpreter: the reference
 // implementation the predecoded engine is differentially tested against.
-// It feeds OnRun by regrouping its own event stream (feedEvent).
+// It folds Digest from, and feeds OnRun by regrouping, its own event
+// stream (digestEvent, feedEvent).
 func (m *Machine) runInterp(mainFn *ir.Func, args []int64) (int64, error) {
+	trace := m.Trace
+	if m.Digest != nil {
+		trace = Tee(trace, m.digestEvent)
+	}
 	if m.OnRun == nil {
-		return m.interpLoop(mainFn, args, m.Trace)
+		return m.interpLoop(mainFn, args, trace)
 	}
 	m.prepareFeed()
 	sg := &m.seg
 	sg.open = false
-	res, err := m.interpLoop(mainFn, args, Tee(m.Trace, m.feedEvent))
+	res, err := m.interpLoop(mainFn, args, Tee(trace, m.feedEvent))
 	if sg.open {
 		// A fault or the limit cut the run: flush what executed.
 		sg.open = false

@@ -10,6 +10,7 @@ import (
 	"ccr/internal/emu"
 	"ccr/internal/ir"
 	"ccr/internal/oracle"
+	"ccr/internal/reuse"
 	"ccr/internal/workloads"
 )
 
@@ -17,19 +18,20 @@ import (
 // benchmark × dataset × configuration point it checks the predecoded
 // engine against the legacy interpreter two ways.
 //
-//   - Traced: the internal/oracle digests (result, final memory, store and
-//     return-value streams) must be byte-identical. The oracle collector
-//     attaches a tracer, so this pins the careful tier and the event
-//     stream.
-//   - Untraced: a plain run with no tracer — the batch tier's fast path —
-//     must reproduce the interpreter's result, final memory image, and the
-//     complete statistics block (DynInstrs, per-opcode histogram, branch
-//     and reuse counters, per-region rows), plus the CRB counters when a
-//     buffer is attached.
+//   - Digested: the internal/oracle digests (result, final memory, store,
+//     return-value and trace streams) must be byte-identical. The
+//     predecoded engine folds them inline on its careful tier and the
+//     interpreter from its event stream, so this pins both.
+//   - Untraced: a plain run with no tracer or digest — the batch tier's
+//     fast path — must reproduce the interpreter's result, final memory
+//     image, and the complete statistics block (DynInstrs, per-opcode
+//     histogram, branch and reuse counters, per-region rows), plus the CRB
+//     and DTM counters when those buffers are attached.
 //
 // Configurations cover the untransformed base program, the default CCR
-// compilation, a conflict-pressure geometry, and the function-level
-// extension (memoization-mode and funcMemo paths).
+// compilation, a conflict-pressure geometry, the function-level extension
+// (memoization-mode and funcMemo paths), and trace memoization alone and
+// beside the CRB (DTM landing replays, which execute and digest nothing).
 func TestEngineDifferential(t *testing.T) {
 	for _, b := range workloads.All(workloads.Tiny) {
 		b := b
@@ -49,12 +51,14 @@ func TestEngineDifferential(t *testing.T) {
 			points := []struct {
 				name string
 				prog *ir.Program
-				cfg  *crb.Config
+				rc   reuse.Config
 			}{
-				{"base", b.Prog, nil},
-				{"ccr-default", cr.Prog, &opts.CRB},
-				{"ccr-8E2CI", cr.Prog, &small},
-				{"funclevel", crFL.Prog, &flOpts.CRB},
+				{"base", b.Prog, reuse.Config{Scheme: reuse.Off}},
+				{"ccr-default", cr.Prog, reuse.CCR(opts.CRB)},
+				{"ccr-8E2CI", cr.Prog, reuse.CCR(small)},
+				{"funclevel", crFL.Prog, reuse.CCR(flOpts.CRB)},
+				{"dtm", b.Prog, reuse.DTMOnly(opts.DTM)},
+				{"both", cr.Prog, reuse.Both(opts.CRB, opts.DTM)},
 			}
 			datasets := []struct {
 				name string
@@ -64,37 +68,40 @@ func TestEngineDifferential(t *testing.T) {
 				for _, pt := range points {
 					label := fmt.Sprintf("%s/%s", ds.name, pt.name)
 
-					di, err := core.DigestRunEngine(pt.prog, pt.cfg, ds.args, 0, true)
+					di, err := core.DigestRunReuseEngine(pt.prog, pt.rc, ds.args, 0, true)
 					if err != nil {
 						t.Fatalf("%s: interp digest: %v", label, err)
 					}
-					de, err := core.DigestRunEngine(pt.prog, pt.cfg, ds.args, 0, false)
+					de, err := core.DigestRunReuseEngine(pt.prog, pt.rc, ds.args, 0, false)
 					if err != nil {
 						t.Fatalf("%s: engine digest: %v", label, err)
 					}
 					if err := oracle.Compare(di, de); err != nil {
-						t.Errorf("%s: traced digest diverged: %v", label, err)
+						t.Errorf("%s: digest diverged: %v", label, err)
 					} else if !di.Equal(de) {
 						t.Errorf("%s: digest identity diverged:\ninterp %+v\nengine %+v", label, di, de)
 					}
 
-					compareUntraced(t, label, pt.prog, pt.cfg, ds.args)
+					compareUntraced(t, label, pt.prog, pt.rc, ds.args)
 				}
 			}
 		})
 	}
 }
 
-// compareUntraced runs both engines with no tracer attached (the batch
-// tier's eligibility condition) and asserts full architectural and
+// compareUntraced runs both engines with no tracer or digest attached (the
+// batch tier's eligibility condition) and asserts full architectural and
 // statistical parity.
-func compareUntraced(t *testing.T, label string, prog *ir.Program, cfg *crb.Config, args []int64) {
+func compareUntraced(t *testing.T, label string, prog *ir.Program, rc reuse.Config, args []int64) {
 	t.Helper()
 	run := func(interp bool) (*emu.Machine, int64, error) {
 		m := emu.New(prog)
 		m.Interp = interp
-		if cfg != nil {
-			m.CRB = crb.New(*cfg, prog)
+		if rc.Scheme.UsesCCR() {
+			m.CRB = crb.New(rc.CRB, prog)
+		}
+		if rc.Scheme.UsesDTM() {
+			m.DTM = reuse.NewDTM(rc.DTM, prog)
 		}
 		res, err := m.Run(args...)
 		return m, res, err
@@ -120,16 +127,23 @@ func compareUntraced(t *testing.T, label string, prog *ir.Program, cfg *crb.Conf
 	}
 	if si.ReuseHits != se.ReuseHits || si.ReuseMisses != se.ReuseMisses ||
 		si.ReusedInstrs != se.ReusedInstrs || si.MemoAborts != se.MemoAborts ||
-		si.Invalidations != se.Invalidations {
+		si.Invalidations != se.Invalidations ||
+		si.DTMHits != se.DTMHits || si.DTMReusedInstrs != se.DTMReusedInstrs {
 		t.Errorf("%s: reuse stats diverged:\ninterp %+v\nengine %+v", label, si, se)
 	}
 	if !reflect.DeepEqual(si.Regions, se.Regions) {
 		t.Errorf("%s: per-region stats diverged:\ninterp %v\nengine %v", label, si.Regions, se.Regions)
 	}
-	if cfg != nil {
+	if rc.Scheme.UsesCCR() {
 		ci, ce := mi.CRB.(*crb.CRB).Stats(), me.CRB.(*crb.CRB).Stats()
 		if ci != ce {
 			t.Errorf("%s: CRB stats diverged:\ninterp %+v\nengine %+v", label, ci, ce)
+		}
+	}
+	if rc.Scheme.UsesDTM() {
+		ti, te := mi.DTM.(*reuse.DTM).Stats(), me.DTM.(*reuse.DTM).Stats()
+		if !reflect.DeepEqual(ti, te) {
+			t.Errorf("%s: DTM stats diverged:\ninterp %+v\nengine %+v", label, ti, te)
 		}
 	}
 }

@@ -18,14 +18,20 @@
 //   - Stores/StoreCount: the ordered (address, value) store stream. Stores
 //     execute outside regions on both sides, in the same order.
 //   - Rets/RetCount: the ordered return-value stream. A function-level
-//     reuse hit skips a call and its ret; the collector synthesizes the
-//     skipped ret from the region's committed outputs, which is exact
-//     unless the memoized callee itself makes calls (then RetsExact is
-//     cleared and Compare skips this component).
+//     reuse hit skips a call and its ret; the skipped ret is synthesized
+//     from the region's committed outputs, which is exact unless the
+//     memoized callee itself makes calls (then RetsExact is cleared and
+//     Compare skips this component).
 //
 // Trace and DynInstrs are identity components: they only match between
 // runs of the same program under the same configuration, and exist to pin
 // determinism (serial vs parallel, repeated runs).
+//
+// The streaming components (stores, rets, trace) are folded by the
+// emulator itself into an emu.Digest: the predecoded engine folds them
+// inline as it executes, and the interpreter from its own event stream. A
+// Collector attaches that accumulator to a Machine and seals it into a
+// Digest with the result and final memory image.
 package oracle
 
 import (
@@ -33,7 +39,6 @@ import (
 	"strings"
 
 	"ccr/internal/emu"
-	"ccr/internal/ir"
 )
 
 // Digest summarizes the architectural behaviour of one emulator run.
@@ -51,8 +56,8 @@ type Digest struct {
 	// function-level reuse hits synthesized in); RetCount its length.
 	// RetsExact is false when a function-level hit skipped a callee that
 	// itself makes calls, making the synthesized stream an undercount.
-	Rets     uint64
-	RetCount int64
+	Rets      uint64
+	RetCount  int64
 	RetsExact bool
 	// Trace is the full per-instruction checksum and DynInstrs the traced
 	// instruction count — identity components, not reuse-invariant.
@@ -64,98 +69,36 @@ type Digest struct {
 // component, including the configuration-sensitive identity ones.
 func (d Digest) Equal(o Digest) bool { return d == o }
 
-// mix folds v into the running checksum h. It is a fast, order-sensitive,
-// non-cryptographic mix (splitmix64 finalizer folded FNV-style); the
-// oracle needs collision resistance against accidental divergence, not
-// adversaries.
-func mix(h, v uint64) uint64 {
-	v *= 0x9E3779B97F4A7C15
-	v ^= v >> 29
-	v *= 0xBF58476D1CE4E5B9
-	v ^= v >> 32
-	return (h ^ v) * 0x100000001B3
-}
-
-// Collector accumulates a Digest from an emulator's event stream. Attach
-// its Tracer to a Machine, run, then call Finish with the run's result and
-// final memory.
+// Collector turns an emulator run into a Digest. The zero value is
+// ready: Attach it to a Machine, run, then call Finish with the run's
+// result and final memory. A Collector digests one run.
 type Collector struct {
-	prog *ir.Program
-	d    Digest
-	// calls[f] reports whether function f contains a call instruction —
-	// precomputed so function-level reuse hits know whether the skipped
-	// subtree contained nested rets the collector cannot synthesize.
-	calls []bool
+	acc emu.Digest
 }
 
-// NewCollector prepares a collector for runs of prog.
-func NewCollector(prog *ir.Program) *Collector {
-	c := &Collector{prog: prog}
-	c.d.RetsExact = true
-	c.calls = make([]bool, len(prog.Funcs))
-	for _, f := range prog.Funcs {
-		for _, b := range f.Blocks {
-			for i := range b.Instrs {
-				if b.Instrs[i].Op == ir.Call {
-					c.calls[f.ID] = true
-				}
-			}
-		}
-	}
-	return c
-}
-
-// Tracer returns the event hook that feeds the digest. The returned tracer
-// may be chained before another consumer by the caller.
-func (c *Collector) Tracer() emu.Tracer {
-	return func(ev *emu.Event) {
-		d := &c.d
-		d.DynInstrs++
-		t := mix(d.Trace, uint64(ev.PC))
-		t = mix(t, uint64(ev.Result))
-		if ev.Taken {
-			t = mix(t, uint64(ev.TargetPC)|1)
-		}
-		d.Trace = t
-		switch ev.Instr.Op {
-		case ir.St:
-			d.Stores = mix(mix(d.Stores, uint64(ev.Addr)), uint64(ev.Val2))
-			d.StoreCount++
-		case ir.Ret:
-			d.Rets = mix(d.Rets, uint64(ev.Result))
-			d.RetCount++
-		case ir.Reuse:
-			if !ev.ReuseHit {
-				return
-			}
-			rg := c.prog.Region(ev.Instr.Region)
-			if rg == nil || rg.Kind != ir.FuncLevel {
-				return
-			}
-			// The hit skipped a call and its ret: synthesize the ret value
-			// from the region outputs the hit just wrote.
-			for _, out := range rg.Outputs {
-				d.Rets = mix(d.Rets, uint64(ev.Regs[out]))
-				d.RetCount++
-			}
-			if rg.Callee != ir.NoFunc && c.calls[rg.Callee] {
-				d.RetsExact = false
-			}
-		}
-	}
-}
+// Attach makes m fold its run into the collector (Machine.Digest).
+func (c *Collector) Attach(m *emu.Machine) { m.Digest = &c.acc }
 
 // Finish seals the digest with the run's final return value and data
 // memory image.
 func (c *Collector) Finish(result int64, mem []int64) Digest {
-	c.d.Result = result
-	c.d.MemWords = len(mem)
+	a := &c.acc
 	h := uint64(0)
 	for _, w := range mem {
-		h = mix(h, uint64(w))
+		h = emu.Mix(h, uint64(w))
 	}
-	c.d.MemHash = h
-	return c.d
+	return Digest{
+		Result:     result,
+		MemHash:    h,
+		MemWords:   len(mem),
+		Stores:     a.Stores,
+		StoreCount: a.StoreCount,
+		Rets:       a.Rets,
+		RetCount:   a.RetCount,
+		RetsExact:  !a.RetsInexact,
+		Trace:      a.Trace,
+		DynInstrs:  a.DynInstrs,
+	}
 }
 
 // Divergence is a transparency-contract violation: one or more invariant

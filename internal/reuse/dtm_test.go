@@ -19,8 +19,8 @@ func digest(t *testing.T, prog *ir.Program, d emu.TraceBuffer, interp bool, args
 	m := emu.New(prog)
 	m.Interp = interp
 	m.DTM = d
-	c := oracle.NewCollector(prog)
-	m.Trace = c.Tracer()
+	var c oracle.Collector
+	c.Attach(m)
 	res, err := m.Run(args...)
 	if err != nil {
 		t.Fatalf("run: %v", err)
