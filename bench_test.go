@@ -246,6 +246,24 @@ func BenchmarkDigestRun(b *testing.B) {
 	}
 }
 
+// BenchmarkTimedDigestRun measures one timed run that also folds the
+// oracle digest: the base program on one machine carrying both the timing
+// model and the collector, as a cold verification cell runs it. Compare it
+// with BenchmarkTimingSimulation plus BenchmarkDigestRun, the two
+// executions it replaces.
+func BenchmarkTimedDigestRun(b *testing.B) {
+	w := workloads.Load("m88ksim", workloads.Tiny)
+	off := reuse.Config{Scheme: reuse.Off}
+	cfg := uarch.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.SimulateReuseDigest(w.Prog, off, cfg, w.Train, 0, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCompilePipeline measures the whole compiler support: alias
 // analysis, profiling run, region formation and transformation.
 func BenchmarkCompilePipeline(b *testing.B) {

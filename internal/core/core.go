@@ -199,6 +199,23 @@ func attachReuse(m *emu.Machine, prog *ir.Program, rc reuse.Config, tel *Telemet
 // dtm, both side by side for both, and neither for off. It is the
 // scheme-generic core that Simulate wraps.
 func SimulateReuse(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, tel *Telemetry) (*SimResult, error) {
+	r, _, err := simulate(prog, rc, ucfg, args, limit, tel, false)
+	return r, err
+}
+
+// SimulateReuseDigest is SimulateReuse that also returns the run's oracle
+// digest, folded in the same execution: one machine carries both the
+// timing model and the collector. The digest keeps the engine on its
+// careful tier, which feeds the timing model the same runs as the batch
+// tier, so the SimResult equals SimulateReuse's and the digest equals
+// DigestRunReuse's.
+func SimulateReuseDigest(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, tel *Telemetry) (*SimResult, oracle.Digest, error) {
+	return simulate(prog, rc, ucfg, args, limit, tel, true)
+}
+
+// simulate is the timed run behind SimulateReuse and SimulateReuseDigest;
+// with digest set, an oracle collector rides on the same machine.
+func simulate(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, tel *Telemetry, digest bool) (*SimResult, oracle.Digest, error) {
 	m := emu.New(prog)
 	m.Limit = limit
 	buf, dtm := attachReuse(m, prog, rc, tel)
@@ -207,9 +224,14 @@ func SimulateReuse(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []
 		m.Trace = spanTracer(tel.Spans, sim.CycleCount)
 	}
 	sim.Attach(m)
+	var col *oracle.Collector
+	if digest {
+		col = new(oracle.Collector)
+		col.Attach(m)
+	}
 	res, err := m.Run(args...)
 	if err != nil {
-		return nil, err
+		return nil, oracle.Digest{}, err
 	}
 	out := &SimResult{
 		Result: res,
@@ -226,7 +248,11 @@ func SimulateReuse(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []
 		out.DTM = &st
 		out.DTMHeads = dtm.HeadStats()
 	}
-	return out, nil
+	var d oracle.Digest
+	if col != nil {
+		d = col.Finish(res, m.Mem)
+	}
+	return out, d, nil
 }
 
 // spanTracer streams a run's reuse-relevant events to l, one span each,

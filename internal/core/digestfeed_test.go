@@ -8,6 +8,7 @@ import (
 	"ccr/internal/ir"
 	"ccr/internal/progen"
 	"ccr/internal/reuse"
+	"ccr/internal/uarch"
 )
 
 // The oracle digest is folded two ways: inline by the predecoded engine's
@@ -15,7 +16,10 @@ import (
 // same accumulator methods. These tests require the inline fold, alone and
 // next to a tracer, to match the interpreter's fold in the accumulator
 // state, result, error text, final memory and emu.Stats — including where
-// an instruction limit or a fault cuts the run.
+// an instruction limit or a fault cuts the run. A timed digest (the fold
+// and the timing model's run feed on one machine, as SimulateReuseDigest
+// runs them) must also report the digest-only outcome, and the
+// uarch.Stats of the same run timed without a digest.
 
 // digestFeed names one way of running a digested machine.
 type digestFeed int
@@ -40,8 +44,8 @@ type digestOutcome struct {
 	Emu    emu.Stats
 }
 
-// digestCase is a feedCase (its spec and ooo fields are unused) plus a
-// data-memory cut and the function-level compilation switch.
+// digestCase is a feedCase plus a data-memory cut and the function-level
+// compilation switch. Its spec and ooo fields configure the timed legs.
 type digestCase struct {
 	feedCase
 	// cut, when positive, truncates data memory to cut words, so any
@@ -51,6 +55,13 @@ type digestCase struct {
 }
 
 func runDigestFeed(prog *ir.Program, rc reuse.Config, args []int64, limit int64, cut int, feed digestFeed) digestOutcome {
+	out, _ := runDigested(prog, rc, nil, args, limit, cut, feed, true)
+	return out
+}
+
+// runDigested runs one machine: digested when digest is set, and timed on
+// the run feed when ucfg is non-nil. A timed run returns its uarch.Stats.
+func runDigested(prog *ir.Program, rc reuse.Config, ucfg *uarch.Config, args []int64, limit int64, cut int, feed digestFeed, digest bool) (digestOutcome, uarch.Stats) {
 	m := emu.New(prog)
 	m.Limit = limit
 	m.Interp = feed == digestInterp
@@ -58,8 +69,18 @@ func runDigestFeed(prog *ir.Program, rc reuse.Config, args []int64, limit int64,
 		m.Mem = m.Mem[:cut]
 	}
 	attachReuse(m, prog, rc, nil)
+	var sim *uarch.Simulator
+	if ucfg != nil {
+		sim = uarch.NewSimulator(*ucfg, prog)
+		sim.Attach(m)
+		if m.OnRun == nil {
+			panic("Attach did not choose the run feed")
+		}
+	}
 	var out digestOutcome
-	m.Digest = &out.Digest
+	if digest {
+		m.Digest = &out.Digest
+	}
 	if feed == digestTracing {
 		m.Trace = func(*emu.Event) {}
 	}
@@ -69,7 +90,10 @@ func runDigestFeed(prog *ir.Program, rc reuse.Config, args []int64, limit int64,
 		out.Err = err.Error()
 	}
 	out.Mem, out.Emu = m.Mem, m.Stats
-	return out
+	if sim == nil {
+		return out, uarch.Stats{}
+	}
+	return out, sim.Stats()
 }
 
 // checkDigestFeeds runs c under every feed and fails on any difference. It
@@ -101,22 +125,37 @@ func checkDigestFeeds(t *testing.T, c digestCase) digestOutcome {
 			t.Fatalf("%+v: %s fold differs from the interpreter's:\n got  %+v\n want %+v", c, f, got, want)
 		}
 	}
+	ucfg := opts.Uarch
+	ucfg.SpeculativeValidation = c.spec
+	ucfg.OutOfOrder = c.ooo
+	timed, batch := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestEngine, false)
+	got, stats := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestEngine, true)
+	timed.Digest = want.Digest
+	if !reflect.DeepEqual(timed, want) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%+v: timed runs differ from the digest-only run:\n timed           %+v\n timed, digested %+v\n want            %+v", c, timed, got, want)
+	}
+	if stats != batch {
+		t.Fatalf("%+v: the digested timed run's uarch.Stats differ from the undigested run's:\n got  %+v\n want %+v", c, stats, batch)
+	}
 	return want
 }
 
 // TestDigestFeedsAgree is the deterministic tier-1 slice of
 // FuzzDigestFeed: 60 generated programs across every scheme, half of them
-// cut by a small instruction limit, a quarter with data memory cut short
-// and a third compiled with function-level regions.
+// cut by a small instruction limit, a quarter with data memory cut short,
+// a third compiled with function-level regions and two fifths timed on
+// the out-of-order machine.
 func TestDigestFeedsAgree(t *testing.T) {
 	schemes := reuse.Schemes()
-	var limited, faulted, hits, dtmHits, funcRets int
+	var limited, faulted, hits, dtmHits, funcRets, oooHits, oooCut int
 	for seed := uint64(0); seed < 60; seed++ {
 		c := digestCase{feedCase: feedCase{
 			seed:   seed,
 			knobs:  uint32(seed * 0x9E3779B9),
 			arg:    int64(seed%7) - 1,
 			scheme: schemes[seed%uint64(len(schemes))],
+			spec:   seed%5 == 0,
+			ooo:    seed%5 >= 3,
 		}}
 		if seed%2 == 1 {
 			c.limit = int64(5 + seed*seed*7%300)
@@ -147,23 +186,32 @@ func TestDigestFeedsAgree(t *testing.T) {
 			if c.funcLevel && o.Emu.ReuseHits > 0 && o.Digest.RetCount > o.Emu.ByOp[ir.Ret] {
 				funcRets++
 			}
+			if c.ooo && o.Emu.ReuseHits+o.Emu.DTMHits > 0 {
+				oooHits++
+			}
+			if c.ooo && o.Err != "" {
+				oooCut++
+			}
 		})
 	}
-	t.Logf("of 60 runs: %d cut by the limit, %d faulted, %d with reuse hits, %d with DTM hits, %d with synthesized rets",
-		limited, faulted, hits, dtmHits, funcRets)
-	if limited == 0 || faulted == 0 || hits == 0 || dtmHits == 0 || funcRets == 0 {
-		t.Fatalf("vacuous inputs: %d cut by the limit, %d faulted, %d with reuse hits, %d with DTM hits, %d with synthesized rets",
-			limited, faulted, hits, dtmHits, funcRets)
+	t.Logf("of 60 runs: %d cut by the limit, %d faulted, %d with reuse hits, %d with DTM hits, %d with synthesized rets; out of order: %d with hits, %d cut",
+		limited, faulted, hits, dtmHits, funcRets, oooHits, oooCut)
+	if limited == 0 || faulted == 0 || hits == 0 || dtmHits == 0 || funcRets == 0 || oooHits == 0 || oooCut == 0 {
+		t.Fatalf("vacuous inputs: %d cut by the limit, %d faulted, %d with reuse hits, %d with DTM hits, %d with synthesized rets; out of order: %d with hits, %d cut",
+			limited, faulted, hits, dtmHits, funcRets, oooHits, oooCut)
 	}
 }
 
-// FuzzDigestFeed checks the inline digest fold against the interpreter's
-// on arbitrary generated programs, arguments, instruction limits, schemes
-// and memory cuts. The scheme byte's low bits pick the scheme and bit 0x80
-// function-level compilation; a non-zero cut truncates data memory.
+// FuzzDigestFeed checks the inline digest fold against the interpreter's,
+// and the timed digest against the digest-only and undigested timed runs,
+// on arbitrary generated programs, arguments, instruction limits, schemes,
+// machine models and memory cuts. The scheme byte's low bits pick the
+// scheme, bit 0x80 function-level compilation, bit 0x40 the out-of-order
+// machine and bit 0x20 speculative validation; a non-zero cut truncates
+// data memory.
 func FuzzDigestFeed(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
-		f.Add(seed, uint32(seed*0x9E3779B9), int8(seed), uint16(seed*97), uint8(seed|seed&1<<7), uint8(seed&2*20))
+		f.Add(seed, uint32(seed*0x9E3779B9), int8(seed), uint16(seed*97), uint8(seed|seed&1<<7|seed&2<<5|seed&4<<3), uint8(seed&2*20))
 	}
 	schemes := reuse.Schemes()
 	f.Fuzz(func(t *testing.T, seed uint64, knobs uint32, arg int8, limit uint16, scheme uint8, cut uint8) {
@@ -174,6 +222,8 @@ func FuzzDigestFeed(f *testing.F) {
 				arg:    int64(arg),
 				limit:  int64(limit),
 				scheme: schemes[int(scheme)%len(schemes)],
+				spec:   scheme&0x20 != 0,
+				ooo:    scheme&0x40 != 0,
 			},
 			cut:       int(cut),
 			funcLevel: scheme&0x80 != 0,

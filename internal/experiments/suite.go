@@ -96,9 +96,17 @@ type Suite struct {
 
 // NewSuite loads every benchmark at the configured scale.
 func NewSuite(cfg Config) *Suite {
+	return NewSuiteOf(cfg, workloads.All(cfg.Scale))
+}
+
+// NewSuiteOf is NewSuite over the given benchmarks, which must be built
+// at cfg.Scale. The suite prepares (alias-annotates) each program in
+// place on first use, so two suites may share benchmarks only while at
+// most one of them runs anything on them.
+func NewSuiteOf(cfg Config, benches []*workloads.Benchmark) *Suite {
 	return &Suite{
 		cfg:     cfg,
-		Benches: workloads.All(cfg.Scale),
+		Benches: benches,
 		pool: runner.Pool{Jobs: cfg.Jobs, CellTimeout: cfg.CellTimeout,
 			Retries: cfg.Retries, Heartbeat: cfg.Heartbeat},
 		prep:     runner.NewCache(),
@@ -399,10 +407,23 @@ func (s *Suite) progFor(b *workloads.Benchmark, rc reuse.Config) (*ir.Program, e
 // Cache and store keys embed the full scheme key (reuse.Config.Key), so a
 // CCR and a DTM run with coinciding numeric geometry can never alias.
 func (s *Suite) ReuseSim(b *workloads.Benchmark, args []int64, rc reuse.Config) (*core.SimResult, error) {
+	r, _, err := s.reuseSim(b, args, rc, nil)
+	return r, err
+}
+
+// reuseSim is ReuseSim's cache and store path. A non-nil digest asks for
+// the scheme run's oracle digest as well: when this caller computes the
+// timed run itself (a cache and store miss), the run folds the digest in
+// the same execution and reuseSim writes it to *digest, reporting true.
+// A sim served from BaseSim, the store or another caller's flight carries
+// no digest, and reuseSim reports false.
+func (s *Suite) reuseSim(b *workloads.Benchmark, args []int64, rc reuse.Config, digest *oracle.Digest) (*core.SimResult, bool, error) {
 	if rc.Scheme == reuse.Off {
-		return s.BaseSim(b, args)
+		r, err := s.BaseSim(b, args)
+		return r, false, err
 	}
 	key := b.Name + "|" + dsKey(args) + "|" + rc.Key()
+	fresh := false
 	v, err := s.ccrSim.Do(key, func() (any, error) {
 		skey, err := s.storeKey(b, "ds="+dsKey(args)+"|"+rc.Key())
 		if err != nil {
@@ -420,7 +441,12 @@ func (s *Suite) ReuseSim(b *workloads.Benchmark, args []int64, rc reuse.Config) 
 		if s.cfg.Telemetry {
 			tel = &core.Telemetry{Metrics: telemetry.NewMetrics()}
 		}
-		r, err := core.SimulateReuse(prog, rc, s.cfg.Opts.Uarch, args, s.cfg.Opts.Limit, tel)
+		var r *core.SimResult
+		if digest != nil {
+			r, *digest, err = core.SimulateReuseDigest(prog, rc, s.cfg.Opts.Uarch, args, s.cfg.Opts.Limit, tel)
+		} else {
+			r, err = core.SimulateReuse(prog, rc, s.cfg.Opts.Uarch, args, s.cfg.Opts.Limit, tel)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s sim %s: %w", rc.Scheme, b.Name, err)
 		}
@@ -428,12 +454,13 @@ func (s *Suite) ReuseSim(b *workloads.Benchmark, args []int64, rc reuse.Config) 
 			s.pool.Manifest.SetTelemetry("ccr_sim/"+key, tel.Metrics.Summary())
 		}
 		s.toStore("ccr_sim", skey, r)
+		fresh = digest != nil
 		return r, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return v.(*core.SimResult), nil
+	return v.(*core.SimResult), fresh, nil
 }
 
 // CCRSim returns the cached CCR timing run of b on args with the given
@@ -559,17 +586,38 @@ func (s *Suite) CCRDigest(b *workloads.Benchmark, args []int64, cc crb.Config) (
 // arbitrary reuse scheme, with the architectural-result cross-check every
 // timed pair gets.
 func (s *Suite) SpeedupPoint(b *workloads.Benchmark, args []int64, rc reuse.Config) (float64, error) {
+	return s.speedup(b, args, rc, nil)
+}
+
+// SpeedupDigest is SpeedupPoint plus the scheme run's architectural
+// digest, as ReuseDigest returns it. A cold point is one execution: the
+// timed run folds the digest as it goes. When the timed run is served
+// from the cache or the store (or is scheme off's BaseSim), the digest is
+// recomputed by ReuseDigest, since digests are never cached.
+func (s *Suite) SpeedupDigest(b *workloads.Benchmark, args []int64, rc reuse.Config) (float64, oracle.Digest, error) {
+	var d oracle.Digest
+	sp, err := s.speedup(b, args, rc, &d)
+	return sp, d, err
+}
+
+// speedup is SpeedupPoint, also filling *digest when digest is non-nil.
+func (s *Suite) speedup(b *workloads.Benchmark, args []int64, rc reuse.Config, digest *oracle.Digest) (float64, error) {
 	base, err := s.BaseSim(b, args)
 	if err != nil {
 		return 0, err
 	}
-	run, err := s.ReuseSim(b, args, rc)
+	run, fresh, err := s.reuseSim(b, args, rc, digest)
 	if err != nil {
 		return 0, err
 	}
 	if run.Result != base.Result {
 		return 0, fmt.Errorf("experiments: %s: architectural mismatch (base %d, %s %d)",
 			b.Name, base.Result, rc.Scheme, run.Result)
+	}
+	if digest != nil && !fresh {
+		if *digest, err = s.ReuseDigest(b, args, rc); err != nil {
+			return 0, err
+		}
 	}
 	return core.Speedup(base, run), nil
 }

@@ -7,7 +7,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -228,31 +230,19 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The benchmarks are built once per run. The plan suite only reads
+	// their names and the sweep matrix; the inline suite is the only one
+	// that runs them.
+	benches, err := resolveBenches(scale, cfg.Benches)
+	if err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fabric: state dir: %w", err)
 	}
-
-	// The plan only needs the benchmark list and sweep matrix, not any
-	// computed artifact, so building it from a bare suite is cheap.
 	planCfg := experiments.DefaultConfig()
 	planCfg.Scale = scale
-	plan := Plan(experiments.NewSuite(planCfg))
-	if len(cfg.Benches) > 0 {
-		want := map[string]bool{}
-		for _, b := range cfg.Benches {
-			want[b] = true
-		}
-		var sub []CellSpec
-		for _, spec := range plan {
-			if want[spec.Bench] {
-				sub = append(sub, spec)
-			}
-		}
-		if len(sub) == 0 {
-			return nil, fmt.Errorf("fabric: bench filter %v matches no plan cells", cfg.Benches)
-		}
-		plan = sub
-	}
+	plan := Plan(experiments.NewSuiteOf(planCfg, benches))
 
 	journal, prior, torn, err := RecoverJournal(filepath.Join(cfg.Dir, "journal.jsonl"))
 	if err != nil {
@@ -294,7 +284,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	c.sched = newSched(pending)
 
-	if err := c.runSlots(scale); err != nil {
+	if err := c.runSlots(scale, benches); err != nil {
 		return nil, err
 	}
 
@@ -326,11 +316,37 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// resolveBenches builds the benchmarks a run covers, in the canonical
+// order the plan lays cells out in: every benchmark when names is empty,
+// else the named ones. An unknown name is an error naming the known
+// benchmarks, so a typo cannot silently drop a benchmark from the sweep.
+func resolveBenches(scale workloads.Scale, names []string) ([]*workloads.Benchmark, error) {
+	if len(names) == 0 {
+		return workloads.All(scale), nil
+	}
+	known := workloads.Names()
+	want := map[string]bool{}
+	for _, n := range names {
+		if !slices.Contains(known, n) {
+			return nil, fmt.Errorf("fabric: bench filter: unknown benchmark %q (known: %s)",
+				n, strings.Join(known, ", "))
+		}
+		want[n] = true
+	}
+	var out []*workloads.Benchmark
+	for _, n := range known {
+		if want[n] {
+			out = append(out, workloads.Load(n, scale))
+		}
+	}
+	return out, nil
+}
+
 // runSlots starts every configured slot and waits for the sweep to drain.
 // Inline mode (no workers, no remotes) runs on the calling goroutine.
-func (c *coordinator) runSlots(scale workloads.Scale) error {
+func (c *coordinator) runSlots(scale workloads.Scale, benches []*workloads.Benchmark) error {
 	if c.cfg.Workers == 0 && len(c.cfg.Remotes) == 0 {
-		return c.runInline(scale)
+		return c.runInline(scale, benches)
 	}
 	c.liveSlot = c.cfg.Workers + len(c.cfg.Remotes)
 	var wg sync.WaitGroup
@@ -433,7 +449,7 @@ func (c *coordinator) addStoreStats(st *store.Stats) {
 
 // runInline computes every pending cell serially on the calling
 // goroutine — the byte-identity reference for every sharded mode.
-func (c *coordinator) runInline(scale workloads.Scale) error {
+func (c *coordinator) runInline(scale workloads.Scale, benches []*workloads.Benchmark) error {
 	sCfg := experiments.DefaultConfig()
 	sCfg.Scale = scale
 	if c.cfg.StoreDir != "" {
@@ -443,7 +459,7 @@ func (c *coordinator) runInline(scale workloads.Scale) error {
 		}
 		sCfg.Store = st
 	}
-	suite := experiments.NewSuite(sCfg)
+	suite := experiments.NewSuiteOf(sCfg, benches)
 	for {
 		i, ok := c.sched.next()
 		if !ok {

@@ -83,9 +83,10 @@ func datasetArgs(b *workloads.Benchmark, dataset string) ([]int64, error) {
 	return nil, fmt.Errorf("fabric: unknown dataset %q", dataset)
 }
 
-// computeCell runs one cell on a suite: base digest, CCR digest, speedup,
-// and the §3.1 transparency verdict. Pure and deterministic — the whole
-// fabric rests on that.
+// computeCell runs one cell on a suite: the cached base digest, then the
+// scheme run's speedup and digest from one execution when the timed run
+// is not yet cached or stored, and the §3.1 transparency verdict. Pure
+// and deterministic — the whole fabric rests on that.
 func computeCell(s *experiments.Suite, spec CellSpec) (CellOut, error) {
 	var b *workloads.Benchmark
 	for _, cand := range s.Benches {
@@ -105,11 +106,7 @@ func computeCell(s *experiments.Suite, spec CellSpec) (CellOut, error) {
 	if err != nil {
 		return CellOut{}, err
 	}
-	ccr, err := s.ReuseDigest(b, args, spec.Reuse)
-	if err != nil {
-		return CellOut{}, err
-	}
-	sp, err := s.SpeedupPoint(b, args, spec.Reuse)
+	sp, ccr, err := s.SpeedupDigest(b, args, spec.Reuse)
 	if err != nil {
 		return CellOut{}, err
 	}

@@ -7,7 +7,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -120,6 +122,47 @@ func TestPlanCanonicalOrder(t *testing.T) {
 		if plan[i] != again[i] {
 			t.Fatalf("plan not deterministic at %d: %+v vs %+v", i, plan[i], again[i])
 		}
+	}
+}
+
+// TestBenchFilterRejectsUnknown: a bench filter naming an unknown
+// benchmark fails the run before any cell is computed, whether or not
+// the filter also names known ones, and the error lists the known names.
+func TestBenchFilterRejectsUnknown(t *testing.T) {
+	for _, benches := range [][]string{{"compress", "compresss"}, {"nope"}} {
+		dir := t.TempDir()
+		cfg := testConfig(t, dir)
+		cfg.Benches = benches
+		res, err := Run(cfg)
+		if err == nil {
+			t.Fatalf("filter %v: run succeeded with %d digests, want an error", benches, len(res.Digests))
+		}
+		unknown := benches[len(benches)-1]
+		for _, want := range []string{strconv.Quote(unknown), "known: ", "m88ksim"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("filter %v: error %q does not mention %s", benches, err, want)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dir, "journal.jsonl")); !os.IsNotExist(err) {
+			t.Errorf("filter %v: the failed run opened a journal (stat: %v)", benches, err)
+		}
+	}
+}
+
+// TestBenchFilterCanonicalOrder: a filter resolves to its benchmarks in
+// the canonical order, whatever order (or repetition) it names them in,
+// so the plan and digests.json do not depend on how the filter was typed.
+func TestBenchFilterCanonicalOrder(t *testing.T) {
+	got, err := resolveBenches(workloads.Tiny, []string{"lex", "compress", "lex"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, b := range got {
+		names = append(names, b.Name)
+	}
+	if want := []string{"compress", "lex"}; !slices.Equal(names, want) {
+		t.Fatalf("resolved %v, want %v", names, want)
 	}
 }
 

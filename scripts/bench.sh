@@ -16,8 +16,9 @@
 # Environment:
 #   COUNT   repetitions per benchmark (default 6)
 #   BENCH   benchmark regex (default: the fast emulator/CRB suite plus
-#           the timing model, the oracle digest and the compile pipeline,
-#           whose profiling run is the compiler's costliest layer; the Figure*
+#           the timing model, the oracle digest, the timed run that folds
+#           the digest, and the compile pipeline, whose profiling run is
+#           the compiler's costliest layer; the Figure*
 #           end-to-end benchmarks take ~1s/op — opt in with
 #           BENCH='Figure8a' etc.)
 #   GATE    max ns/op regression vs "current", percent (default 25)
@@ -27,7 +28,7 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-check}"
 COUNT="${COUNT:-6}"
-BENCH="${BENCH:-MachineRun$|MachineRunCCR$|MachineRunDTM$|Emulator$|CRBLookup$|DTMLookup$|TelemetrySink$|CompilePipeline$|TimingSimulation$|DigestRun$}"
+BENCH="${BENCH:-MachineRun$|MachineRunCCR$|MachineRunDTM$|Emulator$|CRBLookup$|DTMLookup$|TelemetrySink$|CompilePipeline$|TimingSimulation$|DigestRun$|TimedDigestRun$}"
 GATE="${GATE:-25}"
 MINSPEEDUP="${MINSPEEDUP:-1.5}"
 
