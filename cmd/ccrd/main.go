@@ -8,12 +8,11 @@
 // resident suite, so compilation and simulation results survive daemon
 // restarts (entries are revision-stamped; a rebuilt daemon recomputes).
 //
-// With -http, an observability sidecar serves a Prometheus-text /metrics
-// endpoint (per-op request counters and latency histograms, suite-cache
-// and store counters, per-scheme reuse totals, Go runtime stats),
-// /debug/pprof/* for live profiling, and /healthz reflecting drain
-// state. Without -http none of this is registered — the daemon carries
-// nil instruments and stays bit-transparent.
+// Its live state (per-op request counts, in-flight requests, suite-cache
+// and store counters, per-scheme reuse totals) is always on and read over
+// the wire with ccrctl stats, status and top. With -spans, each handled
+// request also writes one "serve" span to a per-process span log that
+// ccrviz timeline reads; without it the daemon stays bit-transparent.
 //
 // SIGTERM (or SIGINT) drains gracefully: the listener closes, in-flight
 // requests finish and are answered, the run manifest (with -manifest) is
@@ -22,7 +21,7 @@
 // Usage:
 //
 //	ccrd [-addr unix:/tmp/ccrd.sock] [-jobs N] [-manifest run.json] [-store DIR]
-//	     [-http host:port] [-spans DIR] [-version]
+//	     [-spans DIR] [-version]
 package main
 
 import (
@@ -44,7 +43,6 @@ func main() {
 	jobs := flag.Int("jobs", 0, "default pool width for request fan-outs (0 = GOMAXPROCS)")
 	manifest := flag.String("manifest", "", "accumulate a JSON run manifest, flushed on drain")
 	storeDir := flag.String("store", "", "root a persistent artifact store here (survives restarts)")
-	httpAddr := flag.String("http", "", "serve /metrics, /healthz and /debug/pprof on this host:port")
 	spanDir := flag.String("spans", "", "record per-request span logs under this directory")
 	showVersion := flag.Bool("version", false, "print build/version info and exit")
 	flag.Parse()
@@ -75,13 +73,6 @@ func main() {
 		Store:        st,
 		Logger:       slog.Default(),
 	}
-	if *httpAddr != "" {
-		cfg.Metrics = obsv.New()
-		if err := obsv.RegisterGoStats(cfg.Metrics); err != nil {
-			fmt.Fprintln(os.Stderr, "ccrd:", err)
-			os.Exit(2)
-		}
-	}
 	if *spanDir != "" {
 		spans, err := obsv.OpenSpanLog(*spanDir, fmt.Sprintf("ccrd-%d", os.Getpid()))
 		if err != nil {
@@ -100,21 +91,6 @@ func main() {
 
 	srv := serve.NewServer(cfg)
 	srv.HandleSignals(syscall.SIGTERM, syscall.SIGINT)
-
-	if *httpAddr != "" {
-		h, err := obsv.Serve(*httpAddr, obsv.HTTPConfig{
-			Registry: cfg.Metrics,
-			Ready:    func() bool { return !srv.Draining() },
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ccrd:", err)
-			os.Exit(2)
-		}
-		defer h.Close()
-		// The bound address line is load-bearing: the obs-smoke script
-		// greps it to find an ephemeral (-http 127.0.0.1:0) port.
-		slog.Info("ccrd: observability sidecar", "http", h.Addr())
-	}
 
 	slog.Info("ccrd: serving", "addr", *addr, "build", buildinfo.String())
 	if err := srv.Serve(ln); err != nil {

@@ -30,9 +30,9 @@
 //
 // -fabric DIR switches to the crash-safe sweep fabric instead of figure
 // rendering: the verification sweep's cells are journaled under DIR,
-// sharded across -fabric-workers subprocesses and/or -fabric-remotes ccrd
-// daemons, and a rerun after any interruption (including SIGKILL) resumes
-// from the journal, skipping completed cells. digests.json is
+// computed inline or sharded across -fabric-workers subprocesses, and a
+// rerun after any interruption (including SIGKILL) resumes from the
+// journal, skipping completed cells. digests.json is
 // byte-identical however the sweep is sharded or interrupted.
 // -fabric-spans additionally records per-process span logs under
 // DIR/spans; merge them with `ccrviz timeline -dir DIR/spans -journal
@@ -44,8 +44,8 @@
 //	         [-jobs N] [-manifest run.json] [-telemetry] [-heartbeat 30s]
 //	         [-verify] [-strict] [-cell-timeout 30s] [-retries 1]
 //	         [-store DIR]
-//	         [-fabric DIR] [-fabric-workers N] [-fabric-remotes a,b]
-//	         [-fabric-benches x,y] [-fabric-lease 2m] [-fabric-spans]
+//	         [-fabric DIR] [-fabric-workers N] [-fabric-benches x,y]
+//	         [-fabric-lease 2m] [-fabric-spans]
 //	         [-version]
 package main
 
@@ -85,7 +85,6 @@ func main() {
 	storeDir := flag.String("store", "", "root a persistent artifact store here (reused across runs)")
 	fabricDir := flag.String("fabric", "", "run the resumable sweep fabric with this state directory instead of figures")
 	fabricWorkers := flag.Int("fabric-workers", 0, "fabric: local worker subprocesses (0 = compute inline)")
-	fabricRemotes := flag.String("fabric-remotes", "", "fabric: comma-separated ccrd daemon addresses to shard onto")
 	fabricBenches := flag.String("fabric-benches", "", "fabric: restrict the sweep to these comma-separated benchmarks")
 	fabricLease := flag.Duration("fabric-lease", 0, "fabric: per-cell lease before the cell is requeued (0 = default 2m)")
 	fabricDieAfter := flag.Int("fabric-die-after", 0, "fabric: SIGKILL self after N journaled cells (crash-drill knob)")
@@ -100,9 +99,8 @@ func main() {
 	if *fabricDir != "" {
 		os.Exit(runFabric(fabricConfig{
 			dir: *fabricDir, scale: *scale, storeDir: *storeDir,
-			workers: *fabricWorkers, remotes: *fabricRemotes,
-			benches: *fabricBenches, lease: *fabricLease, dieAfter: *fabricDieAfter,
-			spans: *fabricSpans,
+			workers: *fabricWorkers, benches: *fabricBenches,
+			lease: *fabricLease, dieAfter: *fabricDieAfter, spans: *fabricSpans,
 		}))
 	}
 	cfg := experiments.DefaultConfig()
@@ -267,10 +265,10 @@ func main() {
 
 // fabricConfig carries the -fabric* flag values into runFabric.
 type fabricConfig struct {
-	dir, scale, storeDir, remotes, benches string
-	workers, dieAfter                      int
-	lease                                  time.Duration
-	spans                                  bool
+	dir, scale, storeDir, benches string
+	workers, dieAfter             int
+	lease                         time.Duration
+	spans                         bool
 }
 
 // runFabric runs (or resumes) a resumable sweep and returns the exit code.
@@ -285,9 +283,6 @@ func runFabric(fc fabricConfig) int {
 	if fc.spans {
 		cfg.SpanDir = filepath.Join(fc.dir, "spans")
 	}
-	if fc.remotes != "" {
-		cfg.Remotes = strings.Split(fc.remotes, ",")
-	}
 	if fc.benches != "" {
 		cfg.Benches = strings.Split(fc.benches, ",")
 	}
@@ -301,7 +296,7 @@ func runFabric(fc fabricConfig) int {
 	}
 	res, err := fabric.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccrpaper: fabric:", err)
+		fmt.Fprintln(os.Stderr, "ccrpaper:", err)
 		return 1
 	}
 	m := res.Manifest

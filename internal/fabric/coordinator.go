@@ -15,8 +15,6 @@ import (
 
 	"ccr/internal/experiments"
 	"ccr/internal/obsv"
-	"ccr/internal/oracle"
-	"ccr/internal/serve"
 	"ccr/internal/store"
 	"ccr/internal/workloads"
 )
@@ -30,22 +28,18 @@ type Config struct {
 	ScaleName string
 	// Benches restricts the plan to these benchmarks (empty = all).
 	Benches []string
-	// Workers is the local worker-subprocess count. With zero workers and
-	// no remotes the coordinator computes every cell inline, serially —
-	// the reference mode every sharded run must byte-match.
+	// Workers is the local worker-subprocess count. With zero workers the
+	// coordinator computes every cell inline, serially — the reference
+	// mode every sharded run must byte-match.
 	Workers int
-	// Remotes lists ccrd daemon addresses to shard onto alongside (or
-	// instead of) local workers.
-	Remotes []string
 	// StoreDir roots the shared content-addressed artifact store; empty
 	// disables store layering (cells still journal, partial pipeline work
 	// is not reused).
 	StoreDir string
 	// Revision is the store revision (default store.DefaultRevision()).
 	Revision string
-	// Lease bounds one cell's time on one slot; an expired lease kills
-	// the worker (or abandons the remote call) and requeues the cell
-	// (default 2m).
+	// Lease bounds one cell's time on one worker; an expired lease kills
+	// the worker and requeues the cell (default 2m).
 	Lease time.Duration
 	// MaxRestarts bounds per-slot worker respawns before the slot gives
 	// up (default 3). Backoff is the respawn delay base, doubled per
@@ -342,13 +336,13 @@ func resolveBenches(scale workloads.Scale, names []string) ([]*workloads.Benchma
 	return out, nil
 }
 
-// runSlots starts every configured slot and waits for the sweep to drain.
-// Inline mode (no workers, no remotes) runs on the calling goroutine.
+// runSlots starts one slot per local worker and waits for the sweep to
+// drain. Inline mode (no workers) runs on the calling goroutine.
 func (c *coordinator) runSlots(scale workloads.Scale, benches []*workloads.Benchmark) error {
-	if c.cfg.Workers == 0 && len(c.cfg.Remotes) == 0 {
+	if c.cfg.Workers == 0 {
 		return c.runInline(scale, benches)
 	}
-	c.liveSlot = c.cfg.Workers + len(c.cfg.Remotes)
+	c.liveSlot = c.cfg.Workers
 	var wg sync.WaitGroup
 	for w := 0; w < c.cfg.Workers; w++ {
 		wg.Add(1)
@@ -356,13 +350,6 @@ func (c *coordinator) runSlots(scale workloads.Scale, benches []*workloads.Bench
 			defer wg.Done()
 			c.finishSlot(c.runLocalSlot(w))
 		}(w)
-	}
-	for _, addr := range c.cfg.Remotes {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			c.finishSlot(c.runRemoteSlot(addr))
-		}(addr)
 	}
 	wg.Wait()
 	return nil
@@ -660,136 +647,6 @@ func (c *coordinator) serveWorker(name string, w *workerProc, rec *SlotRecord) b
 			return false
 		}
 	}
-}
-
-// ---- remote (ccrd) slots ----
-
-// runRemoteSlot shards cells onto one ccrd daemon: each cell is two
-// digest-carrying simulate calls (base and CCR). Connection failures
-// requeue the cell and redial with the same bounded-restart budget as a
-// local worker; server-reported cell errors are permanent.
-func (c *coordinator) runRemoteSlot(addr string) SlotRecord {
-	name := "remote:" + addr
-	rec := SlotRecord{Slot: name}
-	restarts := 0
-	for {
-		cl, err := serve.DialRetry(addr, serve.DialOptions{}, c.cfg.Lease)
-		if err == nil {
-			drained := c.serveRemote(name, cl, &rec)
-			cl.Close()
-			if drained {
-				return rec
-			}
-		} else {
-			c.log.Warn("fabric: remote dial failed", "addr", addr, "err", err)
-		}
-		restarts++
-		rec.Restarts++
-		if restarts > c.cfg.MaxRestarts {
-			c.log.Error("fabric: remote slot giving up", "slot", name, "restarts", rec.Restarts)
-			rec.GaveUp = true
-			return rec
-		}
-		time.Sleep(c.cfg.Backoff << (restarts - 1))
-	}
-}
-
-func (c *coordinator) serveRemote(name string, cl *serve.Client, rec *SlotRecord) bool {
-	for {
-		i, ok := c.sched.next()
-		if !ok {
-			return true
-		}
-		start := time.Now()
-		phase := c.leasePhase(i)
-		spanStart := c.spans.Now()
-		out, err, transient := c.remoteCell(cl, c.plan[i])
-		if err != nil {
-			if transient {
-				c.noteRequeue(i, name, "remote: "+err.Error())
-				return false
-			}
-			c.spans.EmitPhase(c.plan[i].ID(), "attempt", name, -1, spanStart, err.Error())
-			c.sched.fail(i, err.Error())
-			continue
-		}
-		c.spans.EmitPhase(c.plan[i].ID(), phase, name, -1, spanStart, "")
-		if err := c.recordDone(i, out, name, time.Since(start).Seconds()); err != nil {
-			c.sched.fail(i, "journal: "+err.Error())
-			continue
-		}
-		rec.Cells++
-	}
-}
-
-// remoteCell computes one cell over the wire under the lease: the lease
-// timer closing the client is what unblocks a hung call.
-func (c *coordinator) remoteCell(cl *serve.Client, spec CellSpec) (out CellOut, err error, transient bool) {
-	type answer struct {
-		out CellOut
-		err error
-	}
-	ch := make(chan answer, 1)
-	timer := time.AfterFunc(c.cfg.Lease, func() { cl.Close() })
-	go func() {
-		o, e := remoteCompute(cl, c.cfg.ScaleName, spec)
-		ch <- answer{o, e}
-	}()
-	a := <-ch
-	expired := !timer.Stop()
-	if expired {
-		return CellOut{}, fmt.Errorf("lease expired"), true
-	}
-	if a.err != nil {
-		// Distinguish a dead connection from a server-reported cell
-		// error: a liveness probe succeeds only on a healthy connection.
-		if cl.Ping(1) != nil {
-			return CellOut{}, a.err, true
-		}
-		return CellOut{}, a.err, false
-	}
-	return a.out, nil, false
-}
-
-func remoteCompute(cl *serve.Client, scaleName string, spec CellSpec) (CellOut, error) {
-	base, err := cl.Simulate(serve.SimulateReq{
-		Bench: spec.Bench, Scale: scaleName, Dataset: spec.Dataset,
-		Base: true, Digest: true,
-	})
-	if err != nil {
-		return CellOut{}, err
-	}
-	req := serve.SimulateReq{
-		Bench: spec.Bench, Scale: scaleName, Dataset: spec.Dataset,
-		Scheme: string(spec.Reuse.Scheme), Digest: true,
-	}
-	if spec.Reuse.Scheme.UsesCCR() {
-		req.CRB = &serve.CRBGeom{
-			Entries: spec.Reuse.CRB.Entries, Instances: spec.Reuse.CRB.Instances,
-			Assoc: spec.Reuse.CRB.Assoc, NoMemFrac: spec.Reuse.CRB.NoMemEntriesFrac,
-		}
-	}
-	if spec.Reuse.Scheme.UsesDTM() {
-		req.DTM = &serve.DTMGeom{
-			Entries: spec.Reuse.DTM.Entries, Instances: spec.Reuse.DTM.Instances,
-			Assoc: spec.Reuse.DTM.Assoc, MinRun: spec.Reuse.DTM.MinRun,
-		}
-	}
-	ccr, err := cl.Simulate(req)
-	if err != nil {
-		return CellOut{}, err
-	}
-	if base.Digest == nil || ccr.Digest == nil {
-		return CellOut{}, fmt.Errorf("remote answered without digests")
-	}
-	out := CellOut{Base: *base.Digest, CCR: *ccr.Digest}
-	if ccr.Cycles != 0 {
-		// Same formula as core.Speedup, so remote and local cells agree
-		// bit-for-bit.
-		out.Speedup = float64(base.Cycles) / float64(ccr.Cycles)
-	}
-	out.Verified = oracle.Compare(out.Base, out.CCR) == nil
-	return out, nil
 }
 
 func writeJSON(path string, v any) error {

@@ -1,6 +1,6 @@
-// Package fabric is the crash-safe resumable experiment fabric: it shards
-// the transparency/speedup sweep grid across supervised local worker
-// processes and remote ccrd daemons, journals every completed cell to an
+// Package fabric is the crash-safe resumable experiment fabric: it runs
+// the transparency/speedup sweep grid inline or shards it across
+// supervised local worker processes, journals every completed cell to an
 // append-only manifest, and — layered over the content-addressed artifact
 // store of internal/store — resumes a killed sweep by skipping completed
 // cells and reloading partial pipeline artifacts instead of recomputing.

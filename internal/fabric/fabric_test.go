@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"ccr/internal/experiments"
-	"ccr/internal/serve"
 	"ccr/internal/workloads"
 )
 
@@ -252,43 +251,5 @@ func TestResumeSkipsCompleted(t *testing.T) {
 	b, _ := json.Marshal(second.Digests)
 	if !bytes.Equal(a, b) {
 		t.Fatal("resumed digests diverged from original")
-	}
-}
-
-// TestRemoteSlotMatchesSerial shards the sweep onto an in-process ccrd
-// daemon and requires byte-identical digests — the cross-machine half of
-// the determinism story.
-func TestRemoteSlotMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full tiny sweep through the daemon")
-	}
-	serialDir, remoteDir := t.TempDir(), t.TempDir()
-	runSerial(t, serialDir)
-
-	sock := filepath.Join(t.TempDir(), "ccrd.sock")
-	srv := serve.NewServer(serve.Config{Jobs: 2})
-	ln, err := serve.Listen("unix:" + sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		srv.Drain()
-		srv.Wait()
-	})
-
-	cfg := testConfig(t, remoteDir)
-	cfg.Remotes = []string{"unix:" + sock}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("remote run failed: %v", err)
-	}
-	if res.Manifest.Computed != res.Manifest.Cells {
-		t.Fatalf("remote run: %+v", res.Manifest)
-	}
-	serial := readFile(t, filepath.Join(serialDir, "digests.json"))
-	remote := readFile(t, filepath.Join(remoteDir, "digests.json"))
-	if !bytes.Equal(serial, remote) {
-		t.Fatal("remote digests.json diverged from serial")
 	}
 }

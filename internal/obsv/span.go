@@ -1,3 +1,10 @@
+// Package obsv records per-process span logs (timed phases of work, one
+// JSON line each) and merges them into Chrome trace-event timelines:
+// journal-ordered for a fabric sweep, start-ordered for a single run.
+//
+// A nil *SpanLog is a valid, disabled log: instrumented code calls it
+// unconditionally, and a process that never opened one pays a nil check
+// and nothing else, staying bit-transparent.
 package obsv
 
 import (
@@ -26,7 +33,7 @@ type Span struct {
 	// Phase is the span kind: lease, retry, attempt, compute, store-hit,
 	// commit, requeue — or any process-private vocabulary.
 	Phase string `json:"phase"`
-	// Slot names the lane doing the work (w0, remote:addr, inline...).
+	// Slot names the lane doing the work (w0, w1, inline...).
 	Slot string `json:"slot,omitempty"`
 	// Seq is the cell's journal sequence number when the emitter knows it
 	// (commit spans); -1 otherwise.

@@ -3,11 +3,14 @@ package obsv
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixedProcs models a kill/resume sweep: coord-100 commits cell a, leases
 // cell b to a worker that dies mid-compute (requeue, no commit), then the

@@ -7,211 +7,21 @@ import (
 	"time"
 
 	"ccr/internal/core"
-	"ccr/internal/obsv"
-	"ccr/internal/runner"
 )
 
-// This file is the server side of the observability plane: the obsv
-// registry instrumentation behind -http, the always-on (constant-cost)
-// live-status state behind the top op, and the per-request span hook.
-//
-// The split matters for the zero-overhead contract: everything keyed on
-// s.met / s.cfg.Spans is nil-guarded and completely absent without
-// -http/-spans; the always-on state (request counts, active table, reuse
-// totals) is a few mutex-protected integer updates per request — never
-// per instruction — and feeds the wire-level stats/top ops that must
-// work on an uninstrumented daemon too.
+// This file holds the daemon's always-on live state behind the stats/top
+// ops: request counts, the active table and per-scheme reuse totals. It
+// costs a few mutex-protected integer updates per request, never per
+// instruction, and works on every daemon. The per-request span hook
+// (handle, server.go) is nil-guarded and absent without -spans.
 
-// knownOps enumerates the dispatchable operations; per-op series are
-// registered up front so /metrics exposes a stable set from the first
-// scrape.
-var knownOps = []string{OpPing, OpCompile, OpSimulate, OpBatch, OpSweep,
-	OpVerify, OpPhases, OpStats, OpTop, OpDrain}
-
-// srvMetrics holds the registry instruments. A nil *srvMetrics (daemon
-// without -http) makes every method a no-op.
-type srvMetrics struct {
-	reg     *obsv.Registry
-	reqs    map[string]*obsv.Counter
-	errs    map[string]*obsv.Counter
-	lat     map[string]*obsv.Histogram
-	unknown *obsv.Counter
-}
-
-// newSrvMetrics registers the daemon's instruments on reg. Registration
-// errors are impossible for the static names used here; any that do
-// occur (e.g. a caller pre-registered a colliding name) are logged once
-// and leave the corresponding instrument nil — which is safe to use.
-func newSrvMetrics(s *Server, reg *obsv.Registry) *srvMetrics {
-	m := &srvMetrics{
-		reg:  reg,
-		reqs: map[string]*obsv.Counter{},
-		errs: map[string]*obsv.Counter{},
-		lat:  map[string]*obsv.Histogram{},
-	}
-	fail := func(err error) {
-		if err != nil {
-			s.log.Warn("ccrd: metric registration failed", "err", err)
-		}
-	}
-	for _, op := range knownOps {
-		c, err := reg.Counter("ccrd_requests_total",
-			"Requests received, by operation.", obsv.L("op", op))
-		fail(err)
-		m.reqs[op] = c
-		e, err := reg.Counter("ccrd_request_errors_total",
-			"Requests answered with an error frame, by operation.", obsv.L("op", op))
-		fail(err)
-		m.errs[op] = e
-		h, err := reg.Histogram("ccrd_request_seconds",
-			"Request handling latency in seconds, by operation.", nil, obsv.L("op", op))
-		fail(err)
-		m.lat[op] = h
-	}
-	var err error
-	m.unknown, err = reg.Counter("ccrd_requests_unknown_total",
-		"Requests for an operation the daemon does not implement.")
-	fail(err)
-	fail(reg.GaugeFunc("ccrd_uptime_seconds", "Seconds since the daemon started.",
-		func() float64 { return time.Since(s.start).Seconds() }))
-	fail(reg.GaugeFunc("ccrd_inflight_requests", "Requests being handled right now.",
-		func() float64 { return float64(s.inflight.Load()) }))
-	fail(reg.GaugeFunc("ccrd_open_connections", "Open client connections.",
-		func() float64 { return float64(s.connN.Load()) }))
-	fail(reg.GaugeFunc("ccrd_draining", "1 while graceful shutdown is in progress.",
-		func() float64 {
-			if s.draining.Load() {
-				return 1
-			}
-			return 0
-		}))
-	if st := s.cfg.Store; st != nil {
-		samples := []struct {
-			name, help string
-			fn         func() float64
-		}{
-			{"ccrd_store_puts_total", "Artifact-store entries written.",
-				func() float64 { return float64(st.Stats().Puts) }},
-			{"ccrd_store_hits_total", "Artifact-store reads served.",
-				func() float64 { return float64(st.Stats().Hits) }},
-			{"ccrd_store_misses_total", "Artifact-store reads missed.",
-				func() float64 { return float64(st.Stats().Misses) }},
-			{"ccrd_store_stale_total", "Store misses from a revision mismatch.",
-				func() float64 { return float64(st.Stats().Stale) }},
-			{"ccrd_store_quarantined_total", "Corrupt store entries quarantined.",
-				func() float64 { return float64(st.Stats().Corrupt) }},
-		}
-		for _, sm := range samples {
-			fail(reg.CounterFunc(sm.name, sm.help, sm.fn))
-		}
-	}
-	return m
-}
-
-// observe records one handled request's op, latency and outcome.
-func (m *srvMetrics) observe(op string, d time.Duration, failed bool) {
-	if m == nil {
-		return
-	}
-	c, ok := m.reqs[op]
-	if !ok {
-		m.unknown.Inc()
-		return
-	}
-	c.Inc()
-	m.lat[op].Observe(d.Seconds())
-	if failed {
-		m.errs[op].Inc()
-	}
-}
-
-// registerSuite exposes one resident suite's cache counters. Called from
-// entry() under s.mu at suite creation; the sampler closures read the
-// suite's own atomic counters at scrape time, so no double accounting.
-func (m *srvMetrics) registerSuite(s *Server, scale string, e *suiteEntry) {
-	if m == nil {
-		return
-	}
-	fams := make([]string, 0, 8)
-	for fam := range e.suite.CacheStats() {
-		fams = append(fams, fam)
-	}
-	fams = append(fams, "ccr_digest")
-	sort.Strings(fams)
-	stats := func(fam string) runner.CacheStats {
-		if fam == "ccr_digest" {
-			return e.ccrDigests.Stats()
-		}
-		return e.suite.CacheStats()[fam]
-	}
-	for _, fam := range fams {
-		fam := fam
-		err := m.reg.CounterFunc("ccrd_suite_cache_hits_total",
-			"Resident suite cache hits, by scale and cache family.",
-			func() float64 { return float64(stats(fam).Hits) },
-			obsv.L("scale", scale), obsv.L("cache", fam))
-		if err != nil {
-			s.log.Warn("ccrd: metric registration failed", "err", err)
-		}
-		err = m.reg.CounterFunc("ccrd_suite_cache_misses_total",
-			"Resident suite cache misses, by scale and cache family.",
-			func() float64 { return float64(stats(fam).Misses) },
-			obsv.L("scale", scale), obsv.L("cache", fam))
-		if err != nil {
-			s.log.Warn("ccrd: metric registration failed", "err", err)
-		}
-	}
-}
-
-// registerReuse exposes one scheme's reuse totals the first time the
-// scheme is served. Called under s.totalsMu; the samplers re-take it.
-func (m *srvMetrics) registerReuse(s *Server, scheme string, t *ReuseTotals) {
-	if m == nil {
-		return
-	}
-	samples := []struct {
-		name, help string
-		fn         func(*ReuseTotals) int64
-	}{
-		{"ccrd_reuse_cells_total", "Timed simulate cells served, by scheme.",
-			func(t *ReuseTotals) int64 { return t.Cells }},
-		{"ccrd_reuse_dyn_instrs_total", "Dynamic instructions simulated, by scheme.",
-			func(t *ReuseTotals) int64 { return t.DynInstrs }},
-		{"ccrd_reuse_hits_total", "CRB reuse hits, by scheme.",
-			func(t *ReuseTotals) int64 { return t.ReuseHits }},
-		{"ccrd_reuse_misses_total", "CRB reuse misses, by scheme.",
-			func(t *ReuseTotals) int64 { return t.ReuseMisses }},
-		{"ccrd_reuse_reused_instrs_total", "Instructions eliminated by CRB reuse, by scheme.",
-			func(t *ReuseTotals) int64 { return t.ReusedInstrs }},
-		{"ccrd_dtm_hits_total", "DTM trace hits, by scheme.",
-			func(t *ReuseTotals) int64 { return t.DTMHits }},
-		{"ccrd_dtm_reused_instrs_total", "Instructions eliminated by DTM traces, by scheme.",
-			func(t *ReuseTotals) int64 { return t.DTMReusedInstrs }},
-		{"ccrd_dtm_records_total", "DTM traces committed, by scheme.",
-			func(t *ReuseTotals) int64 { return t.DTMRecords }},
-	}
-	for _, sm := range samples {
-		fn := sm.fn
-		err := m.reg.CounterFunc(sm.name, sm.help, func() float64 {
-			s.totalsMu.Lock()
-			defer s.totalsMu.Unlock()
-			return float64(fn(t))
-		}, obsv.L("scheme", scheme))
-		if err != nil {
-			s.log.Warn("ccrd: metric registration failed", "err", err)
-		}
-	}
-}
-
-// recordSim folds one timed simulation into the per-scheme totals (and,
-// on a scheme's first appearance, registers its registry series).
+// recordSim folds one timed simulation into the per-scheme totals.
 func (s *Server) recordSim(scheme string, sim *core.SimResult) {
 	s.totalsMu.Lock()
 	t := s.totals[scheme]
 	if t == nil {
 		t = &ReuseTotals{}
 		s.totals[scheme] = t
-		s.met.registerReuse(s, scheme, t)
 	}
 	t.Cells++
 	t.DynInstrs += sim.Emu.DynInstrs

@@ -1,11 +1,7 @@
 package serve
 
 import (
-	"bytes"
-	"io"
-	"net/http"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"ccr/internal/obsv"
@@ -104,15 +100,11 @@ func TestStatsStoreAndReuse(t *testing.T) {
 	}
 }
 
-// TestMetricsTransparent is the zero-overhead proof at the functional
-// level: the same cell served by an instrumented daemon (Metrics + Spans
-// + HTTP sidecar) and a bare one yields byte-identical oracle digests,
-// and the sidecar's /metrics reflects the served requests.
-func TestMetricsTransparent(t *testing.T) {
-	reg := obsv.New()
-	if err := obsv.RegisterGoStats(reg); err != nil {
-		t.Fatal(err)
-	}
+// TestSpansTransparent is the zero-overhead proof at the functional
+// level: the same cell served by a daemon recording spans and a bare one
+// yields byte-identical oracle digests and timing, and the span log holds
+// the served request's serve span.
+func TestSpansTransparent(t *testing.T) {
 	spanDir := t.TempDir()
 	spans, err := obsv.OpenSpanLog(spanDir, "ccrd-test")
 	if err != nil {
@@ -120,7 +112,7 @@ func TestMetricsTransparent(t *testing.T) {
 	}
 	defer spans.Close()
 
-	srvA, addrA := startServer(t, Config{Jobs: 2, Metrics: reg, Spans: spans})
+	_, addrA := startServer(t, Config{Jobs: 2, Spans: spans})
 	_, addrB := startServer(t, Config{Jobs: 2})
 
 	req := SimulateReq{Bench: "lex", Scale: "tiny", Digest: true}
@@ -139,33 +131,6 @@ func TestMetricsTransparent(t *testing.T) {
 		t.Fatalf("timing diverged under instrumentation:\n  with: %+v\n  bare: %+v", a, b)
 	}
 
-	// The sidecar scrape reflects the served request.
-	h, err := obsv.Serve("127.0.0.1:0", obsv.HTTPConfig{
-		Registry: reg,
-		Ready:    func() bool { return !srvA.Draining() },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	res, err := http.Get("http://" + h.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	for _, want := range []string{
-		`ccrd_requests_total{op="simulate"} 1`,
-		`ccrd_request_seconds_count{op="simulate"} 1`,
-		`ccrd_reuse_cells_total{scheme="ccr"} 1`,
-		`ccrd_suite_cache_hits_total{cache="ccr_digest",scale="tiny"}`,
-		"go_goroutines ",
-	} {
-		if !bytes.Contains(body, []byte(want)) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
 	// The request span log recorded the serve spans.
 	if err := spans.Close(); err != nil {
 		t.Fatal(err)
@@ -182,8 +147,5 @@ func TestMetricsTransparent(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no serve span for simulate in %+v", got)
-	}
-	if strings.Contains(string(body), "ccrd_requests_unknown_total 0\n") == false {
-		t.Errorf("unknown-op counter series absent")
 	}
 }

@@ -476,7 +476,7 @@ func TestDrainViaClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Wait()
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Error("server not draining after drain op")
 	}
 }
@@ -533,7 +533,7 @@ func TestTCPTransport(t *testing.T) {
 
 // TestDialRetryWaitsForListener races DialRetry against a daemon that
 // starts listening only after a delay — the spawned-daemon pattern every
-// smoke script and fabric remote slot depends on.
+// smoke script and ccrctl -connect-timeout depend on.
 func TestDialRetryWaitsForListener(t *testing.T) {
 	sock := filepath.Join(t.TempDir(), "late.sock")
 	addr := "unix:" + sock

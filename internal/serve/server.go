@@ -39,12 +39,6 @@ type Config struct {
 	// Scales share the one store safely: keys are content-addressed by
 	// program digest, so entries from different scales never collide.
 	Store *store.Store
-	// Metrics, when set, registers the daemon's instruments (per-op request
-	// counters and latency histograms, suite-cache and store samplers,
-	// per-scheme reuse totals) on the registry the -http sidecar scrapes.
-	// A nil Metrics leaves every instrument pointer nil — the zero-overhead
-	// contract of DESIGN.md §9/§14.
-	Metrics *obsv.Registry
 	// Spans, when set, records one "serve" span per handled request into
 	// the process's span log (ccrd -spans).
 	Spans *obsv.SpanLog
@@ -71,12 +65,8 @@ type Server struct {
 	reqMu sync.Mutex
 	reqs  map[string]int64
 
-	// met is the registry instrumentation (nil without Config.Metrics; all
-	// methods are nil-safe).
-	met *srvMetrics
-
 	// totals aggregates per-scheme reuse statistics of timed simulations;
-	// always on — the top/stats ops report it with or without -http.
+	// always on — the top/stats ops report it.
 	totalsMu sync.Mutex
 	totals   map[string]*ReuseTotals
 
@@ -129,9 +119,6 @@ func NewServer(cfg Config) *Server {
 		drained: make(chan struct{}),
 	}
 	s.manifest = runner.NewManifest("ccrd", cfg.Jobs)
-	if cfg.Metrics != nil {
-		s.met = newSrvMetrics(s, cfg.Metrics)
-	}
 	return s
 }
 
@@ -277,9 +264,6 @@ func (s *Server) Drain() {
 // answered, every connection closed, manifests flushed.
 func (s *Server) Wait() { <-s.drained }
 
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 func (s *Server) flushManifest() {
 	if s.cfg.ManifestPath == "" {
 		return
@@ -329,7 +313,6 @@ func (s *Server) entry(scale string) (*suiteEntry, error) {
 		ccrDigests: runner.NewCache(),
 	}
 	s.suites[name] = e
-	s.met.registerSuite(s, name, e)
 	return e, nil
 }
 
@@ -438,7 +421,6 @@ func (c *srvConn) handle(m wire.Msg) {
 	}
 	s := c.srv
 	s.countReq(m.Op)
-	began := time.Now()
 	spanStart := s.cfg.Spans.Now()
 	aid := s.trackActive(m.Op)
 	failed := false
@@ -446,7 +428,6 @@ func (c *srvConn) handle(m wire.Msg) {
 	// observes panics as failures too.
 	defer func() {
 		s.untrackActive(aid)
-		s.met.observe(m.Op, time.Since(began), failed)
 		errMsg := ""
 		if failed {
 			errMsg = "error"

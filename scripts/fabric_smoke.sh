@@ -4,7 +4,10 @@
 # persistent artifact store SIGKILLed mid-flight (-fabric-die-after),
 # resume it, and require digests.json byte-identical to the reference.
 # A third run over the warm store in a fresh state dir must be mostly
-# store hits and faster than the cold run.
+# store hits and faster than the cold run. A fourth, worker-sharded run
+# records span logs, must still match the reference, and `ccrviz
+# timeline` must merge its logs into valid Chrome trace JSON with
+# exactly-once commit coverage of the journal.
 #
 # Usage:
 #   scripts/fabric_smoke.sh [outdir]
@@ -29,6 +32,7 @@ rm -rf "$OUT"
 mkdir -p "$OUT"
 
 go build -o "$OUT/ccrpaper" ./cmd/ccrpaper
+go build -o "$OUT/ccrviz" ./cmd/ccrviz
 
 run() { # run <state-dir> <extra flags...>
   local dir="$1"; shift
@@ -73,6 +77,17 @@ cmp "$OUT/serial/digests.json" "$OUT/warm/digests.json" || {
   exit 1
 }
 
+# 5. Span-recording sharded sweep -> merged timeline. Spans must not
+#    change a digest.
+echo "fabric_smoke: span-recording sharded sweep"
+run "$OUT/spans" -fabric-workers "$WORKERS" -fabric-spans
+cmp "$OUT/serial/digests.json" "$OUT/spans/digests.json" || {
+  echo "fabric_smoke: span-recording digests diverged from serial reference" >&2
+  exit 1
+}
+"$OUT/ccrviz" timeline -dir "$OUT/spans/spans" \
+  -journal "$OUT/spans/journal.jsonl" -o "$OUT/timeline.json"
+
 python3 - "$OUT" "$MINHITS" <<'PY'
 import json, sys, os
 out, minhits = sys.argv[1], float(sys.argv[2])
@@ -94,8 +109,20 @@ assert warm["wall_seconds"] < serial["wall_seconds"], \
     "warm run (%.2fs) not faster than cold serial (%.2fs)" % (
         warm["wall_seconds"], serial["wall_seconds"])
 
+# The merged timeline is valid Chrome trace JSON with exactly-once commit
+# coverage (ccrviz already validated; re-check independently).
+tl = json.load(open(os.path.join(out, "timeline.json")))
+assert tl["traceEvents"], "empty timeline"
+commits = [e for e in tl["traceEvents"]
+           if e.get("name") == "commit" and e.get("ph") == "X"]
+cells = set(e["args"]["cell"] for e in commits)
+assert len(commits) == len(cells) == tl["otherData"]["journal_cells"], \
+    (len(commits), len(cells), tl["otherData"])
+procs = tl["otherData"]["procs"]
+assert procs >= 2, "timeline merged %d procs, want coord + workers" % procs
+
 print("fabric smoke OK: %d cells, resume skipped %d, warm hit rate %.2f, "
-      "%.2fs warm vs %.2fs cold" % (
+      "%.2fs warm vs %.2fs cold, timeline %d commits over %d procs" % (
           serial["cells"], resumed["resumed"], rate,
-          warm["wall_seconds"], serial["wall_seconds"]))
+          warm["wall_seconds"], serial["wall_seconds"], len(commits), procs))
 PY

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # serve_smoke.sh — end-to-end smoke of the ccrd daemon and ccrctl client:
 # start a daemon on a private unix socket, exercise the request surface
-# (ping, simulate, streaming batch, verify), run a short loadgen pass with
-# the BENCH_serve.json gates, then SIGTERM-drain and require a clean exit
-# and a flushed manifest.
+# (ping, simulate, streaming batch, verify), check the live status and the
+# per-request span log, run a short loadgen pass with the BENCH_serve.json
+# gates, then SIGTERM-drain and require a clean exit and a flushed
+# manifest.
 #
 # Usage:
 #   scripts/serve_smoke.sh [outdir]
@@ -29,7 +30,9 @@ ADDR="unix:$SOCK"
 go build -o "$OUT/ccrd" ./cmd/ccrd
 go build -o "$OUT/ccrctl" ./cmd/ccrctl
 
-"$OUT/ccrd" -addr "$ADDR" -manifest "$OUT/manifest.json" &
+rm -rf "$OUT/ccrd-spans"
+"$OUT/ccrd" -addr "$ADDR" -manifest "$OUT/manifest.json" \
+  -spans "$OUT/ccrd-spans" &
 CCRD_PID=$!
 trap 'kill -9 "$CCRD_PID" 2>/dev/null || true' EXIT
 
@@ -54,6 +57,9 @@ cat > "$OUT/cells.json" <<EOF
 EOF
 "$OUT/ccrctl" batch -addr "$ADDR" -cells "$OUT/cells.json" \
   -stream -heartbeat 20 > "$OUT/batch.json"
+
+# Live status over the wire: request counts and per-scheme reuse totals.
+"$OUT/ccrctl" status -addr "$ADDR" -json > "$OUT/status.json"
 
 # The transparency sweep through the daemon (exit 1 on any failing point).
 "$OUT/ccrctl" verify -addr "$ADDR" -scale "$SCALE" > "$OUT/verify.json"
@@ -86,6 +92,17 @@ assert cold["result"] == warm["result"], "warm result diverged from cold"
 assert cold["digest"] == warm["digest"], "warm digest diverged from cold"
 batch = json.load(open(os.path.join(out, "batch.json")))
 assert batch["failed"] == 0 and len(batch["results"]) == 5
+status = json.load(open(os.path.join(out, "status.json")))
+assert status["requests"].get("batch", 0) >= 1, status["requests"]
+assert status["reuse"], "status has no reuse totals"
+# The daemon's span log (flushed on drain) recorded the batch serve.
+spans = []
+for name in os.listdir(os.path.join(out, "ccrd-spans")):
+    for line in open(os.path.join(out, "ccrd-spans", name)):
+        if line.strip():
+            spans.append(json.loads(line))
+assert any(s["cell"] == "batch" and s["phase"] == "serve" for s in spans), \
+    "no batch serve span in the ccrd span log"
 verify = json.load(open(os.path.join(out, "verify.json")))
 assert verify["checked"] > 0 and not verify.get("rows")
 bench = json.load(open(os.path.join(out, "BENCH_serve.json")))
