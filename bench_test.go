@@ -234,7 +234,7 @@ func BenchmarkTimingSimulation(b *testing.B) {
 }
 
 // BenchmarkDigestRun measures one oracle digest of the base program: a
-// careful-tier run with the digest folded inline.
+// batch-tier run with the digest folded inline.
 func BenchmarkDigestRun(b *testing.B) {
 	w := workloads.Load("m88ksim", workloads.Tiny)
 	b.ReportAllocs()

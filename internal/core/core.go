@@ -205,9 +205,9 @@ func SimulateReuse(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []
 
 // SimulateReuseDigest is SimulateReuse that also returns the run's oracle
 // digest, folded in the same execution: one machine carries both the
-// timing model and the collector. The digest keeps the engine on its
-// careful tier, which feeds the timing model the same runs as the batch
-// tier, so the SimResult equals SimulateReuse's and the digest equals
+// timing model and the collector. The digest is folded on the batch tier
+// beside the run feed and changes none of the runs the timing model
+// sees, so the SimResult equals SimulateReuse's and the digest equals
 // DigestRunReuse's.
 func SimulateReuseDigest(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, tel *Telemetry) (*SimResult, oracle.Digest, error) {
 	return simulate(prog, rc, ucfg, args, limit, tel, true)

@@ -11,12 +11,14 @@ import (
 	"ccr/internal/uarch"
 )
 
-// The oracle digest is folded two ways: inline by the predecoded engine's
-// careful tier, and from the interpreter's own event stream through the
-// same accumulator methods. These tests require the inline fold, alone and
-// next to a tracer, to match the interpreter's fold in the accumulator
-// state, result, error text, final memory and emu.Stats — including where
-// an instruction limit or a fault cuts the run. A timed digest (the fold
+// The oracle digest is folded three ways: inline by the predecoded
+// engine's batch tier, inline by its careful tier, and from the
+// interpreter's own event stream through the same accumulator methods.
+// These tests require both inline folds (the batch tier's when the digest
+// is alone, the careful tier's when a tracer is attached too) to match the
+// interpreter's fold in the accumulator state, result, error text, final
+// memory and emu.Stats — including where an instruction limit or a fault
+// cuts the run. A timed digest (the fold
 // and the timing model's run feed on one machine, as SimulateReuseDigest
 // runs them) must also report the digest-only outcome, and the
 // uarch.Stats of the same run timed without a digest.
@@ -26,13 +28,13 @@ type digestFeed int
 
 const (
 	digestInterp  digestFeed = iota // the interpreter's event-fed fold
-	digestEngine                    // inline fold, predecoded engine
-	digestTracing                   // inline fold with a no-op tracer attached
+	digestBatch                     // inline fold, batch tier where eligible
+	digestCareful                   // inline fold; a no-op tracer keeps the careful tier
 	numDigestFeeds
 )
 
 func (f digestFeed) String() string {
-	return [...]string{"interp", "engine", "tracing"}[f]
+	return [...]string{"interp", "batch", "careful"}[f]
 }
 
 // digestOutcome is everything a digested run reports.
@@ -81,7 +83,7 @@ func runDigested(prog *ir.Program, rc reuse.Config, ucfg *uarch.Config, args []i
 	if digest {
 		m.Digest = &out.Digest
 	}
-	if feed == digestTracing {
+	if feed == digestCareful {
 		m.Trace = func(*emu.Event) {}
 	}
 	var err error
@@ -119,7 +121,7 @@ func checkDigestFeeds(t *testing.T, c digestCase) digestOutcome {
 		limit = opts.Limit
 	}
 	want := runDigestFeed(prog, rc, []int64{c.arg}, limit, c.cut, digestInterp)
-	for f := digestEngine; f < numDigestFeeds; f++ {
+	for f := digestBatch; f < numDigestFeeds; f++ {
 		got := runDigestFeed(prog, rc, []int64{c.arg}, limit, c.cut, f)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v: %s fold differs from the interpreter's:\n got  %+v\n want %+v", c, f, got, want)
@@ -128,8 +130,8 @@ func checkDigestFeeds(t *testing.T, c digestCase) digestOutcome {
 	ucfg := opts.Uarch
 	ucfg.SpeculativeValidation = c.spec
 	ucfg.OutOfOrder = c.ooo
-	timed, batch := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestEngine, false)
-	got, stats := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestEngine, true)
+	timed, batch := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestBatch, false)
+	got, stats := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestBatch, true)
 	timed.Digest = want.Digest
 	if !reflect.DeepEqual(timed, want) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%+v: timed runs differ from the digest-only run:\n timed           %+v\n timed, digested %+v\n want            %+v", c, timed, got, want)
@@ -202,7 +204,8 @@ func TestDigestFeedsAgree(t *testing.T) {
 	}
 }
 
-// FuzzDigestFeed checks the inline digest fold against the interpreter's,
+// FuzzDigestFeed checks both tiers' inline digest folds against the
+// interpreter's,
 // and the timed digest against the digest-only and undigested timed runs,
 // on arbitrary generated programs, arguments, instruction limits, schemes,
 // machine models and memory cuts. The scheme byte's low bits pick the

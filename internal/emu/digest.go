@@ -5,8 +5,9 @@ import "ccr/internal/ir"
 // Digest accumulates the streaming components of an architectural digest
 // (internal/oracle seals it with the result and final memory). Attach one
 // as Machine.Digest: the predecoded engine folds each executed
-// instruction into it inline on its careful tier, at the points where it
-// would emit an Event, without building the event or calling out. The
+// instruction into it inline on whichever tier runs it (batch when
+// untraced), at the points where the careful tier would emit an Event,
+// without building the event or calling out. The
 // interpreter folds its own event stream through the same methods, so it
 // stays an independent reference for which values get folded. The zero
 // value is an empty digest.
@@ -63,6 +64,13 @@ func (d *Digest) store(addr, val int64) {
 func (d *Digest) ret(val int64) {
 	d.Rets = Mix(d.Rets, uint64(val))
 	d.RetCount++
+}
+
+// digestRet folds the ret at flat PC pc of df, which returns retVal, while
+// its frame is still the innermost.
+func (m *Machine) digestRet(df *ir.DecodedFunc, pc int, retVal int64) {
+	m.Digest.instr(df.Addr(int32(pc)), retVal, true, m.retTarget())
+	m.Digest.ret(retVal)
 }
 
 // digestReuse folds a reuse hit on region id into the attached digest. A

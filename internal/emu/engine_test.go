@@ -45,11 +45,30 @@ func TestRunAllocs(t *testing.T) {
 // comparison.
 func runBoth(t *testing.T, p *ir.Program, limit int64, args ...int64) (fast, ref *Machine, fres, rres int64, ferr, rerr error) {
 	t.Helper()
+	return runBothDigest(t, p, limit, false, args...)
+}
+
+// runBothDigest is runBoth with a Digest attached to both machines when
+// digest is set.
+func runBothDigest(t *testing.T, p *ir.Program, limit int64, digest bool, args ...int64) (fast, ref *Machine, fres, rres int64, ferr, rerr error) {
+	t.Helper()
 	fast, ref = New(p), interpOf(p)
 	fast.Limit, ref.Limit = limit, limit
+	if digest {
+		fast.Digest, ref.Digest = new(Digest), new(Digest)
+	}
 	fres, ferr = fast.Run(args...)
 	rres, rerr = ref.Run(args...)
 	return
+}
+
+// compareDigests asserts the digests attached by runBothDigest, if any,
+// hold the same state.
+func compareDigests(t *testing.T, fast, ref *Machine) {
+	t.Helper()
+	if fast.Digest != nil && *fast.Digest != *ref.Digest {
+		t.Errorf("digest diverged:\nengine %+v\ninterp %+v", *fast.Digest, *ref.Digest)
+	}
 }
 
 // compareStats asserts the statistics blocks agree field by field (the
@@ -85,7 +104,8 @@ func TestEngineMatchesInterp(t *testing.T) {
 
 // TestEngineLimitParity sweeps the instruction limit across every value up
 // to the full run length: at each point the engine and the interpreter
-// must agree on (result, error, DynInstrs). This walks the batch loop's
+// must agree on (result, error, DynInstrs), undigested and with a Digest
+// attached (then also on the digest state). This walks the batch loop's
 // budget endgame — the handoff to the careful tier when a straight-line
 // run no longer fits — across every possible cut position, including cuts
 // at calls, returns, branch boundaries, and inside fused superinstructions
@@ -108,18 +128,21 @@ func TestEngineLimitParity(t *testing.T) {
 			}
 			full := ref.Stats.DynInstrs
 			for limit := int64(1); limit <= full+1; limit++ {
-				fast, ref, fres, rres, ferr, rerr := runBoth(t, tc.p, limit, tc.arg)
-				if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
-					t.Fatalf("limit %d: errs engine %v, interp %v", limit, ferr, rerr)
+				for _, digest := range []bool{false, true} {
+					fast, ref, fres, rres, ferr, rerr := runBothDigest(t, tc.p, limit, digest, tc.arg)
+					if (ferr == nil) != (rerr == nil) || (ferr != nil && ferr.Error() != rerr.Error()) {
+						t.Fatalf("limit %d: errs engine %v, interp %v", limit, ferr, rerr)
+					}
+					if fres != rres {
+						t.Fatalf("limit %d: result engine %d, interp %d", limit, fres, rres)
+					}
+					if fast.Stats.DynInstrs != ref.Stats.DynInstrs {
+						t.Fatalf("limit %d: DynInstrs engine %d, interp %d",
+							limit, fast.Stats.DynInstrs, ref.Stats.DynInstrs)
+					}
+					compareStats(t, fast, ref)
+					compareDigests(t, fast, ref)
 				}
-				if fres != rres {
-					t.Fatalf("limit %d: result engine %d, interp %d", limit, fres, rres)
-				}
-				if fast.Stats.DynInstrs != ref.Stats.DynInstrs {
-					t.Fatalf("limit %d: DynInstrs engine %d, interp %d",
-						limit, fast.Stats.DynInstrs, ref.Stats.DynInstrs)
-				}
-				compareStats(t, fast, ref)
 			}
 		})
 	}
@@ -200,7 +223,7 @@ func TestEngineLoadFaultParity(t *testing.T) {
 	f := pb.Func("main", 0)
 	b := f.NewBlock()
 	a, v, w := f.NewReg(), f.NewReg(), f.NewReg()
-	b.MovI(a, 1 << 40) // far out of range
+	b.MovI(a, 1<<40) // far out of range
 	b.Ld(v, a, 0, ir.NoMem)
 	b.Add(w, v, v) // pre-charged but never executed
 	b.Ret(w)
@@ -293,23 +316,27 @@ func TestSpecTierDifferential(t *testing.T) {
 // the load inside the fused Add+Ld superinstruction takes the
 // out-of-memory exit (TestEngineLoadFaultParity covers the hinted-object
 // exit). The engine must reconstruct the interpreter's exact error and
-// partial statistics from the fused fault exit.
+// partial statistics from the fused fault exit, and with a Digest attached
+// its digest state too: the fused add is folded, the faulting load not.
 func TestSpecTierFaultParity(t *testing.T) {
 	vals := []int64{3, 1, 4, 1, 5, 9, 2, 6}
 	p := buildSumLoop(t, vals)
 	sumLoopFused(t, p)
 
 	n := int64(len(vals)) + 3 // walks off the end of A
-	fast, ref, _, _, ferr, rerr := runBoth(t, p, 0, n)
-	if ferr == nil || rerr == nil {
-		t.Fatalf("expected faults, got engine %v, interp %v", ferr, rerr)
+	for _, digest := range []bool{false, true} {
+		fast, ref, _, _, ferr, rerr := runBothDigest(t, p, 0, digest, n)
+		if ferr == nil || rerr == nil {
+			t.Fatalf("expected faults, got engine %v, interp %v", ferr, rerr)
+		}
+		if ferr.Error() != rerr.Error() {
+			t.Fatalf("fault text:\nengine: %v\ninterp: %v", ferr, rerr)
+		}
+		const want = "load address 8 out of range"
+		if !strings.Contains(ferr.Error(), want) {
+			t.Fatalf("fault = %v, want %q", ferr, want)
+		}
+		compareStats(t, fast, ref)
+		compareDigests(t, fast, ref)
 	}
-	if ferr.Error() != rerr.Error() {
-		t.Fatalf("fault text:\nengine: %v\ninterp: %v", ferr, rerr)
-	}
-	const want = "load address 8 out of range"
-	if !strings.Contains(ferr.Error(), want) {
-		t.Fatalf("fault = %v, want %q", ferr, want)
-	}
-	compareStats(t, fast, ref)
 }

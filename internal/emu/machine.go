@@ -221,8 +221,9 @@ type Machine struct {
 	// Trace, when non-nil, receives every executed dynamic instruction.
 	Trace Tracer
 	// Digest, when non-nil, accumulates the run's digest streams (see
-	// Digest). The engine folds them inline, without building events, but
-	// like a tracer a digest keeps it on its careful tier.
+	// Digest). The engine folds them inline on either tier, without
+	// building events; unlike a tracer, a digest leaves untraced runs on
+	// the batch tier.
 	Digest *Digest
 	// OnRun, when non-nil, receives every executed straight-line run
 	// (see Run): exactly the instructions a Trace would see, grouped per

@@ -19,9 +19,10 @@ import (
 // engine against the legacy interpreter two ways.
 //
 //   - Digested: the internal/oracle digests (result, final memory, store,
-//     return-value and trace streams) must be byte-identical. The
-//     predecoded engine folds them inline on its careful tier and the
-//     interpreter from its event stream, so this pins both.
+//     return-value and trace streams) must be byte-identical three ways.
+//     The predecoded engine folds them inline on its batch tier, and on
+//     its careful tier when a no-op tracer is attached too; the
+//     interpreter folds them from its event stream. This pins all three.
 //   - Untraced: a plain run with no tracer or digest — the batch tier's
 //     fast path — must reproduce the interpreter's result, final memory
 //     image, and the complete statistics block (DynInstrs, per-opcode
@@ -82,6 +83,14 @@ func TestEngineDifferential(t *testing.T) {
 						t.Errorf("%s: digest identity diverged:\ninterp %+v\nengine %+v", label, di, de)
 					}
 
+					dc, err := carefulDigest(pt.prog, pt.rc, ds.args)
+					if err != nil {
+						t.Fatalf("%s: careful-tier digest: %v", label, err)
+					}
+					if !di.Equal(dc) {
+						t.Errorf("%s: careful-tier digest diverged:\ninterp  %+v\ncareful %+v", label, di, dc)
+					}
+
 					compareUntraced(t, label, pt.prog, pt.rc, ds.args)
 				}
 			}
@@ -89,20 +98,40 @@ func TestEngineDifferential(t *testing.T) {
 	}
 }
 
-// compareUntraced runs both engines with no tracer or digest attached (the
-// batch tier's eligibility condition) and asserts full architectural and
-// statistical parity.
+// newMachine builds a machine for prog with rc's reuse buffers attached,
+// on the interpreter when interp is set.
+func newMachine(prog *ir.Program, rc reuse.Config, interp bool) *emu.Machine {
+	m := emu.New(prog)
+	m.Interp = interp
+	if rc.Scheme.UsesCCR() {
+		m.CRB = crb.New(rc.CRB, prog)
+	}
+	if rc.Scheme.UsesDTM() {
+		m.DTM = reuse.NewDTM(rc.DTM, prog)
+	}
+	return m
+}
+
+// carefulDigest digests a run of the predecoded engine with a no-op
+// tracer attached, which keeps it on its careful tier throughout.
+func carefulDigest(prog *ir.Program, rc reuse.Config, args []int64) (oracle.Digest, error) {
+	m := newMachine(prog, rc, false)
+	m.Trace = func(*emu.Event) {}
+	var col oracle.Collector
+	col.Attach(m)
+	res, err := m.Run(args...)
+	if err != nil {
+		return oracle.Digest{}, err
+	}
+	return col.Finish(res, m.Mem), nil
+}
+
+// compareUntraced runs both engines with no tracer or digest attached and
+// asserts full architectural and statistical parity.
 func compareUntraced(t *testing.T, label string, prog *ir.Program, rc reuse.Config, args []int64) {
 	t.Helper()
 	run := func(interp bool) (*emu.Machine, int64, error) {
-		m := emu.New(prog)
-		m.Interp = interp
-		if rc.Scheme.UsesCCR() {
-			m.CRB = crb.New(rc.CRB, prog)
-		}
-		if rc.Scheme.UsesDTM() {
-			m.DTM = reuse.NewDTM(rc.DTM, prog)
-		}
+		m := newMachine(prog, rc, interp)
 		res, err := m.Run(args...)
 		return m, res, err
 	}

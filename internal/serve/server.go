@@ -201,15 +201,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe combines Listen and Serve.
-func (s *Server) ListenAndServe(addrSpec string) error {
-	ln, err := Listen(addrSpec)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // HandleSignals installs the graceful-drain handler: the first SIGTERM or
 // SIGINT initiates Drain, a second one force-exits.
 func (s *Server) HandleSignals(sigs ...os.Signal) {
