@@ -14,9 +14,8 @@
 // turns any such failure into exit status 1. -verify additionally runs the
 // §3.1 transparency sweep (internal/oracle) over every benchmark, dataset
 // and CRB configuration, exiting 1 on any architectural divergence.
-// -cell-timeout and -retries bound and retry individual cells.
-//
-// Usage:
+// Each cell runs exactly once: cells are deterministic, so a rerun could
+// not change a FAILED row.
 //
 // -heartbeat makes the worker pool emit a structured progress log line
 // (cells done/total, failures, elapsed, ETA, worker utilization) to
@@ -39,10 +38,12 @@
 // DIR/journal.jsonl` into a Perfetto-loadable trace of the whole sweep,
 // kill/resume seams included.
 //
+// Usage:
+//
 //	ccrpaper [-scale tiny|small|medium|large]
 //	         [-fig 4|8a|8b|9|10|11|scalars|compare|ablations|decant|all]
 //	         [-jobs N] [-manifest run.json] [-telemetry] [-heartbeat 30s]
-//	         [-verify] [-strict] [-cell-timeout 30s] [-retries 1]
+//	         [-verify] [-strict]
 //	         [-store DIR]
 //	         [-fabric DIR] [-fabric-workers N] [-fabric-benches x,y]
 //	         [-fabric-lease 2m] [-fabric-spans]
@@ -78,8 +79,6 @@ func main() {
 	manifest := flag.String("manifest", "", "write a JSON run manifest to this file")
 	verify := flag.Bool("verify", false, "run the transparency-verification sweep (exit 1 on divergence)")
 	strict := flag.Bool("strict", false, "exit 1 if any simulation cell failed")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-time bound (0 = none)")
-	retries := flag.Int("retries", 0, "re-run a failed cell up to N more times")
 	heartbeat := flag.Duration("heartbeat", 30*time.Second, "progress-log interval for long sweeps (0 = silent)")
 	telem := flag.Bool("telemetry", false, "embed per-cell CRB telemetry summaries in the manifest")
 	storeDir := flag.String("store", "", "root a persistent artifact store here (reused across runs)")
@@ -116,8 +115,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Jobs = *jobs
-	cfg.CellTimeout = *cellTimeout
-	cfg.Retries = *retries
 	cfg.Heartbeat = *heartbeat
 	cfg.Telemetry = *telem
 	if *storeDir != "" {

@@ -3,10 +3,10 @@
 // machines, with the detailed stall and reuse breakdown of the timing
 // model.
 //
-// -verify additionally digests a CRB-off run of the base program and a
-// CRB-on run of the transformed program (internal/oracle) and fails with
-// exit status 1 if any architectural observable diverged — the paper's
-// §3.1 transparency contract for this benchmark, input and CRB geometry.
+// -verify additionally folds an oracle digest (internal/oracle) into the
+// base and scheme runs themselves and fails with exit status 1 if any
+// architectural observable diverged — the paper's §3.1 transparency
+// contract for this benchmark, input and CRB geometry.
 //
 // -spans DIR streams the CCR run's reuse-relevant events (region entries,
 // reuse hits with eliminated-instruction counts, invalidations with
@@ -31,7 +31,7 @@
 //	       [-cis 8] [-assoc 1] [-nomem 0] [-tentries 256] [-tinstances 4]
 //	       [-tassoc 2] [-minrun 3] [-ref] [-list] [-jobs N] [-manifest run.json]
 //	       [-spans DIR] [-metrics out.metrics.json]
-//	       [-verify] [-cell-timeout 30s] [-retries 1] [-version]
+//	       [-verify] [-version]
 package main
 
 import (
@@ -43,6 +43,7 @@ import (
 
 	"ccr/internal/buildinfo"
 	"ccr/internal/core"
+	"ccr/internal/ir"
 	"ccr/internal/obsv"
 	"ccr/internal/opt"
 	"ccr/internal/oracle"
@@ -70,8 +71,6 @@ func main() {
 	jobs := flag.Int("jobs", 0, "workers for the base/CCR simulation pair (0 = GOMAXPROCS)")
 	manifest := flag.String("manifest", "", "write a JSON run manifest to this file")
 	verify := flag.Bool("verify", false, "differentially check the §3.1 transparency contract")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-time bound (0 = none)")
-	retries := flag.Int("retries", 0, "re-run a failed cell up to N more times")
 	spansDir := flag.String("spans", "", "stream the CCR run's reuse events as a span log into this directory")
 	metricsPath := flag.String("metrics", "", "write cause-attributed per-region CRB metrics JSON to this file")
 	showVersion := flag.Bool("version", false, "print build/version info and exit")
@@ -153,10 +152,8 @@ func main() {
 	// of a runner pool (Compile above already annotated b.Prog, so both
 	// only read their programs).
 	pool := runner.Pool{
-		Jobs:        *jobs,
-		CellTimeout: *cellTimeout,
-		Retries:     *retries,
-		Manifest:    runner.NewManifest(fmt.Sprintf("ccrsim -bench %s -scale %s", b.Name, *scale), *jobs),
+		Jobs:     *jobs,
+		Manifest: runner.NewManifest(fmt.Sprintf("ccrsim -bench %s -scale %s", b.Name, *scale), *jobs),
 	}
 	var tel *core.Telemetry
 	if *spansDir != "" || *metricsPath != "" {
@@ -174,30 +171,26 @@ func main() {
 	ccrCellID := string(scheme) + "/" + b.Name + "/" + rc.Key()
 	var base, ccr *core.SimResult
 	var baseDigest, ccrDigest oracle.Digest
+	// Under -verify each timed run also folds its digest, so checking
+	// transparency costs no extra execution.
+	simulate := func(p *ir.Program, rc reuse.Config, tel *core.Telemetry, d *oracle.Digest) (r *core.SimResult, err error) {
+		if !*verify {
+			return core.SimulateReuse(p, rc, opts.Uarch, args, 0, tel)
+		}
+		r, *d, err = core.SimulateReuseDigest(p, rc, opts.Uarch, args, 0, tel)
+		return r, err
+	}
 	cells := []runner.Cell{
 		{ID: "base/" + b.Name, Do: func(context.Context) error {
 			var err error
-			base, err = core.Simulate(b.Prog, nil, opts.Uarch, args, 0)
+			base, err = simulate(b.Prog, reuse.Config{Scheme: reuse.Off}, nil, &baseDigest)
 			return err
 		}},
 		{ID: ccrCellID, Do: func(context.Context) error {
 			var err error
-			ccr, err = core.SimulateReuse(prog, rc, opts.Uarch, args, 0, tel)
+			ccr, err = simulate(prog, rc, tel, &ccrDigest)
 			return err
 		}},
-	}
-	if *verify {
-		cells = append(cells,
-			runner.Cell{ID: "digest/base/" + b.Name, Do: func(context.Context) error {
-				var err error
-				baseDigest, err = core.DigestRun(b.Prog, nil, args, 0)
-				return err
-			}},
-			runner.Cell{ID: "digest/" + ccrCellID, Do: func(context.Context) error {
-				var err error
-				ccrDigest, err = core.DigestRunReuse(prog, rc, args, 0)
-				return err
-			}})
 	}
 	results := pool.Run(context.Background(), cells)
 	if err := runner.Errs(results); err != nil {

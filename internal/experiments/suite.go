@@ -38,11 +38,6 @@ type Config struct {
 	// Jobs is the worker count the parallel figure drivers fan their
 	// simulation cells out on; <= 0 means one worker per GOMAXPROCS.
 	Jobs int
-	// CellTimeout bounds each simulation cell's wall time (0 = none);
-	// Retries re-runs a failed cell up to N more times. Both map onto the
-	// runner pool's failure-isolation controls.
-	CellTimeout time.Duration
-	Retries     int
 	// Heartbeat, when positive, makes the suite's pool emit structured
 	// progress logs at this interval during long sweeps.
 	Heartbeat time.Duration
@@ -105,10 +100,9 @@ func NewSuite(cfg Config) *Suite {
 // most one of them runs anything on them.
 func NewSuiteOf(cfg Config, benches []*workloads.Benchmark) *Suite {
 	return &Suite{
-		cfg:     cfg,
-		Benches: benches,
-		pool: runner.Pool{Jobs: cfg.Jobs, CellTimeout: cfg.CellTimeout,
-			Retries: cfg.Retries, Heartbeat: cfg.Heartbeat},
+		cfg:      cfg,
+		Benches:  benches,
+		pool:     runner.Pool{Jobs: cfg.Jobs, Heartbeat: cfg.Heartbeat},
 		prep:     runner.NewCache(),
 		compiled: runner.NewCache(),
 		baseSim:  runner.NewCache(),

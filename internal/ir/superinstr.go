@@ -27,21 +27,21 @@ package ir
 // side effects) except the *Jmp enders, which fold the run's terminal
 // unconditional jump into its preceding ALU op.
 const (
-	XFShlIAdd uint8 = XEnd + 1 + iota // Shl-RI then Add-RR
-	XFShrIAndI                        // Shr-RI then And-RI
-	XFSraIAndI                        // Sra-RI then And-RI
-	XFMulIAddI                        // Mul-RI then Add-RI
-	XFXorShlI                         // Xor-RR then Shl-RI
-	XFXorIAdd                         // Xor-RI then Add-RR
-	XFAddMulI                         // Add-RR then Mul-RI
-	XFAddAdd                          // Add-RR then Add-RR
-	XFAddAddI                         // Add-RR then Add-RI
-	XFAddAndI                         // Add-RR then And-RI
-	XFAddXor                          // Add-RR then Xor-RR
-	XFAndILeaR                        // And-RI then Lea-R
-	XFShlIXor                         // Shl-RI then Xor-RR
-	XFAddIJmp                         // Add-RI then Jmp (run ender)
-	XFAddLd                           // Add-RR then Ld (second slot may fault)
+	XFShlIAdd  uint8 = XEnd + 1 + iota // Shl-RI then Add-RR
+	XFShrIAndI                         // Shr-RI then And-RI
+	XFSraIAndI                         // Sra-RI then And-RI
+	XFMulIAddI                         // Mul-RI then Add-RI
+	XFXorShlI                          // Xor-RR then Shl-RI
+	XFXorIAdd                          // Xor-RI then Add-RR
+	XFAddMulI                          // Add-RR then Mul-RI
+	XFAddAdd                           // Add-RR then Add-RR
+	XFAddAddI                          // Add-RR then Add-RI
+	XFAddAndI                          // Add-RR then And-RI
+	XFAddXor                           // Add-RR then Xor-RR
+	XFAndILeaR                         // And-RI then Lea-R
+	XFShlIXor                          // Shl-RI then Xor-RR
+	XFAddIJmp                          // Add-RI then Jmp (run ender)
+	XFAddLd                            // Add-RR then Ld (second slot may fault)
 )
 
 // XFFirst is the smallest fused opcode; IsFused(op) is op >= XFFirst.

@@ -130,8 +130,8 @@ type headPlan struct {
 	end  int32 // flat PC of the ender (RunEnd[head])
 	n    int32 // dynamic length, end-head+1
 
-	ins  []ir.Reg  // registers read before written, in first-use order
-	outs []ir.Reg  // registers written, in first-def order
+	ins  []ir.Reg   // registers read before written, in first-use order
+	outs []ir.Reg   // registers written, in first-def order
 	mems []ir.MemID // writable objects loaded (deduped); empty when !usesMem
 
 	usesMem bool

@@ -70,9 +70,9 @@ func (s Scheme) UsesDTM() bool { return s == DTMScheme || s == BothSchemes }
 // run and with what geometry. The zero value is Scheme "" — callers must
 // set a scheme explicitly; use CCR() for the historical single-scheme case.
 type Config struct {
-	Scheme Scheme        `json:"scheme"`
-	CRB    crb.Config    `json:"crb,omitempty"`
-	DTM    DTMConfig     `json:"dtm,omitempty"`
+	Scheme Scheme     `json:"scheme"`
+	CRB    crb.Config `json:"crb,omitempty"`
+	DTM    DTMConfig  `json:"dtm,omitempty"`
 }
 
 // CCR wraps a bare CRB geometry in the historical single-scheme

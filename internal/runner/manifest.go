@@ -18,18 +18,10 @@ type CellRecord struct {
 	Worker  int     `json:"worker"`
 	Seconds float64 `json:"seconds"`
 	Error   string  `json:"error,omitempty"`
-	// Attempts is recorded only when the cell was retried; Panics and
-	// Timeouts count failed attempt outcomes, and Stack preserves the
-	// last recovered panic's goroutine stack.
-	Attempts int    `json:"attempts,omitempty"`
-	Panics   int    `json:"panics,omitempty"`
-	Timeouts int    `json:"timeouts,omitempty"`
-	Stack    string `json:"stack,omitempty"`
-	// History is the per-attempt outcome sequence (outcome, error, wall
-	// time), recorded whenever the cell needed more than one attempt or
-	// ended in failure — the post-mortem trail that names which attempt
-	// of which cell timed out, panicked or errored, and when.
-	History []Attempt `json:"history,omitempty"`
+	// Panics is 1 when the cell panicked, and Stack preserves the
+	// recovered panic's goroutine stack.
+	Panics int    `json:"panics,omitempty"`
+	Stack  string `json:"stack,omitempty"`
 }
 
 // WorkerRecord aggregates one worker's share of a run.
@@ -68,8 +60,6 @@ type Manifest struct {
 	// Failure-isolation totals across every recorded cell.
 	FailedCells int `json:"failed_cells,omitempty"`
 	Panics      int `json:"panics,omitempty"`
-	Retries     int `json:"retries,omitempty"`
-	Timeouts    int `json:"timeouts,omitempty"`
 }
 
 // NewManifest starts a manifest for the given command line and worker
@@ -88,17 +78,11 @@ func (m *Manifest) record(jobs int, results []CellResult, busy []time.Duration, 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, r := range results {
-		rec := CellRecord{ID: r.ID, Worker: r.Worker, Seconds: r.Wall.Seconds(),
-			Panics: r.Panics, Timeouts: r.Timeouts, Stack: r.Stack}
-		if r.Attempts > 1 || r.Err != nil {
-			rec.History = append(rec.History, r.History...)
+		rec := CellRecord{ID: r.ID, Worker: r.Worker, Seconds: r.Wall.Seconds(), Stack: r.Stack}
+		if r.Stack != "" {
+			rec.Panics = 1
+			m.Panics++
 		}
-		if r.Attempts > 1 {
-			rec.Attempts = r.Attempts
-			m.Retries += r.Attempts - 1
-		}
-		m.Panics += r.Panics
-		m.Timeouts += r.Timeouts
 		if r.Err != nil {
 			rec.Error = r.Err.Error()
 			m.Errors = append(m.Errors, r.Err.Error())

@@ -109,11 +109,9 @@ func jsonFields(t *testing.T, v any) []string {
 func TestManifestSchemaStability(t *testing.T) {
 	golden := map[string][]string{
 		"Manifest": {"caches", "cells", "command", "errors", "failed_cells",
-			"gomaxprocs", "jobs", "panics", "retries", "start", "store",
-			"telemetry", "timeouts", "version", "wall_seconds", "workers"},
-		"CellRecord": {"attempts", "error", "history", "id", "panics",
-			"seconds", "stack", "timeouts", "worker"},
-		"Attempt":      {"error", "outcome", "seconds"},
+			"gomaxprocs", "jobs", "panics", "start", "store", "telemetry",
+			"version", "wall_seconds", "workers"},
+		"CellRecord":   {"error", "id", "panics", "seconds", "stack", "worker"},
 		"WorkerRecord": {"busy_seconds", "cells", "utilization", "worker"},
 		"CacheStats":   {"hits", "misses"},
 		"store.Stats":  {"corrupt", "hits", "misses", "puts", "stale"},
@@ -128,7 +126,6 @@ func TestManifestSchemaStability(t *testing.T) {
 	got := map[string][]string{
 		"Manifest":          jsonFields(t, Manifest{}),
 		"CellRecord":        jsonFields(t, CellRecord{}),
-		"Attempt":           jsonFields(t, Attempt{}),
 		"WorkerRecord":      jsonFields(t, WorkerRecord{}),
 		"CacheStats":        jsonFields(t, CacheStats{}),
 		"store.Stats":       jsonFields(t, store.Stats{}),
@@ -209,16 +206,5 @@ func TestHeartbeatDisabledByDefault(t *testing.T) {
 	})
 	if called {
 		t.Fatal("Progress called with Heartbeat = 0")
-	}
-}
-
-// TestMultiSink: a MultiSink fans each snapshot to every member in order.
-func TestMultiSink(t *testing.T) {
-	var got []string
-	a := ProgressFunc(func(Progress) { got = append(got, "a") })
-	b := ProgressFunc(func(Progress) { got = append(got, "b") })
-	MultiSink{a, b}.Progress(Progress{})
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("MultiSink order = %v, want [a b]", got)
 	}
 }

@@ -3,7 +3,6 @@ package runner
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,134 +32,40 @@ func TestPanicIsolation(t *testing.T) {
 	if !strings.Contains(r.Err.Error(), "kaboom") || !strings.Contains(r.Err.Error(), "cell boom") {
 		t.Fatalf("panic error lacks context: %v", r.Err)
 	}
-	if r.Panics != 1 || r.Stack == "" || !strings.Contains(r.Stack, "goroutine") {
-		t.Fatalf("stack not captured: panics=%d stack=%q", r.Panics, r.Stack)
+	if r.Stack == "" || !strings.Contains(r.Stack, "goroutine") {
+		t.Fatalf("stack not captured: %q", r.Stack)
 	}
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatalf("healthy cells polluted: %v / %v", results[0].Err, results[2].Err)
 	}
 }
 
-// TestCellTimeout: an uncooperative cell (never polls its context) is
-// abandoned after CellTimeout and reported with the sentinel.
-func TestCellTimeout(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	p := Pool{Jobs: 1, CellTimeout: 20 * time.Millisecond}
-	results := p.Run(context.Background(), []Cell{
-		{ID: "stuck", Do: func(context.Context) error { <-release; return nil }},
-		{ID: "after", Do: func(context.Context) error { return nil }},
-	})
-	if !errors.Is(results[0].Err, ErrCellTimeout) {
-		t.Fatalf("timeout not classified: %v", results[0].Err)
-	}
-	if results[0].Timeouts != 1 {
-		t.Fatalf("timeouts = %d, want 1", results[0].Timeouts)
-	}
-	if results[1].Err != nil {
-		t.Fatalf("pool wedged after timeout: %v", results[1].Err)
-	}
-}
-
-// TestRetryEventuallySucceeds: a flaky cell failing twice with Retries: 2
-// ends up succeeding, with the attempt count recorded.
-func TestRetryEventuallySucceeds(t *testing.T) {
-	var calls atomic.Int64
-	p := Pool{Jobs: 1, Retries: 2}
-	results := p.Run(context.Background(), []Cell{{
-		ID: "flaky",
-		Do: func(context.Context) error {
-			if calls.Add(1) < 3 {
-				return fmt.Errorf("transient %d", calls.Load())
-			}
-			return nil
-		},
-	}})
-	if results[0].Err != nil {
-		t.Fatalf("retry should have rescued the cell: %v", results[0].Err)
-	}
-	if results[0].Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", results[0].Attempts)
-	}
-}
-
-// TestRetryExhaustion: the final attempt's error survives, and panicking
-// attempts are each counted.
-func TestRetryExhaustion(t *testing.T) {
-	var calls atomic.Int64
-	p := Pool{Jobs: 1, Retries: 2}
-	results := p.Run(context.Background(), []Cell{{
-		ID: "doomed",
-		Do: func(context.Context) error { panic(fmt.Sprintf("always %d", calls.Add(1))) },
-	}})
-	r := results[0]
-	if !errors.Is(r.Err, ErrCellPanic) || !strings.Contains(r.Err.Error(), "always 3") {
-		t.Fatalf("final attempt error not preserved: %v", r.Err)
-	}
-	if r.Attempts != 3 || r.Panics != 3 {
-		t.Fatalf("attempts=%d panics=%d, want 3/3", r.Attempts, r.Panics)
-	}
-}
-
-// TestCancellationNotRetried: a cell failing with context.Canceled must
-// not burn retry attempts.
-func TestCancellationNotRetried(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	p := Pool{Jobs: 1, Retries: 5}
-	results := p.Run(ctx, []Cell{{
-		ID: "cancelled",
-		Do: func(context.Context) error {
-			cancel()
-			return context.Canceled
-		},
-	}})
-	if results[0].Attempts != 1 {
-		t.Fatalf("cancellation retried: %d attempts", results[0].Attempts)
-	}
-}
-
-// TestManifestRobustnessCounters: panics, retries, timeouts and failed
-// cells all land in the manifest, per cell and in the run totals.
+// TestManifestRobustnessCounters: panicking and erroring cells land in the
+// manifest, per cell and in the run totals.
 func TestManifestRobustnessCounters(t *testing.T) {
 	m := NewManifest("robustness", 2)
-	var calls atomic.Int64
-	release := make(chan struct{})
-	defer close(release)
-	p := Pool{Jobs: 2, Retries: 1, CellTimeout: 20 * time.Millisecond, Manifest: m}
+	p := Pool{Jobs: 2, Manifest: m}
 	p.Run(context.Background(), []Cell{
 		{ID: "ok", Do: func(context.Context) error { return nil }},
 		{ID: "panics", Do: func(context.Context) error { panic("nope") }},
-		{ID: "flaky", Do: func(context.Context) error {
-			if calls.Add(1) == 1 {
-				return errors.New("transient")
-			}
-			return nil
-		}},
-		{ID: "stuck", Do: func(context.Context) error { <-release; return nil }},
+		{ID: "errs", Do: func(context.Context) error { return errors.New("bad input") }},
 	})
 	m.Finish()
 	if m.FailedCells != 2 {
-		t.Fatalf("FailedCells = %d, want 2 (panics + stuck)", m.FailedCells)
+		t.Fatalf("FailedCells = %d, want 2 (panics + errs)", m.FailedCells)
 	}
-	if m.Panics != 2 {
-		t.Fatalf("Panics = %d, want 2 (one per attempt)", m.Panics)
-	}
-	if m.Timeouts != 2 {
-		t.Fatalf("Timeouts = %d, want 2 (one per attempt)", m.Timeouts)
-	}
-	// panics: 1 retry; flaky: 1 retry; stuck: 1 retry.
-	if m.Retries != 3 {
-		t.Fatalf("Retries = %d, want 3", m.Retries)
+	if m.Panics != 1 {
+		t.Fatalf("Panics = %d, want 1", m.Panics)
 	}
 	byID := map[string]CellRecord{}
 	for _, c := range m.Cells {
 		byID[c.ID] = c
 	}
-	if c := byID["panics"]; c.Panics != 2 || c.Attempts != 2 || c.Stack == "" || c.Error == "" {
+	if c := byID["panics"]; c.Panics != 1 || !strings.Contains(c.Stack, "goroutine") || !strings.Contains(c.Error, "nope") {
 		t.Fatalf("panics cell record: %+v", c)
 	}
-	if c := byID["flaky"]; c.Attempts != 2 || c.Error != "" {
-		t.Fatalf("flaky cell record: %+v", c)
+	if c := byID["errs"]; c.Panics != 0 || c.Stack != "" || !strings.Contains(c.Error, "bad input") {
+		t.Fatalf("errs cell record: %+v", c)
 	}
 	if c := byID["ok"]; c.Error != "" || c.Panics != 0 {
 		t.Fatalf("ok cell record: %+v", c)
@@ -212,99 +117,5 @@ func TestCachePanicReleasesWaiters(t *testing.T) {
 	// The flight's error is cached like any other failure.
 	if _, err := cache.Do("k", func() (any, error) { return nil, nil }); err == nil {
 		t.Fatal("panicked flight not cached as error")
-	}
-}
-
-// TestAttemptHistory: a flaky cell's per-attempt trail records every
-// outcome class in order with its error and a sane wall time, and the
-// manifest preserves the trail so a post-mortem can name the failing
-// attempt. An all-ok single-attempt cell records no history in the
-// manifest (the common case stays lean).
-func TestAttemptHistory(t *testing.T) {
-	var tries atomic.Int64
-	cells := []Cell{
-		{ID: "flaky", Do: func(context.Context) error {
-			switch tries.Add(1) {
-			case 1:
-				return fmt.Errorf("transient glitch")
-			case 2:
-				panic("attempt-two panic")
-			}
-			return nil
-		}},
-		{ID: "clean", Do: func(context.Context) error { return nil }},
-	}
-	m := NewManifest("test", 1)
-	p := Pool{Jobs: 1, Retries: 3, Manifest: m}
-	results := p.Run(context.Background(), cells)
-
-	r := results[0]
-	if r.Err != nil {
-		t.Fatalf("flaky cell should succeed on attempt 3: %v", r.Err)
-	}
-	if len(r.History) != 3 {
-		t.Fatalf("history length = %d, want 3: %+v", len(r.History), r.History)
-	}
-	wantOutcomes := []string{"error", "panic", "ok"}
-	for i, a := range r.History {
-		if a.Outcome != wantOutcomes[i] {
-			t.Errorf("attempt %d outcome = %q, want %q", i, a.Outcome, wantOutcomes[i])
-		}
-		if a.Seconds < 0 {
-			t.Errorf("attempt %d has negative wall time", i)
-		}
-	}
-	if !strings.Contains(r.History[0].Error, "transient glitch") {
-		t.Errorf("attempt 0 error = %q", r.History[0].Error)
-	}
-	if !strings.Contains(r.History[1].Error, "attempt-two panic") {
-		t.Errorf("attempt 1 error = %q", r.History[1].Error)
-	}
-	if r.History[2].Error != "" {
-		t.Errorf("successful attempt carries error %q", r.History[2].Error)
-	}
-
-	// Manifest: the retried cell keeps its trail, the clean cell stays lean.
-	var flakyRec, cleanRec *CellRecord
-	for i := range m.Cells {
-		switch m.Cells[i].ID {
-		case "flaky":
-			flakyRec = &m.Cells[i]
-		case "clean":
-			cleanRec = &m.Cells[i]
-		}
-	}
-	if flakyRec == nil || cleanRec == nil {
-		t.Fatal("manifest missing cells")
-	}
-	if len(flakyRec.History) != 3 {
-		t.Fatalf("manifest history length = %d, want 3", len(flakyRec.History))
-	}
-	if len(cleanRec.History) != 0 {
-		t.Fatalf("clean cell recorded history: %+v", cleanRec.History)
-	}
-}
-
-// TestAttemptHistoryTimeout: a timed-out attempt is classified "timeout"
-// in the trail.
-func TestAttemptHistoryTimeout(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	var tries atomic.Int64
-	p := Pool{Jobs: 1, CellTimeout: 20 * time.Millisecond, Retries: 1}
-	results := p.Run(context.Background(), []Cell{
-		{ID: "slow-then-ok", Do: func(context.Context) error {
-			if tries.Add(1) == 1 {
-				<-release
-			}
-			return nil
-		}},
-	})
-	r := results[0]
-	if r.Err != nil {
-		t.Fatalf("retry should have succeeded: %v", r.Err)
-	}
-	if len(r.History) != 2 || r.History[0].Outcome != "timeout" || r.History[1].Outcome != "ok" {
-		t.Fatalf("history = %+v, want [timeout ok]", r.History)
 	}
 }

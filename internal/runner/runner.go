@@ -23,13 +23,9 @@ import (
 	"time"
 )
 
-// ErrCellPanic wraps a panic recovered inside a cell; ErrCellTimeout marks
-// a cell attempt that exceeded Pool.CellTimeout. Both are classifiable
-// with errors.Is on the cell's final error.
-var (
-	ErrCellPanic   = errors.New("cell panicked")
-	ErrCellTimeout = errors.New("cell timed out")
-)
+// ErrCellPanic wraps a panic recovered inside a cell, classifiable with
+// errors.Is on the cell's error.
+var ErrCellPanic = errors.New("cell panicked")
 
 // Cell is one independently executable unit of a sweep: typically a single
 // (benchmark, dataset, CRB configuration) simulation. Do must be safe to
@@ -40,32 +36,15 @@ type Cell struct {
 	Do func(ctx context.Context) error
 }
 
-// Attempt records one attempt of one cell: its outcome class, the error
-// that ended it (empty on success) and its wall time. The sequence of a
-// cell's attempts is its retry post-mortem: which attempt timed out,
-// which panicked, and how long each burned.
-type Attempt struct {
-	// Outcome is "ok", "error", "panic", "timeout" or "canceled".
-	Outcome string  `json:"outcome"`
-	Error   string  `json:"error,omitempty"`
-	Seconds float64 `json:"seconds"`
-}
-
 // CellResult records one cell's outcome.
 type CellResult struct {
 	ID     string
 	Index  int // position in the input slice
 	Worker int
-	Wall   time.Duration // total across every attempt
-	Err    error         // final attempt's error (nil on success)
-	// Attempts is 1 plus the retries consumed; Panics and Timeouts count
-	// the attempts that ended in a recovered panic or a timeout.
-	Attempts int
-	Panics   int
-	Timeouts int
-	// History holds one record per attempt, in order.
-	History []Attempt
-	// Stack is the captured goroutine stack of the last recovered panic.
+	Wall   time.Duration
+	Err    error // nil on success
+	// Stack is the captured goroutine stack of a recovered panic; empty
+	// when the cell returned normally.
 	Stack string
 }
 
@@ -73,15 +52,6 @@ type CellResult struct {
 type Pool struct {
 	// Jobs is the worker count; <= 0 means one worker per GOMAXPROCS.
 	Jobs int
-	// CellTimeout bounds each cell *attempt*'s wall time; 0 disables the
-	// bound. Cells are CPU-bound and need not poll their context, so a
-	// timed-out attempt's goroutine is abandoned rather than preempted —
-	// it keeps running to completion in the background while the pool
-	// moves on (its panics, if any, are still recovered).
-	CellTimeout time.Duration
-	// Retries re-runs a failed cell (error, panic or timeout) up to this
-	// many additional attempts. Cancellation is never retried.
-	Retries int
 	// Manifest, when non-nil, accumulates cell records and worker busy
 	// time from every Run.
 	Manifest *Manifest
@@ -123,16 +93,6 @@ func (s SlogSink) Progress(p Progress) {
 	l.Info("runner heartbeat", "progress", p)
 }
 
-// MultiSink fans each snapshot out to every sink in order.
-type MultiSink []ProgressSink
-
-// Progress implements ProgressSink.
-func (m MultiSink) Progress(p Progress) {
-	for _, s := range m {
-		s.Progress(p)
-	}
-}
-
 // Progress is one heartbeat snapshot of an in-flight Run.
 type Progress struct {
 	Done, Total, Failed int
@@ -164,10 +124,11 @@ func (p *Pool) jobs() int {
 }
 
 // Run executes every cell and returns the results in input order,
-// independent of completion order. A failing, panicking or timed-out cell
-// only marks its own result; the remaining cells still run. Cancelling
-// ctx stops workers from starting new cells — cells not yet started
-// report ctx.Err().
+// independent of completion order. Each cell runs exactly once: cells
+// are deterministic, so a second attempt could not change the outcome. A
+// failing or panicking cell only marks its own result; the remaining
+// cells still run. Cancelling ctx stops workers from starting new cells —
+// cells not yet started report ctx.Err().
 func (p *Pool) Run(ctx context.Context, cells []Cell) []CellResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -204,7 +165,7 @@ func (p *Pool) Run(ctx context.Context, cells []Cell) []CellResult {
 					continue
 				}
 				start := time.Now()
-				p.execute(ctx, cells[i], r)
+				r.Err, r.Stack = runRecovered(ctx, cells[i])
 				r.Wall = time.Since(start)
 				if r.Err != nil {
 					r.Err = fmt.Errorf("runner: cell %s: %w", cells[i].ID, r.Err)
@@ -278,83 +239,16 @@ func (p *Pool) emitProgress(pr Progress) {
 	SlogSink{}.Progress(pr)
 }
 
-// execute runs one cell with panic isolation, the per-attempt timeout and
-// the bounded retry policy, filling r's outcome fields.
-func (p *Pool) execute(ctx context.Context, c Cell, r *CellResult) {
-	retries := 0
-	var timeout time.Duration
-	if p != nil {
-		retries, timeout = p.Retries, p.CellTimeout
-	}
-	for attempt := 0; ; attempt++ {
-		r.Attempts = attempt + 1
-		began := time.Now()
-		err, stack, timedOut := runAttempt(ctx, c, timeout)
-		rec := Attempt{Outcome: "ok", Seconds: time.Since(began).Seconds()}
-		if stack != "" {
-			r.Panics++
-			r.Stack = stack
-			rec.Outcome = "panic"
-		}
-		if timedOut {
-			r.Timeouts++
-			rec.Outcome = "timeout"
-		}
-		if err != nil {
-			if rec.Outcome == "ok" {
-				rec.Outcome = "error"
-				if errors.Is(err, context.Canceled) {
-					rec.Outcome = "canceled"
-				}
-			}
-			rec.Error = err.Error()
-		}
-		r.History = append(r.History, rec)
-		r.Err = err
-		if err == nil || attempt >= retries || ctx.Err() != nil || errors.Is(err, context.Canceled) {
-			return
-		}
-	}
-}
-
-// attemptOutcome carries one attempt's result across the timeout boundary.
-type attemptOutcome struct {
-	err   error
-	stack string
-}
-
-// runAttempt executes the cell body once, converting panics into
-// ErrCellPanic errors with a captured stack. With a timeout it runs the
-// body in a helper goroutine and abandons it when the deadline passes.
-func runAttempt(ctx context.Context, c Cell, timeout time.Duration) (err error, stack string, timedOut bool) {
-	if timeout <= 0 {
-		o := runRecovered(ctx, c)
-		return o.err, o.stack, false
-	}
-	cctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	ch := make(chan attemptOutcome, 1)
-	go func() { ch <- runRecovered(cctx, c) }()
-	select {
-	case o := <-ch:
-		return o.err, o.stack, false
-	case <-cctx.Done():
-		if errors.Is(cctx.Err(), context.DeadlineExceeded) {
-			return fmt.Errorf("%w after %v", ErrCellTimeout, timeout), "", true
-		}
-		return cctx.Err(), "", false
-	}
-}
-
-func runRecovered(ctx context.Context, c Cell) (o attemptOutcome) {
+// runRecovered executes the cell body once, converting a panic into an
+// ErrCellPanic error with the captured goroutine stack.
+func runRecovered(ctx context.Context, c Cell) (err error, stack string) {
 	defer func() {
 		if r := recover(); r != nil {
-			o.stack = string(debug.Stack())
-			o.err = fmt.Errorf("%w: %v", ErrCellPanic, r)
+			stack = string(debug.Stack())
+			err = fmt.Errorf("%w: %v", ErrCellPanic, r)
 		}
 	}()
-	o.err = c.Do(ctx)
-	return o
+	return c.Do(ctx), ""
 }
 
 // Errs joins the cell errors in input order; nil when every cell succeeded.

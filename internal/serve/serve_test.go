@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"ccr/internal/crb"
 	"ccr/internal/oracle"
 	"ccr/internal/reuse"
+	"ccr/internal/runner"
 	"ccr/internal/serve/wire"
 	"ccr/internal/workloads"
 )
@@ -280,6 +282,38 @@ func TestBatchEqualsSerial(t *testing.T) {
 			got.Config != serial.Config || got.Emu != serial.Emu {
 			t.Errorf("cell %d diverged:\nbatch  %+v\nserial %+v", i, got, serial)
 		}
+	}
+}
+
+// TestNoManifestHoldsNoCells: a daemon started without a manifest path
+// must not accumulate cell records it will never write — over its whole
+// lifetime that is an unbounded leak.
+func TestNoManifestHoldsNoCells(t *testing.T) {
+	srv, addr := startServer(t, Config{Jobs: 2})
+	cl := dial(t, addr)
+	batch, err := cl.Batch(BatchReq{Cells: []SimulateReq{
+		{Bench: "compress", Scale: "tiny", Base: true},
+		{Bench: "compress", Scale: "tiny"},
+	}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch.Failed != 0 {
+		t.Fatalf("batch reports %d failures: %+v", batch.Failed, batch.Results)
+	}
+	if srv.manifest == nil {
+		return
+	}
+	data, err := srv.manifest.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m runner.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Cells) != 0 {
+		t.Fatalf("server without a manifest path holds %d cell records", len(m.Cells))
 	}
 }
 

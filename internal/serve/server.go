@@ -118,7 +118,9 @@ func NewServer(cfg Config) *Server {
 		active:  map[uint64]activeEntry{},
 		drained: make(chan struct{}),
 	}
-	s.manifest = runner.NewManifest("ccrd", cfg.Jobs)
+	if cfg.ManifestPath != "" {
+		s.manifest = runner.NewManifest("ccrd", cfg.Jobs)
+	}
 	return s
 }
 
@@ -307,8 +309,9 @@ func (s *Server) entry(scale string) (*suiteEntry, error) {
 	return e, nil
 }
 
-// pool builds a per-request pool over the shared manifest, with an
-// optional progress sink for streaming requests.
+// pool builds a per-request pool over the shared manifest (none without
+// Config.ManifestPath), with an optional progress sink for streaming
+// requests.
 func (s *Server) pool(jobs int, sink runner.ProgressSink, heartbeatMS int) runner.Pool {
 	if jobs <= 0 {
 		jobs = s.cfg.Jobs
