@@ -15,11 +15,9 @@
 //	ccrctl top      [-addr A] [-interval D] [-n N]    live refreshing status view
 //	ccrctl status   [-addr A] [-json]                 one status snapshot
 //	ccrctl drain    [-addr A]                         graceful shutdown
-//	ccrctl bench    [-addr A] [-clients N] [...]      load test, BENCH_serve.json
 //
 // Unknown subcommands and malformed -addr values exit 2 with usage;
-// operational failures (failed cells, failed verification, failed load
-// gates) exit 1.
+// operational failures (failed cells, failed verification) exit 1.
 package main
 
 import (
@@ -31,7 +29,6 @@ import (
 
 	"ccr/internal/buildinfo"
 	"ccr/internal/serve"
-	"ccr/internal/serve/loadgen"
 )
 
 const defaultAddr = "unix:/tmp/ccrd.sock"
@@ -51,7 +48,6 @@ commands:
   top       live refreshing status view (in-flight requests, reuse rates)
   status    print one status snapshot (text, or -json)
   drain     ask the daemon to shut down gracefully
-  bench     load-test the daemon and gate/record BENCH_serve.json
 
 common flags: -addr (default `+defaultAddr+`), -connect-timeout, -force, -version
 run 'ccrctl <command> -h' for command flags`)
@@ -71,7 +67,7 @@ func main() {
 		usage(os.Stdout)
 		return
 	case "ping", "compile", "simulate", "batch", "sweep", "verify",
-		"phases", "stats", "top", "status", "drain", "bench":
+		"phases", "stats", "top", "status", "drain":
 		run(cmd, args)
 	default:
 		fmt.Fprintf(os.Stderr, "ccrctl: unknown command %q\n\n", cmd)
@@ -117,18 +113,6 @@ func run(cmd string, args []string) {
 	topN := fs.Int("n", -1, "top: stop after N snapshots (-1 = stream until interrupted)")
 	jsonOut := fs.Bool("json", false, "status: print the raw snapshot JSON")
 
-	// bench-only flags.
-	clients := fs.Int("clients", 8, "bench: concurrent client connections")
-	requests := fs.Int("requests", 400, "bench: total mixed requests in the hammer phase")
-	seed := fs.Int64("seed", 1, "bench: interleaving seed")
-	out := fs.String("out", "", "bench: write the BENCH_serve.json record to this file")
-	check := fs.Bool("check", false, "bench: gate the run (exit 1 on violation)")
-	minwarm := fs.Float64("minwarm", 5, "bench: required cold/warm median latency ratio")
-	maxerr := fs.Float64("maxerr", 0, "bench: tolerated fraction of failed requests")
-	minhit := fs.Float64("minhit", 0.5, "bench: required resident-cache hit rate")
-	commit := fs.String("commit", "", "bench: commit stamp for the record")
-	note := fs.String("note", "", "bench: note stamp for the record")
-
 	fs.Parse(args)
 	if *showVersion {
 		fmt.Println(buildinfo.String())
@@ -154,17 +138,6 @@ func run(cmd string, args []string) {
 			return nil
 		}
 		return &serve.DTMGeom{Entries: *tentries, Instances: *tinstances, Assoc: *tassoc, MinRun: *minrun}
-	}
-
-	// bench dials through loadgen itself.
-	if cmd == "bench" {
-		doBench(loadgen.Config{
-			Addr: *addr, Clients: *clients, Requests: *requests,
-			Scale: scaleOrDefault(*scale), Seed: *seed, Force: *force,
-		}, *out, *check, loadgen.Gates{
-			MinWarmSpeedup: *minwarm, MaxErrorFrac: *maxerr, MinCacheHitRate: *minhit,
-		}, *commit, *note)
-		return
 	}
 
 	cl, err := serve.DialRetry(*addr, serve.DialOptions{Force: *force}, *connectTimeout)
@@ -290,43 +263,6 @@ func run(cmd string, args []string) {
 	}
 }
 
-// doBench runs the load test and applies the record/gate policy.
-func doBench(cfg loadgen.Config, out string, check bool, gates loadgen.Gates,
-	commit, note string) {
-	rep, err := loadgen.Run(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ccrctl bench:", err)
-		if serve.IsVersionMismatch(err) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr,
-		"bench: %d requests, %d clients, %.1f req/s, %d errors\n"+
-			"bench: cold %.3fms, warm %.3fms -> warm speedup %.1fx (server-side %.1fx)\n"+
-			"bench: cache hit rate %.3f\n",
-		rep.Requests, rep.Clients, rep.ThroughputRPS, rep.Errors,
-		rep.ColdMS, rep.WarmMS, rep.WarmSpeedup, rep.WarmSpeedupServer,
-		rep.CacheHitRate)
-	if out != "" {
-		rec := loadgen.NewRecord(cfg, rep, commit, note)
-		if err := rec.WriteFile(out); err != nil {
-			fmt.Fprintln(os.Stderr, "ccrctl bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: record -> %s\n", out)
-	} else {
-		emit(loadgen.NewRecord(cfg, rep, commit, note))
-	}
-	if check {
-		if err := gates.Check(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "ccrctl bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "bench: gates passed")
-	}
-}
-
 // readCells loads the batch cell list from a JSON file or stdin.
 func readCells(path string) ([]serve.SimulateReq, error) {
 	if path == "" {
@@ -354,13 +290,6 @@ func requireBench(b string) {
 		fmt.Fprintln(os.Stderr, "ccrctl: -bench is required")
 		os.Exit(2)
 	}
-}
-
-func scaleOrDefault(s string) string {
-	if s == "" {
-		return "small"
-	}
-	return s
 }
 
 func emit(v any) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ccr/internal/core"
+	"ccr/internal/store"
 )
 
 // This file holds the daemon's always-on live state behind the stats/top
@@ -38,6 +39,27 @@ func (s *Server) recordSim(scheme string, sim *core.SimResult) {
 	}
 	t.DTMHeads += int64(len(sim.DTMHeads))
 	s.totalsMu.Unlock()
+}
+
+// requestsSnapshot copies the per-op request counts.
+func (s *Server) requestsSnapshot() map[string]int64 {
+	s.reqMu.Lock()
+	defer s.reqMu.Unlock()
+	out := make(map[string]int64, len(s.reqs))
+	for op, n := range s.reqs {
+		out[op] = n
+	}
+	return out
+}
+
+// storeSnapshot reports the artifact-store counters, or nil without a
+// store.
+func (s *Server) storeSnapshot() *store.Stats {
+	if s.cfg.Store == nil {
+		return nil
+	}
+	st := s.cfg.Store.Stats()
+	return &st
 }
 
 // reuseSnapshot copies the per-scheme totals for a stats/top reply.
@@ -119,20 +141,12 @@ func (s *Server) topSnapshot() TopSnapshot {
 		Conns:         s.connN.Load(),
 		InFlight:      s.inflight.Load(),
 		Draining:      s.draining.Load(),
-		Requests:      map[string]int64{},
+		Requests:      s.requestsSnapshot(),
 		Active:        s.activeSnapshot(),
 		Suites:        s.suitesSnapshot(),
+		Store:         s.storeSnapshot(),
 		Reuse:         s.reuseSnapshot(),
 		Goroutines:    runtime.NumGoroutine(),
-	}
-	s.reqMu.Lock()
-	for op, n := range s.reqs {
-		snap.Requests[op] = n
-	}
-	s.reqMu.Unlock()
-	if s.cfg.Store != nil {
-		st := s.cfg.Store.Stats()
-		snap.Store = &st
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

@@ -10,9 +10,9 @@
 // by every request at the same workload scale, so the daemon's answers are
 // byte-identical to a fresh single-shot CLI run: caches only ever memoize
 // deterministic pure computations keyed by their full inputs (benchmark,
-// dataset, crb.Config.Key()). Warm requests skip recomputation entirely —
-// the latency gap between the first and second identical request is the
-// service's reason to exist (BENCH_serve.json records it).
+// dataset, crb.Config.Key()). Warm requests skip recomputation entirely:
+// a repeated request moves its cache's hit counter, not its miss counter,
+// and the stats op reports those counters.
 package serve
 
 import (

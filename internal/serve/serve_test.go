@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"ccr/internal/buildinfo"
 	"ccr/internal/core"
 	"ccr/internal/crb"
+	"ccr/internal/experiments"
 	"ccr/internal/oracle"
 	"ccr/internal/reuse"
 	"ccr/internal/runner"
@@ -355,44 +357,123 @@ func TestBatchStreamingProgress(t *testing.T) {
 	}
 }
 
-// TestWarmCacheServesHits: a repeated identical simulate is answered from
-// the resident caches (hit counters move, not miss counters) and reports a
-// server-side latency far below the cold request's.
+// TestWarmCacheServesHits: a repeated identical request is answered from
+// the resident caches — its cache's hit counter moves by exactly one and
+// its miss counter not at all — for a timed cell, a CCR digest and a base
+// digest, and the warm simulate reports a server-side latency below the
+// cold one's.
 func TestWarmCacheServesHits(t *testing.T) {
 	_, addr := startServer(t, Config{Jobs: 2})
 	cl := dial(t, addr)
+	caches := func() map[string]runner.CacheStats {
+		t.Helper()
+		st, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Suites["tiny"].Caches
+	}
+	// repeat issues req twice and returns both responses plus the named
+	// cache's counters after the first and after the second request.
+	repeat := func(req SimulateReq, cache string) (cold, warm *SimulateResp, before, after runner.CacheStats) {
+		t.Helper()
+		cold, err := cl.Simulate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before = caches()[cache]
+		warm, err = cl.Simulate(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cold, warm, before, caches()[cache]
+	}
+	hitOnce := func(cache string, before, after runner.CacheStats) {
+		t.Helper()
+		if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+			t.Errorf("repeated request did not hit the %s cache once: %+v -> %+v", cache, before, after)
+		}
+	}
+
 	req := SimulateReq{Bench: "m88ksim", Scale: "tiny", Dataset: "ref"}
-
-	cold, err := cl.Simulate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccr1 := st1.Suites["tiny"].Caches["ccr_sim"]
-
-	warm, err := cl.Simulate(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ccr2 := st2.Suites["tiny"].Caches["ccr_sim"]
-
+	cold, warm, ccr1, ccr2 := repeat(req, "ccr_sim")
 	if warm.Result != cold.Result || warm.Cycles != cold.Cycles {
 		t.Errorf("warm response diverged from cold: %+v vs %+v", warm, cold)
 	}
-	if ccr2.Hits != ccr1.Hits+1 || ccr2.Misses != ccr1.Misses {
-		t.Errorf("second request did not hit the resident cache: %+v -> %+v", ccr1, ccr2)
-	}
-	// The wall-clock warm/cold ratio is asserted loosely here (the strict
-	// ≥5× gate lives in the loadgen bench, measured over many samples).
+	hitOnce("ccr_sim", ccr1, ccr2)
+	// The wall-clock warm/cold ratio is asserted loosely: the hit counters
+	// above are the deterministic evidence of reuse.
 	if warm.ServerNS > cold.ServerNS {
 		t.Errorf("warm request slower than cold: %dns vs %dns", warm.ServerNS, cold.ServerNS)
+	}
+
+	for _, c := range []struct {
+		req   SimulateReq
+		cache string
+	}{
+		{SimulateReq{Bench: "compress", Scale: "tiny", Digest: true}, "ccr_digest"},
+		{SimulateReq{Bench: "compress", Scale: "tiny", Base: true, Digest: true}, "digest"},
+	} {
+		cold, warm, before, after := repeat(c.req, c.cache)
+		if cold.Digest == nil || warm.Digest == nil || *warm.Digest != *cold.Digest {
+			t.Errorf("%s: warm digest diverged from cold: %+v vs %+v", c.cache, warm.Digest, cold.Digest)
+		}
+		hitOnce(c.cache, before, after)
+	}
+}
+
+// TestSweepOverWire runs the speedup grid through the daemon: every row
+// succeeds and its speedup equals, bit for bit, the speedup of the same
+// cell in the committed tiny-scale verify reference.
+func TestSweepOverWire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full speedup sweep in -short mode")
+	}
+	srv, addr := startServer(t, Config{Jobs: 4})
+	cl := dial(t, addr)
+	sw, err := cl.Sweep(SweepReq{Scale: "tiny"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sw.Rows) != 364 || sw.Failed != 0 {
+		t.Fatalf("sweep: %d rows, %d failed; want 364 rows, 0 failed", len(sw.Rows), sw.Failed)
+	}
+
+	raw, err := os.ReadFile(filepath.Join("..", "..", "perfbench", "ref", "verify_tiny_digests.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref []struct {
+		Cell string
+		Out  struct{ Speedup float64 }
+	}
+	if err := json.Unmarshal(raw, &ref); err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]float64, len(ref))
+	for _, r := range ref {
+		want[r.Cell] = r.Out.Speedup
+	}
+	e, err := srv.entry("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A row names its point by reuse.Config.Key(); the reference names a
+	// cell bench/dataset/scheme/label.
+	cellOf := map[string]string{}
+	for _, p := range experiments.VerifySweepPoints(e.suite) {
+		cellOf[p.Reuse.Key()] = string(p.Reuse.Scheme) + "/" + p.Label
+	}
+	for _, r := range sw.Rows {
+		pt, ok := cellOf[r.Config]
+		if !ok {
+			t.Errorf("row %s/%s: config %q is no verify sweep point", r.Bench, r.Dataset, r.Config)
+			continue
+		}
+		id := r.Bench + "/" + r.Dataset + "/" + pt
+		if sp, ok := want[id]; !ok || sp != r.Speedup {
+			t.Errorf("%s: speedup %v over the wire, reference %v (present %v)", id, r.Speedup, sp, ok)
+		}
 	}
 }
 

@@ -764,32 +764,16 @@ func (s *Server) doPhases(req PhasesReq) (*PhasesResp, error) {
 
 // doStats snapshots the daemon's counters.
 func (s *Server) doStats() *StatsResp {
-	resp := &StatsResp{
+	return &StatsResp{
 		Build:         s.build,
 		Proto:         wire.ProtoVersion,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		Requests:      map[string]int64{},
+		Requests:      s.requestsSnapshot(),
 		InFlight:      s.inflight.Load(),
 		Conns:         s.connN.Load(),
 		Draining:      s.draining.Load(),
-		Suites:        map[string]SuiteStats{},
+		Suites:        s.suitesSnapshot(),
+		Store:         s.storeSnapshot(),
+		Reuse:         s.reuseSnapshot(),
 	}
-	s.reqMu.Lock()
-	for op, n := range s.reqs {
-		resp.Requests[op] = n
-	}
-	s.reqMu.Unlock()
-	s.mu.Lock()
-	for name, e := range s.suites {
-		caches := e.suite.CacheStats()
-		caches["ccr_digest"] = e.ccrDigests.Stats()
-		resp.Suites[name] = SuiteStats{Benches: len(e.suite.Benches), Caches: caches}
-	}
-	s.mu.Unlock()
-	if s.cfg.Store != nil {
-		st := s.cfg.Store.Stats()
-		resp.Store = &st
-	}
-	resp.Reuse = s.reuseSnapshot()
-	return resp
 }
