@@ -13,7 +13,7 @@ import (
 	"ccr/internal/workloads"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/timing.golden")
+var update = flag.Bool("update", false, "rewrite testdata/timing.golden and testdata/compile.golden")
 
 const timingGolden = "testdata/timing.golden"
 
