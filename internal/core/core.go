@@ -116,11 +116,14 @@ func CompileWith(base *ir.Program, ar *alias.Result, trainArgs []int64, opts Opt
 }
 
 // ProfileRun executes base functionally under the RPS profiler and returns
-// the finished profile and the program result.
+// the finished profile and the program result. The profiler is attached
+// as the machine's inline profile fold, so the run stays on the engine's
+// batch tier; it builds the profile the event-fed reference
+// (vprof.Profiler.Tracer) would.
 func ProfileRun(base *ir.Program, args []int64, limit int64) (*vprof.Profile, int64, error) {
 	profiler := vprof.NewProfiler(base)
 	m := emu.New(base)
-	m.Trace = profiler.Tracer()
+	m.Profile = profiler
 	m.Limit = limit
 	res, err := m.Run(args...)
 	if err != nil {

@@ -150,11 +150,11 @@ func (m *Machine) batchFault(df *ir.DecodedFunc, pc int, rem *int64, limit int64
 }
 
 // batchTransfer passes the control transfer at pc, dispatched as xop,
-// that ended a batch run to the run hook and the digest; npc is its
-// successor and rp the frame's registers. The batch loop keeps no
-// per-instruction taken bit: a conditional branch, the run's only one,
+// that ended a batch run to the run hook, the digest and the profile; npc
+// is its successor and regs the frame's registers. The batch loop keeps
+// no per-instruction taken bit: a conditional branch, the run's only one,
 // was taken exactly when it counted a taken branch since the run began.
-func (m *Machine) batchTransfer(df *ir.DecodedFunc, pc int, xop uint8, npc int, rp *[ir.RegFileCap]int64) {
+func (m *Machine) batchTransfer(df *ir.DecodedFunc, pc int, xop uint8, npc int, regs []int64) {
 	var taken bool
 	switch xop {
 	case ir.XReuse:
@@ -170,13 +170,66 @@ func (m *Machine) batchTransfer(df *ir.DecodedFunc, pc int, xop uint8, npc int, 
 	if d := m.Digest; d != nil {
 		if xop == ir.XFAddIJmp {
 			// The add fused ahead of the jump slot.
-			d.instr(df.Addr(int32(pc-1)), rp[df.XCode[pc-1].Dest], false, 0)
+			d.instr(df.Addr(int32(pc-1)), regs[df.XCode[pc-1].Dest], false, 0)
 		}
 		d.instr(df.Addr(int32(pc)), 0, taken, df.Addr(int32(npc)))
 		if xop == ir.XReuse && taken {
-			m.digestReuse(ir.RegionID(df.XCode[pc].ObjLo), rp[:])
+			m.digestReuse(ir.RegionID(df.XCode[pc].ObjLo), regs)
 		}
 	}
+	if p := m.Profile; p != nil {
+		if xop == ir.XFAddIJmp {
+			m.profStep(df, pc-1, regs)
+		}
+		v1, v2 := m.pv1, m.pv2
+		if xop == ir.XReuse {
+			v1, v2 = 0, 0
+		}
+		p.Fold(df.Addr(int32(pc)), v1, v2, taken, regs)
+	}
+}
+
+// profOperands resolves the source operands of the instruction at pc of
+// df from regs as the careful tier does, before it runs, for the profile
+// fold; ahead of a fused pair it also saves the second slot's
+// destination (profPair).
+func (m *Machine) profOperands(df *ir.DecodedFunc, pc int, regs []int64) {
+	in := &df.Code[pc]
+	m.pv1, m.pv2 = regs[in.Src1], regs[in.Src2]
+	if in.Src1 == ir.NoReg {
+		m.pv1 = 0
+	}
+	if in.Src2 == ir.NoReg {
+		m.pv2 = in.Imm
+	}
+	if df.XCode[pc].XOp >= ir.XFFirst {
+		m.pd2 = regs[df.Code[pc+1].Dest]
+	}
+}
+
+// profStep folds the straight-line instruction at pc of df, which just
+// ran, into the attached profile, then resolves the operands of pc+1, the
+// run's next instruction.
+func (m *Machine) profStep(df *ir.DecodedFunc, pc int, regs []int64) {
+	m.Profile.Fold(df.Addr(int32(pc)), m.pv1, m.pv2, false, regs)
+	m.profOperands(df, pc+1, regs)
+}
+
+// profPair folds the fused pair at pc of df, after both slots ran, into
+// the attached profile. Of the registers, only the second slot's
+// destination differs from what the first slot left, so it is put back
+// for the first slot's fold — r1 when both slots define it, else the
+// value profOperands saved before the pair — and then restored.
+func (m *Machine) profPair(df *ir.DecodedFunc, pc int, r1 int64, regs []int64) {
+	d1, d2 := df.Code[pc].Dest, df.Code[pc+1].Dest
+	after := regs[d2]
+	regs[d2] = m.pd2
+	if d2 == d1 {
+		regs[d2] = r1
+	}
+	m.profStep(df, pc, regs)
+	regs[d2] = after
+	m.profStep(df, pc+1, regs)
 }
 
 // retTarget is the byte address the ret of the innermost frame returns
@@ -201,7 +254,10 @@ func (m *Machine) runFast(args []int64) (int64, error) {
 		limit = DefaultLimit
 	}
 	trace := m.Trace
-	digest := m.Digest
+	// fold is the batch tier's one test for both inline folds; they
+	// read m.Digest and m.Profile only where it holds, which keeps the
+	// loop's register pressure that of an unfolded run.
+	fold := m.Digest != nil || m.Profile != nil
 	dtm := m.DTM
 	mem := m.Mem
 	if dtm != nil {
@@ -264,10 +320,14 @@ outer:
 				}
 				rem -= k
 				cnt[pc]++
-				if m.OnRun != nil || digest != nil {
+				if m.OnRun != nil || fold {
 					// The run hook's record of this run, and the taken bit
-					// of its ending branch, start here.
+					// of its ending branch, start here, and the profile
+					// reads the operands of its first instruction.
 					m.seg.start, m.seg.na, m.seg.taken0 = pc, 0, m.Stats.TakenBranches
+					if m.Profile != nil {
+						m.profOperands(df, pc, fr.regs)
+					}
 				}
 				for {
 					in := &xcode[pc]
@@ -275,7 +335,7 @@ outer:
 					var r1 int64 // a fused pair's first result, for foldPair
 					switch in.XOp {
 					case ir.XNop:
-						if digest != nil {
+						if fold {
 							goto foldZero
 						}
 						pc++
@@ -400,8 +460,10 @@ outer:
 						if len(m.funcMemos) > 0 {
 							m.dropFuncMemos()
 						}
-						if digest != nil {
-							digest.store(a, mem[a])
+						if fold {
+							if d := m.Digest; d != nil {
+								d.store(a, mem[a])
+							}
 							goto foldZero
 						}
 						pc++
@@ -411,12 +473,16 @@ outer:
 					// in one dispatch; the second slot keeps its original
 					// encoding and is read directly (fusion never pairs
 					// across a run-entry PC, so no walk can land on it).
+					// With a digest or a profile attached both slots fold
+					// after the pair (foldPair), except that the first
+					// slot of XFAddLd folds before the load can fault and
+					// that of XFAddIJmp beside the jump (batchTransfer).
 					case ir.XFShlIAdd:
 						in2 := &xcode[pc+1]
 						r1 = rp[in.Src1] << (uint64(in.Imm) & 63)
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] + rp[in2.Src2]
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -426,7 +492,7 @@ outer:
 						r1 = int64(uint64(rp[in.Src1]) >> (uint64(in.Imm) & 63))
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] & in2.Imm
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -436,7 +502,7 @@ outer:
 						r1 = rp[in.Src1] >> (uint64(in.Imm) & 63)
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] & in2.Imm
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -446,7 +512,7 @@ outer:
 						r1 = rp[in.Src1] * in.Imm
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] + in2.Imm
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -456,7 +522,7 @@ outer:
 						r1 = rp[in.Src1] ^ rp[in.Src2]
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] << (uint64(in2.Imm) & 63)
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -466,7 +532,7 @@ outer:
 						r1 = rp[in.Src1] ^ in.Imm
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] + rp[in2.Src2]
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -476,7 +542,7 @@ outer:
 						r1 = rp[in.Src1] + rp[in.Src2]
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] * in2.Imm
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -486,7 +552,7 @@ outer:
 						r1 = rp[in.Src1] + rp[in.Src2]
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] + rp[in2.Src2]
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -496,7 +562,7 @@ outer:
 						r1 = rp[in.Src1] + rp[in.Src2]
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] + in2.Imm
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -506,7 +572,7 @@ outer:
 						r1 = rp[in.Src1] + rp[in.Src2]
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] & in2.Imm
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -516,7 +582,7 @@ outer:
 						r1 = rp[in.Src1] + rp[in.Src2]
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] ^ rp[in2.Src2]
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -526,7 +592,7 @@ outer:
 						r1 = rp[in.Src1] & in.Imm
 						rp[in.Dest] = r1
 						rp[in2.Dest] = in2.Imm + rp[in2.Src1]
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -536,7 +602,7 @@ outer:
 						r1 = rp[in.Src1] << (uint64(in.Imm) & 63)
 						rp[in.Dest] = r1
 						rp[in2.Dest] = rp[in2.Src1] ^ rp[in2.Src2]
-						if digest != nil {
+						if fold {
 							goto foldPair
 						}
 						pc += 2
@@ -544,9 +610,14 @@ outer:
 					case ir.XFAddLd:
 						in2 := &xcode[pc+1]
 						rp[in.Dest] = rp[in.Src1] + rp[in.Src2]
-						if digest != nil {
-							// The add is folded before the load can fault.
-							digest.instr(df.Addr(int32(pc)), rp[in.Dest], false, 0)
+						if fold {
+							// The add folds before the load can fault.
+							if d := m.Digest; d != nil {
+								d.instr(df.Addr(int32(pc)), rp[in.Dest], false, 0)
+							}
+							if m.Profile != nil {
+								m.profStep(df, pc, fr.regs)
+							}
 						}
 						a := rp[in2.Src1] + in2.Imm
 						if uint64(a) >= uint64(len(mem)) {
@@ -562,7 +633,7 @@ outer:
 						if m.OnRun != nil {
 							m.noteAddr(a)
 						}
-						if digest != nil {
+						if fold {
 							pc++
 							goto foldDest
 						}
@@ -683,8 +754,13 @@ outer:
 						for i, a := range df.Meta[pc].Src.Args {
 							nf.regs[i+1] = caller.regs[a]
 						}
-						if digest != nil {
-							digest.instr(df.Addr(int32(pc)), 0, true, cdf.Base)
+						if fold {
+							if d := m.Digest; d != nil {
+								d.instr(df.Addr(int32(pc)), 0, true, cdf.Base)
+							}
+							if p := m.Profile; p != nil {
+								p.Fold(df.Addr(int32(pc)), m.pv1, m.pv2, true, nf.regs)
+							}
 						}
 						fr = nf
 						df = cdf
@@ -696,8 +772,13 @@ outer:
 						if in.XOp == ir.XRetR {
 							retVal = rp[in.Src1]
 						}
-						if digest != nil {
-							m.digestRet(df, pc, retVal)
+						if fold {
+							if m.Digest != nil {
+								m.digestRet(df, pc, retVal)
+							}
+							if p := m.Profile; p != nil {
+								p.Fold(df.Addr(int32(pc)), m.pv1, m.pv2, true, fr.regs)
+							}
 						}
 						if m.OnRun != nil {
 							m.feedRun(df, pc, true)
@@ -730,8 +811,13 @@ outer:
 							if m.OnRun != nil {
 								m.feedRun(df, pc, false)
 							}
-							if digest != nil {
-								digest.instr(df.Addr(int32(pc)), 0, false, 0)
+							if fold {
+								if d := m.Digest; d != nil {
+									d.instr(df.Addr(int32(pc)), 0, false, 0)
+								}
+								if p := m.Profile; p != nil {
+									p.Fold(df.Addr(int32(pc)), 0, 0, false, fr.regs)
+								}
 							}
 							pc++
 							continue outer
@@ -748,7 +834,7 @@ outer:
 						if len(m.funcMemos) > 0 {
 							m.dropFuncMemos()
 						}
-						if digest != nil {
+						if fold {
 							goto foldZero
 						}
 						pc++
@@ -770,7 +856,7 @@ outer:
 					// A straight-line arm fell out of the switch: the
 					// instruction's result, if any, is in its destination
 					// register.
-					if digest != nil {
+					if fold {
 						goto foldDest
 					}
 					pc++
@@ -778,8 +864,8 @@ outer:
 
 				transfer:
 					// Control transferred: pc is the run's last instruction.
-					if m.OnRun != nil || digest != nil {
-						m.batchTransfer(df, pc, in.XOp, npc, rp)
+					if m.OnRun != nil || fold {
+						m.batchTransfer(df, pc, in.XOp, npc, fr.regs)
 					}
 					// With DTM attached a transfer is
 					// a landing: return to the tier dispatch so the hook
@@ -795,20 +881,35 @@ outer:
 					pc = npc
 					continue charge
 
-					// Digest folds of the straight-line instruction at pc,
-					// reached only with a digest attached: its result is in its
-					// destination register, or in r1 for a fused pair's first
-					// slot (foldPair then falls into foldDest for the second);
-					// Nop, St and Inval fold a zero result.
+					// Folds of the straight-line instruction at pc, reached
+					// only with a digest or a profile attached: the digest
+					// folds its result, which is in its destination register
+					// (foldDest) or zero for Nop, St and Inval (foldZero); a
+					// fused pair folds both slots, the first with its result
+					// r1 (foldPair).
 				foldPair:
-					digest.instr(df.Addr(int32(pc)), r1, false, 0)
-					pc++
-				foldDest:
-					digest.instr(df.Addr(int32(pc)), rp[xcode[pc].Dest], false, 0)
-					pc++
+					if d := m.Digest; d != nil {
+						d.instr(df.Addr(int32(pc)), r1, false, 0)
+						d.instr(df.Addr(int32(pc+1)), rp[xcode[pc+1].Dest], false, 0)
+					}
+					if m.Profile != nil {
+						m.profPair(df, pc, r1, fr.regs)
+					}
+					pc += 2
 					continue
 				foldZero:
-					digest.instr(df.Addr(int32(pc)), 0, false, 0)
+					if d := m.Digest; d != nil {
+						d.instr(df.Addr(int32(pc)), 0, false, 0)
+					}
+					goto foldProfile
+				foldDest:
+					if d := m.Digest; d != nil {
+						d.instr(df.Addr(int32(pc)), rp[xcode[pc].Dest], false, 0)
+					}
+				foldProfile:
+					if m.Profile != nil {
+						m.profStep(df, pc, fr.regs)
+					}
 					pc++
 					continue
 				}
@@ -821,6 +922,7 @@ outer:
 		code := df.Code
 		meta := df.Meta
 		regs := fr.regs
+		digest, prof := m.Digest, m.Profile
 		if m.OnRun != nil {
 			m.seg.start, m.seg.na = pc, 0
 		}
@@ -1063,6 +1165,9 @@ outer:
 				if digest != nil {
 					digest.instr(df.Addr(int32(pc)), 0, true, cdf.Base)
 				}
+				if prof != nil {
+					prof.Fold(df.Addr(int32(pc)), v1, v2, true, nf.regs)
+				}
 				if trace != nil {
 					m.Stats.DynInstrs = limit - rem
 					m.emitFlat(trace, df, pc, in, &meta[pc], v1, v2, 0, 0, true, cdf.Base, nf.regs)
@@ -1083,6 +1188,9 @@ outer:
 				}
 				if digest != nil {
 					m.digestRet(df, pc, retVal)
+				}
+				if prof != nil {
+					prof.Fold(df.Addr(int32(pc)), v1, v2, true, regs)
 				}
 				if trace != nil {
 					m.emitFlat(trace, df, pc, in, &meta[pc], v1, v2, 0, retVal, true, m.retTarget(), regs)
@@ -1123,6 +1231,9 @@ outer:
 					if hit {
 						m.digestReuse(ir.RegionID(in.Aux), regs)
 					}
+				}
+				if prof != nil {
+					prof.Fold(df.Addr(int32(pc)), 0, 0, hit, regs)
 				}
 				if trace != nil {
 					tpc := df.Addr(in.Target)
@@ -1180,6 +1291,9 @@ outer:
 			if digest != nil {
 				// Only a branch is taken, and its target is nextPC.
 				digest.instr(df.Addr(int32(pc)), result, taken, df.Addr(int32(nextPC)))
+			}
+			if prof != nil {
+				prof.Fold(df.Addr(int32(pc)), v1, v2, taken, regs)
 			}
 			if trace != nil {
 				m.Stats.DynInstrs = limit - rem

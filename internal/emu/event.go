@@ -81,6 +81,20 @@ type Run struct {
 // RunHook receives every executed run (Machine.OnRun); nil disables it.
 type RunHook func(*Run)
 
+// ProfileFold receives a value profile's inline fold (Machine.Profile):
+// one call per executed instruction, at the points where the careful tier
+// would emit an Event, carrying the Event facts a profile reads. A
+// faulting instruction, the sentinel and a DTM replay fold nothing.
+type ProfileFold interface {
+	// Fold records the instruction at byte address pc. v1 and v2 are its
+	// source operands as they were before it ran (Event.Val1 and Val2:
+	// NoReg reads as 0 for Src1 and as Imm for Src2; a Reuse folds 0, 0),
+	// taken is Event.Taken, and regs is Event.Regs: the register file
+	// after the instruction ran, the callee's for a Call. regs is
+	// read-only and valid only during the call.
+	Fold(pc, v1, v2 int64, taken bool, regs []int64)
+}
+
 // Tee fans one event stream out to several tracers, invoked in order. Nil
 // tracers are skipped; with zero or one live tracer no wrapper is built.
 func Tee(tracers ...Tracer) Tracer {

@@ -225,6 +225,10 @@ type Machine struct {
 	// building events; unlike a tracer, a digest leaves untraced runs on
 	// the batch tier.
 	Digest *Digest
+	// Profile, when non-nil, receives the run's value-profile fold (see
+	// ProfileFold). Like Digest it is folded inline on either tier, and
+	// the interpreter feeds it from its own events.
+	Profile ProfileFold
 	// OnRun, when non-nil, receives every executed straight-line run
 	// (see Run): exactly the instructions a Trace would see, grouped per
 	// run, with only their dynamic facts. Unlike Trace it keeps the
@@ -297,6 +301,10 @@ type Machine struct {
 		// taken0 is Stats.TakenBranches when a batch run began.
 		taken0 int64
 	}
+	// pv1 and pv2 are the operands of the batch run's next instruction,
+	// resolved before it runs (profOperands), for the profile fold; pd2
+	// is the second slot's destination before a fused pair runs.
+	pv1, pv2, pd2 int64
 	// dtmArmed mirrors whether the attached DTM has a recording pending:
 	// the batch tier may skip a landing hook only when nothing is armed
 	// and the landing head is statically ineligible (both Lookup and
@@ -620,12 +628,15 @@ func (m *Machine) dtmInterpEnter(limit int64) error {
 
 // runInterp is the legacy block-structured interpreter: the reference
 // implementation the predecoded engine is differentially tested against.
-// It folds Digest from, and feeds OnRun by regrouping, its own event
-// stream (digestEvent, feedEvent).
+// It folds Digest and Profile from, and feeds OnRun by regrouping, its
+// own event stream (digestEvent, profileEvent, feedEvent).
 func (m *Machine) runInterp(mainFn *ir.Func, args []int64) (int64, error) {
 	trace := m.Trace
 	if m.Digest != nil {
 		trace = Tee(trace, m.digestEvent)
+	}
+	if m.Profile != nil {
+		trace = Tee(trace, m.profileEvent)
 	}
 	if m.OnRun == nil {
 		return m.interpLoop(mainFn, args, trace)
@@ -640,6 +651,11 @@ func (m *Machine) runInterp(mainFn *ir.Func, args []int64) (int64, error) {
 		m.feedRun(sg.df, sg.end, false)
 	}
 	return res, err
+}
+
+// profileEvent folds one interpreter event into the attached profile.
+func (m *Machine) profileEvent(ev *Event) {
+	m.Profile.Fold(ev.PC, ev.Val1, ev.Val2, ev.Taken, ev.Regs)
 }
 
 // feedEvent regroups the interpreter's event stream into runs for OnRun:

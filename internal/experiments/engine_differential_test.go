@@ -11,6 +11,7 @@ import (
 	"ccr/internal/ir"
 	"ccr/internal/oracle"
 	"ccr/internal/reuse"
+	"ccr/internal/vprof"
 	"ccr/internal/workloads"
 )
 
@@ -28,6 +29,9 @@ import (
 //     image, and the complete statistics block (DynInstrs, per-opcode
 //     histogram, branch and reuse counters, per-region rows), plus the CRB
 //     and DTM counters when those buffers are attached.
+//   - Profiled: the value profile of the base program, folded inline on
+//     the batch tier as core.ProfileRun folds it, must deep-equal the
+//     profiles fed by the careful tier's and the interpreter's events.
 //
 // Configurations cover the untransformed base program, the default CCR
 // compilation, a conflict-pressure geometry, the function-level extension
@@ -66,6 +70,7 @@ func TestEngineDifferential(t *testing.T) {
 				args []int64
 			}{{"train", b.Train}, {"ref", b.Ref}}
 			for _, ds := range datasets {
+				compareProfiles(t, ds.name, b.Prog, ds.args)
 				for _, pt := range points {
 					label := fmt.Sprintf("%s/%s", ds.name, pt.name)
 
@@ -124,6 +129,37 @@ func carefulDigest(prog *ir.Program, rc reuse.Config, args []int64) (oracle.Dige
 		return oracle.Digest{}, err
 	}
 	return col.Finish(res, m.Mem), nil
+}
+
+// compareProfiles profiles prog on args three ways — the engine's inline
+// fold on its batch tier, and the profiler's event feed on the careful
+// tier and on the interpreter — and requires equal profiles and results.
+func compareProfiles(t *testing.T, label string, prog *ir.Program, args []int64) {
+	t.Helper()
+	run := func(interp, events bool) (*vprof.Profile, int64) {
+		pr := vprof.NewProfiler(prog)
+		m := emu.New(prog)
+		m.Interp = interp
+		if events {
+			m.Trace = pr.Tracer()
+		} else {
+			m.Profile = pr
+		}
+		res, err := m.Run(args...)
+		if err != nil {
+			t.Fatalf("%s: profiling run: %v", label, err)
+		}
+		return pr.Finish(), res
+	}
+	batch, rb := run(false, false)
+	careful, rc := run(false, true)
+	interp, ri := run(true, true)
+	if !reflect.DeepEqual(batch, careful) || rb != rc {
+		t.Errorf("%s: the batch tier's profile differs from the careful tier's", label)
+	}
+	if !reflect.DeepEqual(batch, interp) || rb != ri {
+		t.Errorf("%s: the batch tier's profile differs from the interpreter's", label)
+	}
 }
 
 // compareUntraced runs both engines with no tracer or digest attached and

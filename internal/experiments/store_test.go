@@ -139,3 +139,27 @@ func TestSuiteStoreRevisionDiscipline(t *testing.T) {
 		t.Errorf("another revision's artifacts were served: %+v", st)
 	}
 }
+
+// TestNoStoreComputesNoKeys: a suite without a store addresses nothing,
+// so compiling and simulating a benchmark neither dumps and hashes the
+// prepared program nor dumps the compiled one; the program is still
+// prepared first.
+func TestNoStoreComputesNoKeys(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = workloads.Tiny
+	cfg.Jobs = 1
+	s := NewSuite(cfg)
+	b := s.Benches[0]
+	if _, err := s.Compiled(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.BaseSim(b, b.Train); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.progKey.Len(); n != 0 {
+		t.Fatalf("a suite without a store holds %d program digests, want 0", n)
+	}
+	if n := s.prep.Len(); n != 1 {
+		t.Fatalf("%d benchmarks prepared, want 1", n)
+	}
+}

@@ -206,8 +206,13 @@ func (s *Suite) progDigest(b *workloads.Benchmark) (string, error) {
 }
 
 // storeKey assembles the full content address of one artifact: program
-// digest, options fingerprint, then the cell coordinates.
+// digest, options fingerprint, then the cell coordinates. Without a store
+// nothing is addressed, so it only prepares b and returns "".
 func (s *Suite) storeKey(b *workloads.Benchmark, rest string) (string, error) {
+	if s.cfg.Store == nil {
+		_, err := s.prepared(b)
+		return "", err
+	}
 	pd, err := s.progDigest(b)
 	if err != nil {
 		return "", err
@@ -341,7 +346,9 @@ func (s *Suite) Compiled(b *workloads.Benchmark) (*core.CompileResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: compile %s: %w", b.Name, err)
 		}
-		s.toStore("compile", key, storedCompile{Prog: cr.Prog.Dump(), TrainResult: cr.TrainResult})
+		if key != "" {
+			s.toStore("compile", key, storedCompile{Prog: cr.Prog.Dump(), TrainResult: cr.TrainResult})
+		}
 		return cr, nil
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 package vprof
 
-import "slices"
+import "math/bits"
 
 // valueKey is the profiled input tuple of one instruction execution.
 type valueKey struct {
@@ -14,19 +14,29 @@ type valueKey struct {
 // bounds, which matches the paper's use of profiled invariance as an
 // optimistic reuse estimate.
 //
-// Both tables are fixed arrays scanned linearly; at these sizes a scan
-// beats hashing, and slot order makes eviction deterministic: the victim
-// is the minimum count, ties broken by the lowest slot.
+// Both tables are fixed arrays in arrival order, and slot order makes
+// eviction deterministic: the victim is the minimum count, ties broken
+// by the lowest slot. Each slot also keeps a one-byte fingerprint of its
+// tuple, eight to a word, so a lookup compares all fingerprints with a
+// few word operations and reads only the keys whose fingerprint matches;
+// minMask tracks the slots holding the minimum count, so an eviction
+// rarely scans the counts.
 type ValueCounter struct {
 	keys   [counterCapacity]valueKey
 	counts [counterCapacity]int64
+	fps    [counterCapacity / 8]uint64
 	n      int // slots in use
 	total  int64
+	// minMask marks the slots holding the minimum count once the table
+	// is full: every other slot's count is higher. A slot whose count
+	// grows leaves it; when it empties, the next eviction rescans.
+	minMask uint32
 	// distinct saturates at distinctSaturation and estimates the variety
 	// of the instruction's input stream (the "limited set of values"
 	// check); seen holds the first distinct tuples in arrival order.
 	distinct int
 	seen     [distinctSaturation]valueKey
+	seenFPs  [distinctSaturation / 8]uint64
 }
 
 // counterCapacity is the table size; comfortably above the paper's
@@ -36,38 +46,92 @@ const counterCapacity = 16
 // distinctSaturation bounds the distinct-value estimator's memory.
 const distinctSaturation = 64
 
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// fingerprint hashes a tuple to one byte with its top bit set, so it
+// never equals the zero byte of an unused slot.
+func fingerprint(k valueKey) uint64 {
+	h := (uint64(k.a)*0x9E3779B97F4A7C15 ^ uint64(k.b)) * 0xBF58476D1CE4E5B9
+	return h>>57 | 0x80
+}
+
+// find returns the slot of k among keys, whose fingerprints (a byte per
+// slot, unused slots zero) are packed in fps, or -1.
+func find(fps []uint64, keys []valueKey, k valueKey, fp uint64) int {
+	pat := fp * lsbs
+	for w, word := range fps {
+		x := word ^ pat
+		// A byte of m is set where x has a zero byte (a matching
+		// fingerprint), and possibly above one; keys settle both.
+		for m := (x - lsbs) &^ x & msbs; m != 0; m &= m - 1 {
+			if i := w*8 + bits.TrailingZeros64(m)>>3; keys[i] == k {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// setFP stores fingerprint fp for slot i.
+func setFP(fps []uint64, i int, fp uint64) {
+	sh := uint(i&7) * 8
+	fps[i>>3] = fps[i>>3]&^(0xff<<sh) | fp<<sh
+}
+
 // Observe records one execution with input tuple (a, b).
 func (c *ValueCounter) Observe(a, b int64) {
 	k := valueKey{a, b}
 	c.total++
-	for i := range c.keys[:c.n] {
-		if c.keys[i] == k {
-			c.counts[i]++
-			return
-		}
+	fp := fingerprint(k)
+	if i := find(c.fps[:], c.keys[:], k, fp); i >= 0 {
+		c.counts[i]++
+		c.minMask &^= 1 << i
+		return
 	}
 	// Only a table miss can be a new tuple: until distinct saturates,
-	// seen holds every tuple observed, so a table hit is already in it.
-	if c.distinct < distinctSaturation && !slices.Contains(c.seen[:c.distinct], k) {
+	// seen holds every tuple observed, so a table hit is already in it;
+	// and until the table first fills nothing was evicted, so a miss is
+	// new.
+	if c.distinct < distinctSaturation &&
+		(c.n < counterCapacity || find(c.seenFPs[:(c.distinct+7)/8], c.seen[:], k, fp) < 0) {
 		c.seen[c.distinct] = k
+		setFP(c.seenFPs[:], c.distinct, fp)
 		c.distinct++
 	}
 	if c.n < counterCapacity {
 		c.keys[c.n] = k
+		setFP(c.fps[:], c.n, fp)
 		c.counts[c.n] = 1
 		c.n++
 		return
 	}
 	// Space-saving replacement: evict the minimum (lowest slot on ties)
 	// and inherit its count.
-	mi := 0
-	for i := 1; i < counterCapacity; i++ {
-		if c.counts[i] < c.counts[mi] {
-			mi = i
+	if c.minMask == 0 {
+		c.findMin()
+	}
+	mi := bits.TrailingZeros32(c.minMask)
+	c.keys[mi] = k
+	setFP(c.fps[:], mi, fp)
+	c.counts[mi]++
+	c.minMask &^= 1 << mi
+}
+
+// findMin sets minMask to the slots of the full table holding its
+// minimum count.
+func (c *ValueCounter) findMin() {
+	lo := c.counts[0]
+	for _, n := range c.counts[1:] {
+		lo = min(lo, n)
+	}
+	for i, n := range c.counts {
+		if n == lo {
+			c.minMask |= 1 << i
 		}
 	}
-	c.keys[mi] = k
-	c.counts[mi]++
 }
 
 // Total returns the number of observations.

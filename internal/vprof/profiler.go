@@ -13,6 +13,12 @@
 // state. Static live-in signatures would be too conservative — the paper's
 // ckbrkpts example (Figure 3) is reusable precisely because the hot path
 // never reads the varying address operand.
+//
+// A Profiler is fed one call per executed instruction (Fold). Attach it
+// as emu.Machine.Profile, where the engine folds it inline on its batch
+// tier (core.ProfileRun does this), or feed it events through Tracer(),
+// the reference feed for the interpreter and for tests. Both feeds deliver
+// the same facts, so they build the same profile.
 package vprof
 
 import (
@@ -126,16 +132,52 @@ func (r *invRecord) copyFrom(src *invRecord) {
 // depth and reused by every invocation at that depth; loop is nil while
 // the depth has no active loop.
 type loopAct struct {
-	loop    *loopInfo
-	iters   int64
-	rec     invRecord
-	defined []uint64 // bitset by register: defined since entry
+	loop  *loopInfo
+	iters int64
+	rec   invRecord
+	// known is a bitset by register: defined since entry or already
+	// recorded as an input, so a use of it records nothing.
+	known []uint64
 }
 
-// Profiler consumes an emulation event stream and accumulates the RPS
-// profile. Use Tracer() as the Machine trace hook and Finish() afterwards.
+// pkind is what an instruction folds beyond its execution count.
+type pkind uint8
+
+const (
+	kPlain  pkind = iota // nothing
+	kPair                // binary ALU op: the (v1, v2) input tuple
+	kMov                 // Mov: the (v1, 0) input tuple
+	kLd                  // Ld: the (address, result) tuple and memory reuse
+	kSt                  // St: a version bump of its object
+	kBranch              // conditional branch or Reuse: (v1, v2) and the taken count
+	kCall                // Call: its first two arguments; opens a frame
+	kRet                 // Ret: closes the frame
+)
+
+// pentry is the static profiling description of the instruction at one
+// global instruction index, resolved once per program as uarch's timing
+// table is, so the fold reads no *ir.Instr. Loop membership can change
+// only at a block's first instruction, so only there does the fold look
+// at the function and block.
+type pentry struct {
+	kind  pkind
+	start bool  // the first instruction of its block
+	nargs uint8 // a Call's argument count, capped at 2
+	// use1 and use2 are the sources a loop records as used inputs (NoReg
+	// for none, and for Nop, MovI and Jmp); def is the defined register.
+	use1, use2, def ir.Reg
+	fn              ir.FuncID
+	block           ir.BlockID
+	mem             ir.MemID // a Ld's or St's object
+	imm             int64    // a Ld's offset: its address is v1 + imm
+}
+
+// Profiler accumulates the RPS profile from one call per executed
+// instruction. Attach it as emu.Machine.Profile (or feed Tracer()'s hook
+// events) and call Finish() afterwards.
 type Profiler struct {
 	prog *ir.Program
+	tab  []pentry // by global instruction index
 
 	exec  []int64
 	taken []int64
@@ -154,9 +196,11 @@ type Profiler struct {
 	maxObjs    int // most objects any loop loads
 
 	depth     int
-	lastBlock []ir.BlockID // per depth
-	lastFunc  []ir.FuncID
-	acts      []*loopAct // per depth, nil until a loop first runs there
+	lastBlock []ir.BlockID // per depth: the block last entered
+	acts      []*loopAct   // per depth, nil until a loop first runs there
+	// rec is the current depth's invocation while it records used
+	// inputs (an active non-barrier loop), else nil.
+	rec *loopAct
 
 	totalDyn int64
 }
@@ -165,6 +209,7 @@ type Profiler struct {
 func NewProfiler(p *ir.Program) *Profiler {
 	pr := &Profiler{
 		prog:       p,
+		tab:        make([]pentry, p.TextLen),
 		exec:       make([]int64, p.TextLen),
 		taken:      make([]int64, p.TextLen),
 		values:     make([]*ValueCounter, p.TextLen),
@@ -172,10 +217,10 @@ func NewProfiler(p *ir.Program) *Profiler {
 		objVer:     make([]uint64, len(p.Objects)),
 		headerLoop: make([][]*loopInfo, len(p.Funcs)),
 		lastBlock:  []ir.BlockID{ir.NoBlock},
-		lastFunc:   []ir.FuncID{ir.NoFunc},
 		acts:       []*loopAct{nil},
 	}
 	for _, f := range p.Funcs {
+		pr.fillTable(f)
 		pr.maxRegs = max(pr.maxRegs, f.NumRegs)
 		pr.headerLoop[f.ID] = make([]*loopInfo, len(f.Blocks))
 		g := analysis.BuildCFG(f)
@@ -219,70 +264,120 @@ func NewProfiler(p *ir.Program) *Profiler {
 	return pr
 }
 
-// Tracer returns the event hook to install on an emu.Machine.
-func (pr *Profiler) Tracer() emu.Tracer { return pr.observe }
+// fillTable resolves the static profiling facts of f's instructions.
+// Blocks are laid out contiguously in block order, so global indices run
+// consecutively from the function's first instruction.
+func (pr *Profiler) fillTable(f *ir.Func) {
+	g := f.InstrAddr(0, 0) >> 2
+	for _, b := range f.Blocks {
+		for i := range b.Instrs {
+			in := &b.Instrs[i]
+			e := &pr.tab[g]
+			g++
+			e.start, e.fn, e.block, e.def = i == 0, f.ID, b.ID, in.Def()
+			switch in.Op {
+			case ir.Nop, ir.MovI, ir.Jmp:
+			default:
+				e.use1, e.use2 = in.Src1, in.Src2
+			}
+			switch {
+			case in.Op.IsBinaryALU():
+				e.kind = kPair
+			case in.Op == ir.Mov:
+				e.kind = kMov
+			case in.Op == ir.Ld:
+				e.kind, e.mem, e.imm = kLd, in.Mem, in.Imm
+			case in.Op == ir.St:
+				e.kind, e.mem = kSt, in.Mem
+			case in.Op.IsCondBranch():
+				e.kind = kBranch
+			case in.Op == ir.Call:
+				e.kind, e.nargs = kCall, uint8(min(len(in.Args), 2))
+			case in.Op == ir.Ret:
+				e.kind = kRet
+			}
+		}
+	}
+}
 
-func (pr *Profiler) observe(ev *emu.Event) {
+// Tracer returns an event hook that folds each event as Fold does: the
+// reference feed for the interpreter and for tests.
+func (pr *Profiler) Tracer() emu.Tracer {
+	return func(ev *emu.Event) { pr.Fold(ev.PC, ev.Val1, ev.Val2, ev.Taken, ev.Regs) }
+}
+
+// Fold implements emu.ProfileFold: it folds the executed instruction at
+// byte address pc, whose operands were v1 and v2, into the profile.
+func (pr *Profiler) Fold(pc, v1, v2 int64, taken bool, regs []int64) {
 	pr.totalDyn++
-	gidx := int(ev.PC >> 2)
+	gidx := int(pc >> 2)
 	pr.exec[gidx]++
-	in := ev.Instr
+	e := &pr.tab[gidx]
 
-	pr.trackLoops(ev)
+	if e.start {
+		pr.enterBlock(e, regs)
+	}
+	if a := pr.rec; a != nil {
+		// Record used inputs for the active invocation.
+		if e.use1 != ir.NoReg {
+			a.noteUse(e.use1, v1)
+		}
+		if e.use2 != ir.NoReg {
+			a.noteUse(e.use2, v2)
+		}
+		if dr := e.def; dr != ir.NoReg {
+			a.known[dr>>6] |= 1 << (dr & 63)
+		}
+	}
 
-	switch {
-	case in.Op.IsBinaryALU():
-		pr.counter(gidx).Observe(ev.Val1, ev.Val2)
-	case in.Op == ir.Mov:
-		pr.counter(gidx).Observe(ev.Val1, 0)
-	case in.Op == ir.Ld:
-		pr.counter(gidx).Observe(ev.Addr, ev.Result)
-		pr.observeLoad(gidx, in.Mem)
-	case in.Op == ir.St:
-		if in.Mem != ir.NoMem {
-			pr.objVer[in.Mem]++
+	switch e.kind {
+	case kPair:
+		pr.counter(gidx).Observe(v1, v2)
+	case kMov:
+		pr.counter(gidx).Observe(v1, 0)
+	case kLd:
+		pr.counter(gidx).Observe(v1+e.imm, regs[e.def])
+		pr.observeLoad(gidx, e.mem)
+	case kSt:
+		if e.mem != ir.NoMem {
+			pr.objVer[e.mem]++
 		} else {
 			pr.anonVer++
 		}
-	case in.Op.IsCondBranch():
-		pr.counter(gidx).Observe(ev.Val1, ev.Val2)
-	case in.Op == ir.Call:
-		// Call-argument recurrence drives function-level region
-		// selection. The event's register view is the callee frame,
-		// whose parameters hold the argument values.
-		var a0, a1 int64
-		if len(in.Args) > 0 && len(ev.Regs) > 1 {
-			a0 = ev.Regs[1]
+	case kBranch:
+		pr.counter(gidx).Observe(v1, v2)
+		if taken {
+			pr.taken[gidx]++
 		}
-		if len(in.Args) > 1 && len(ev.Regs) > 2 {
-			a1 = ev.Regs[2]
+	case kCall:
+		// Call-argument recurrence drives function-level region
+		// selection. The callee frame's parameters hold the argument
+		// values. The call opens a frame for loop tracking.
+		var a0, a1 int64
+		if e.nargs > 0 && len(regs) > 1 {
+			a0 = regs[1]
+		}
+		if e.nargs > 1 && len(regs) > 2 {
+			a1 = regs[2]
 		}
 		pr.counter(gidx).Observe(a0, a1)
-	}
-	if in.Op.IsCondBranch() && ev.Taken {
-		pr.taken[gidx]++
-	}
-
-	// Call/return adjust the frame depth for loop tracking.
-	switch in.Op {
-	case ir.Call:
 		pr.depth++
 		if pr.depth >= len(pr.lastBlock) {
 			pr.lastBlock = append(pr.lastBlock, ir.NoBlock)
-			pr.lastFunc = append(pr.lastFunc, ir.NoFunc)
 			pr.acts = append(pr.acts, nil)
 		} else {
 			pr.lastBlock[pr.depth] = ir.NoBlock
-			pr.lastFunc[pr.depth] = ir.NoFunc
 			if a := pr.acts[pr.depth]; a != nil {
 				a.loop = nil
 			}
 		}
-	case ir.Ret:
+		pr.rec = nil
+	case kRet:
 		pr.finishAct(pr.depth)
 		if pr.depth > 0 {
 			pr.depth--
 		}
+		pr.rec = pr.recording(pr.depth)
 	}
 }
 
@@ -322,59 +417,47 @@ func (pr *Profiler) active(d int) *loopAct {
 	return nil
 }
 
-// trackLoops maintains per-frame loop activations, recording used inputs
-// CRB-style and matching them against the invocation history.
-func (pr *Profiler) trackLoops(ev *emu.Event) {
-	d := pr.depth
-	fid := ev.Func.ID
-	cur := pr.active(d)
+// recording returns the in-flight invocation at depth d if it records
+// used inputs (its loop is no barrier), or nil.
+func (pr *Profiler) recording(d int) *loopAct {
+	if a := pr.active(d); a != nil && !a.loop.barrier {
+		return a
+	}
+	return nil
+}
 
-	if cur != nil && (cur.loop.key.Func != fid || !cur.loop.blocks[ev.Block]) {
+// enterBlock runs at the first instruction of every executed block, the
+// only point where the current depth's loop activation can change: it
+// ends the invocation when control has left its loop, and at a loop
+// header counts an iteration or starts an invocation, matching its entry
+// state (regs) against the invocation history CRB-style.
+func (pr *Profiler) enterBlock(e *pentry, regs []int64) {
+	d := pr.depth
+	cur := pr.active(d)
+	if cur != nil && (cur.loop.key.Func != e.fn || !cur.loop.blocks[e.block]) {
 		// Control left the active loop.
 		pr.finishAct(d)
 		cur = nil
 	}
-
-	if ev.Index == 0 {
-		if li := pr.headerLoop[fid][ev.Block]; li != nil {
-			prev := pr.lastBlock[d]
-			backEdge := cur != nil && cur.loop == li && prev != ir.NoBlock &&
-				pr.lastFunc[d] == fid && li.blocks[prev]
-			if backEdge {
-				cur.iters++
-				li.prof.TotalIterations++
-			} else {
-				pr.finishAct(d)
-				li.prof.Invocations++
-				li.prof.TotalIterations++
-				cur = pr.beginAct(d, li)
-				if li.matchHistory(ev.Regs, &cur.rec) {
-					li.prof.ReusableInvocations++
-				}
+	if li := pr.headerLoop[e.fn][e.block]; li != nil {
+		// An active invocation of li belongs to this frame, so the
+		// block last entered at this depth is in li's function.
+		prev := pr.lastBlock[d]
+		if cur != nil && cur.loop == li && prev != ir.NoBlock && li.blocks[prev] {
+			cur.iters++
+			li.prof.TotalIterations++
+		} else {
+			pr.finishAct(d)
+			li.prof.Invocations++
+			li.prof.TotalIterations++
+			cur = pr.beginAct(d, li)
+			if li.matchHistory(regs, &cur.rec) {
+				li.prof.ReusableInvocations++
 			}
 		}
 	}
-
-	// Record used inputs for the active invocation.
-	if cur != nil && !cur.loop.barrier {
-		in := ev.Instr
-		switch in.Op {
-		case ir.Nop, ir.MovI, ir.Jmp:
-		default:
-			if in.Src1 != ir.NoReg {
-				cur.noteUse(in.Src1, ev.Val1)
-			}
-			if in.Src2 != ir.NoReg {
-				cur.noteUse(in.Src2, ev.Val2)
-			}
-		}
-		if dr := in.Def(); dr != ir.NoReg {
-			cur.defined[dr>>6] |= 1 << (dr & 63)
-		}
-	}
-
-	pr.lastBlock[d] = ev.Block
-	pr.lastFunc[d] = fid
+	pr.lastBlock[d] = e.block
+	pr.rec = pr.recording(d)
 }
 
 // beginAct starts recording an invocation of li at depth d, snapshotting
@@ -383,14 +466,14 @@ func (pr *Profiler) beginAct(d int, li *loopInfo) *loopAct {
 	a := pr.acts[d]
 	if a == nil {
 		a = &loopAct{
-			rec:     invRecord{objVers: make([]uint64, 0, pr.maxObjs)},
-			defined: make([]uint64, pr.maxRegs/64+1),
+			rec:   invRecord{objVers: make([]uint64, 0, pr.maxObjs)},
+			known: make([]uint64, pr.maxRegs/64+1),
 		}
 		pr.acts[d] = a
 	}
 	a.loop = li
 	a.iters = 1
-	clear(a.defined)
+	clear(a.known)
 	a.rec.nInputs = 0
 	a.rec.objVers = a.rec.objVers[:len(li.objs)]
 	for i, o := range li.objs {
@@ -401,16 +484,15 @@ func (pr *Profiler) beginAct(d int, li *loopInfo) *loopAct {
 	return a
 }
 
+// noteUse records r, read with value v, as a used input unless it was
+// defined or recorded earlier in the invocation.
 func (a *loopAct) noteUse(r ir.Reg, v int64) {
-	if a.rec.overflow || a.defined[r>>6]&(1<<(r&63)) != 0 {
+	w, bit := r>>6, uint64(1)<<(r&63)
+	if a.rec.overflow || a.known[w]&bit != 0 {
 		return
 	}
+	a.known[w] |= bit
 	rec := &a.rec
-	for _, rv := range rec.inputs[:rec.nInputs] {
-		if rv.reg == r {
-			return
-		}
-	}
 	if rec.nInputs >= maxTrackedInputs {
 		rec.overflow = true
 		return

@@ -2,6 +2,8 @@ package vprof
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,6 +67,68 @@ func TestValueCounterEvictionOrder(t *testing.T) {
 	}
 	if got := c.TopK(3); got != 8 {
 		t.Fatalf("TopK(3) = %d, want 8", got)
+	}
+}
+
+// refCounter is the space-saving table in its plainest form: linear
+// scans for the key, the distinct check and the minimum. ValueCounter
+// must keep exactly its slots, counts and distinct count.
+type refCounter struct {
+	keys     []valueKey
+	counts   []int64
+	seen     []valueKey
+	total    int64
+	distinct int
+}
+
+func (r *refCounter) observe(k valueKey) {
+	r.total++
+	for i := range r.keys {
+		if r.keys[i] == k {
+			r.counts[i]++
+			return
+		}
+	}
+	if r.distinct < distinctSaturation && !slices.Contains(r.seen, k) {
+		r.seen = append(r.seen, k)
+		r.distinct++
+	}
+	if len(r.keys) < counterCapacity {
+		r.keys = append(r.keys, k)
+		r.counts = append(r.counts, 1)
+		return
+	}
+	mi := 0
+	for i := range r.counts {
+		if r.counts[i] < r.counts[mi] {
+			mi = i
+		}
+	}
+	r.keys[mi] = k
+	r.counts[mi]++
+}
+
+// TestValueCounterMatchesReference feeds ValueCounter and refCounter the
+// same skewed streams — tuples drawn from domains of 2 to 200 values, so
+// tables fill, evict and saturate the distinct count — and requires the
+// same table after every observation.
+func TestValueCounterMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, domain := range []int{2, 12, 17, 40, 70, 200} {
+		c, r := &ValueCounter{}, &refCounter{}
+		for step := 0; step < 4000; step++ {
+			// Squaring skews the draw toward small values.
+			x := rng.IntN(domain)
+			x = x * x / domain
+			k := valueKey{int64(x), int64(x % 3)}
+			c.Observe(k.a, k.b)
+			r.observe(k)
+			if !slices.Equal(c.keys[:c.n], r.keys) || !slices.Equal(c.counts[:c.n], r.counts) ||
+				c.Distinct() != r.distinct || c.Total() != r.total {
+				t.Fatalf("domain %d, step %d: table %v×%v distinct %d, reference %v×%v distinct %d",
+					domain, step, c.keys[:c.n], c.counts[:c.n], c.Distinct(), r.keys, r.counts, r.distinct)
+			}
+		}
 	}
 }
 
