@@ -13,8 +13,9 @@ package emu
 // The engine is two-tier:
 //
 //   - The *batch* tier runs whenever execution is untraced: no tracer
-//     (a Machine.OnRun hook, fed once per run, and a Machine.Digest,
-//     folded inline, are fine), no active memoization, and the function
+//     (a Machine.OnRun hook, fed once per run, and a Machine.Digest or
+//     Machine.Profile, folded inline, are fine), no active memoization,
+//     and the function
 //     has an XCode (operand-shape specialized batch form, see
 //     ir.batchDecode). Its loop carries no per-instruction statistics at
 //     all: the instruction budget is charged per straight-line *run* on
@@ -29,13 +30,14 @@ package emu
 //     pairs across a run-entry PC, so PCs, budget charging and the per-run
 //     histograms stay in architectural instructions. Straight-line arms
 //     fall out of the dispatch switch into one shared tail and control
-//     arms jump to another (transfer), so digest support costs an
-//     undigested run one nil test per straight-line dispatch: the tail
-//     branches to a shared fold (foldDest, foldZero, foldPair) only when
-//     a digest is attached, and the run-ending transfer folds beside the
+//     arms jump to another (transfer), so fold support costs an unfolded
+//     run one test per straight-line dispatch: the tail branches to a
+//     shared fold (foldDest, foldZero, foldPair) only when a digest or a
+//     profile is attached, and the run-ending transfer folds beside the
 //     run feed (batchTransfer).
 //   - The *careful* tier is the original instruction-at-a-time loop with
-//     full per-instruction accounting; it is authoritative for tracing,
+//     full per-instruction accounting; it runs traced execution (event
+//     consumers such as the span tracer and the reuse baselines),
 //     memoization recording, the limit endgame (where a whole run no
 //     longer fits in the budget), and functions whose shape the batch
 //     decoder rejects.
@@ -44,15 +46,22 @@ package emu
 //     execution resumes as soon as the observable condition (an armed
 //     memo, typically) has passed.
 //
-// Both tiers fold an attached digest inline, at the points where the
-// careful tier would call a tracer and with no Event built: each executed
-// instruction's address, result and taken target, every store, and every
-// ret (synthesized ones for function-level reuse hits included). A fused
-// pair folds both slots, the first before the second can fault or jump; a
-// faulting instruction, the sentinel and a DTM replay fold nothing. Both
-// tiers must stay bit-identical to the reference interpreter in
-// machine.go (runInterp) under the internal/oracle digest, trace stream
-// included. The subtle equivalences they rely on:
+// Both tiers fold an attached digest and an attached value profile
+// inline, at the points where the careful tier would call a tracer and
+// with no Event built. The digest folds each executed instruction's
+// address, result and taken target, every store, and every ret
+// (synthesized ones for function-level reuse hits included); the profile
+// gets each instruction's address, its operands as they were before it
+// ran, its taken bit and the register file an Event would expose. The
+// batch loop resolves those operands one instruction ahead (profOperands),
+// since an instruction may overwrite its own source. A fused pair folds
+// both slots, the first before the second can fault or jump, and the
+// profile sees each slot's own register state (profPair); a faulting
+// instruction, the sentinel and a DTM replay fold nothing. Both tiers
+// must stay bit-identical to the reference interpreter in machine.go
+// (runInterp) under the internal/oracle digest, trace stream included,
+// and build the profile its events build. The subtle equivalences they
+// rely on:
 //
 //   - blocks are laid out contiguously in block order, so the flat
 //     successor pc+1 is exactly the interpreter's iterative fall-through
@@ -297,8 +306,8 @@ outer:
 
 		// ---- batch tier ------------------------------------------------
 		// Eligible only when execution is untraced (no tracer, no armed
-		// memo; a run hook sees whole runs and a digest is folded in the
-		// loop) and the function has a batch form. The run containing pc
+		// memo; a run hook sees whole runs, and a digest and a profile
+		// are folded in the loop) and the function has a batch form. The run containing pc
 		// is charged up front; if it doesn't fit in the budget the careful
 		// tier below takes over and finds the exact ErrLimit point.
 		if trace == nil && !m.memo.active && df.XCode != nil {

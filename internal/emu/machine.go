@@ -4,7 +4,7 @@
 // extensions (reuse lookup, memoization mode, instance commit, and
 // invalidation) against a Computation Reuse Buffer, streams a dynamic
 // instruction event to an optional tracer, and folds an optional oracle
-// digest (Digest) as it executes.
+// digest (Digest) and an optional value profile (Profile) as it executes.
 //
 // Two execution engines share one architectural semantics:
 //
