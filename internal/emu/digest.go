@@ -46,12 +46,16 @@ func Mix(h, v uint64) uint64 {
 // instr folds one executed instruction at byte address pc with the given
 // result; tpc, the transfer target, is folded only when taken.
 func (d *Digest) instr(pc, result int64, taken bool, tpc int64) {
-	d.DynInstrs++
-	t := Mix(Mix(d.Trace, uint64(pc)), uint64(result))
+	d.step(pc, result)
 	if taken {
-		t = Mix(t, uint64(tpc)|1)
+		d.Trace = Mix(d.Trace, uint64(tpc)|1)
 	}
-	d.Trace = t
+}
+
+// step is instr for an instruction that did not transfer control.
+func (d *Digest) step(pc, result int64) {
+	d.DynInstrs++
+	d.Trace = Mix(Mix(d.Trace, uint64(pc)), uint64(result))
 }
 
 // store folds an executed store of val to word address addr.

@@ -160,10 +160,10 @@ func (m *Machine) batchFault(df *ir.DecodedFunc, pc int, rem *int64, limit int64
 
 // batchTransfer passes the control transfer at pc, dispatched as xop,
 // that ended a batch run to the run hook, the digest and the profile; npc
-// is its successor and regs the frame's registers. The batch loop keeps
-// no per-instruction taken bit: a conditional branch, the run's only one,
+// is its successor and rp the frame's registers. The batch loop keeps no
+// per-instruction taken bit: a conditional branch, the run's only one,
 // was taken exactly when it counted a taken branch since the run began.
-func (m *Machine) batchTransfer(df *ir.DecodedFunc, pc int, xop uint8, npc int, regs []int64) {
+func (m *Machine) batchTransfer(df *ir.DecodedFunc, pc int, xop uint8, npc int, rp *[ir.RegFileCap]int64) {
 	var taken bool
 	switch xop {
 	case ir.XReuse:
@@ -179,14 +179,15 @@ func (m *Machine) batchTransfer(df *ir.DecodedFunc, pc int, xop uint8, npc int, 
 	if d := m.Digest; d != nil {
 		if xop == ir.XFAddIJmp {
 			// The add fused ahead of the jump slot.
-			d.instr(df.Addr(int32(pc-1)), regs[df.XCode[pc-1].Dest], false, 0)
+			d.instr(df.Addr(int32(pc-1)), rp[df.XCode[pc-1].Dest], false, 0)
 		}
 		d.instr(df.Addr(int32(pc)), 0, taken, df.Addr(int32(npc)))
 		if xop == ir.XReuse && taken {
-			m.digestReuse(ir.RegionID(df.XCode[pc].ObjLo), regs)
+			m.digestReuse(ir.RegionID(df.XCode[pc].ObjLo), rp[:])
 		}
 	}
 	if p := m.Profile; p != nil {
+		regs := m.fframes[len(m.fframes)-1].regs
 		if xop == ir.XFAddIJmp {
 			m.profStep(df, pc-1, regs)
 		}
@@ -874,7 +875,7 @@ outer:
 				transfer:
 					// Control transferred: pc is the run's last instruction.
 					if m.OnRun != nil || fold {
-						m.batchTransfer(df, pc, in.XOp, npc, fr.regs)
+						m.batchTransfer(df, pc, in.XOp, npc, rp)
 					}
 					// With DTM attached a transfer is
 					// a landing: return to the tier dispatch so the hook
@@ -898,8 +899,8 @@ outer:
 					// r1 (foldPair).
 				foldPair:
 					if d := m.Digest; d != nil {
-						d.instr(df.Addr(int32(pc)), r1, false, 0)
-						d.instr(df.Addr(int32(pc+1)), rp[xcode[pc+1].Dest], false, 0)
+						d.step(df.Addr(int32(pc)), r1)
+						d.step(df.Addr(int32(pc+1)), rp[xcode[pc+1].Dest])
 					}
 					if m.Profile != nil {
 						m.profPair(df, pc, r1, fr.regs)
@@ -908,12 +909,12 @@ outer:
 					continue
 				foldZero:
 					if d := m.Digest; d != nil {
-						d.instr(df.Addr(int32(pc)), 0, false, 0)
+						d.step(df.Addr(int32(pc)), 0)
 					}
 					goto foldProfile
 				foldDest:
 					if d := m.Digest; d != nil {
-						d.instr(df.Addr(int32(pc)), rp[xcode[pc].Dest], false, 0)
+						d.step(df.Addr(int32(pc)), rp[xcode[pc].Dest])
 					}
 				foldProfile:
 					if m.Profile != nil {
