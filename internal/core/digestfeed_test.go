@@ -14,9 +14,9 @@ import (
 // The oracle digest is folded three ways: inline by the predecoded
 // engine's batch tier, inline by its careful tier, and from the
 // interpreter's own event stream through the same accumulator methods.
-// These tests require both inline folds (the batch tier's when the digest
-// is alone, the careful tier's when a tracer is attached too) to match the
-// interpreter's fold in the accumulator state, result, error text, final
+// These tests require both inline folds (the batch tier's where it is
+// eligible, the careful tier's on a program with no batch form) to match
+// the interpreter's fold in the accumulator state, result, error text, final
 // memory and emu.Stats — including where an instruction limit or a fault
 // cuts the run. A timed digest (the fold
 // and the timing model's run feed on one machine, as SimulateReuseDigest
@@ -29,7 +29,7 @@ type digestFeed int
 const (
 	digestInterp  digestFeed = iota // the interpreter's event-fed fold
 	digestBatch                     // inline fold, batch tier where eligible
-	digestCareful                   // inline fold; a no-op tracer keeps the careful tier
+	digestCareful                   // inline fold, careful tier only (carefulOnly)
 	numDigestFeeds
 )
 
@@ -64,6 +64,9 @@ func runDigestFeed(prog *ir.Program, rc reuse.Config, args []int64, limit int64,
 // runDigested runs one machine: digested when digest is set, and timed on
 // the run feed when ucfg is non-nil. A timed run returns its uarch.Stats.
 func runDigested(prog *ir.Program, rc reuse.Config, ucfg *uarch.Config, args []int64, limit int64, cut int, feed digestFeed, digest bool) (digestOutcome, uarch.Stats) {
+	if feed == digestCareful {
+		prog = carefulOnly(prog)
+	}
 	m := emu.New(prog)
 	m.Limit = limit
 	m.Interp = feed == digestInterp
@@ -82,9 +85,6 @@ func runDigested(prog *ir.Program, rc reuse.Config, ucfg *uarch.Config, args []i
 	var out digestOutcome
 	if digest {
 		m.Digest = &out.Digest
-	}
-	if feed == digestCareful {
-		m.Trace = func(*emu.Event) {}
 	}
 	var err error
 	out.Result, err = m.Run(args...)

@@ -11,28 +11,27 @@ import (
 	"ccr/internal/vprof"
 )
 
-// The value profile is fed two ways: by events through the profiler's
-// Tracer (the reference: the interpreter's events, or the careful tier's)
-// and by the engine's inline fold (Machine.Profile), which the batch tier
-// performs without building events and the careful tier beside a tracer.
-// These tests require every feed to finish the same profile, result,
-// error text and emu.Stats, including where an instruction limit or a
-// fault cuts the run.
+// The value profile is fed two ways: by the interpreter's events through
+// the profiler's Tracer (the reference) and by the inline fold
+// (Machine.Profile), which both tiers of the predecoded engine perform
+// without building events, and the interpreter from its own events. These
+// tests require every feed to finish the same profile, result, error text
+// and emu.Stats, including where an instruction limit or a fault cuts the
+// run.
 
 // profileFeed names one way of feeding a profiler.
 type profileFeed int
 
 const (
 	profInterp      profileFeed = iota // interpreter events through Tracer()
-	profCareful                        // careful-tier events through Tracer()
 	profBatch                          // inline fold, batch tier where eligible
-	profCarefulFold                    // inline fold; a no-op tracer keeps the careful tier
+	profCarefulFold                    // inline fold, careful tier only (carefulOnly)
 	profInterpFold                     // inline fold on the interpreter
 	numProfileFeeds
 )
 
 func (f profileFeed) String() string {
-	return [...]string{"interp", "careful", "batch", "careful fold", "interp fold"}[f]
+	return [...]string{"interp", "batch", "careful fold", "interp fold"}[f]
 }
 
 // profileOutcome is everything a profiled run reports.
@@ -44,21 +43,23 @@ type profileOutcome struct {
 }
 
 func runProfileFeed(prog *ir.Program, rc reuse.Config, args []int64, limit int64, cut int, feed profileFeed) profileOutcome {
-	m := emu.New(prog)
+	// The profile is built against prog itself: it holds its program,
+	// and the careful tier's copy differs from prog in its decoded form.
+	run := prog
+	if feed == profCarefulFold {
+		run = carefulOnly(prog)
+	}
+	m := emu.New(run)
 	m.Limit = limit
 	m.Interp = feed == profInterp || feed == profInterpFold
 	if cut > 0 && cut < len(m.Mem) {
 		m.Mem = m.Mem[:cut]
 	}
-	attachReuse(m, prog, rc, nil)
+	attachReuse(m, run, rc, nil)
 	pr := vprof.NewProfiler(prog)
-	switch feed {
-	case profInterp, profCareful:
+	if feed == profInterp {
 		m.Trace = pr.Tracer()
-	case profCarefulFold:
-		m.Profile = pr
-		m.Trace = func(*emu.Event) {}
-	default:
+	} else {
 		m.Profile = pr
 	}
 	var out profileOutcome
@@ -106,7 +107,7 @@ func checkProfileFeeds(t *testing.T, c profileCase) (*ir.Program, profileOutcome
 		limit = opts.Limit
 	}
 	want := runProfileFeed(prog, rc, []int64{c.arg}, limit, c.cut, profInterp)
-	for f := profCareful; f < numProfileFeeds; f++ {
+	for f := profBatch; f < numProfileFeeds; f++ {
 		got := runProfileFeed(prog, rc, []int64{c.arg}, limit, c.cut, f)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v: the %s feed's profile differs from the interpreter's:\n got  %+v\n want %+v", c, f, got, want)

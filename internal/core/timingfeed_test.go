@@ -12,20 +12,20 @@ import (
 	"ccr/internal/uarch"
 )
 
-// The timing model can be fed two ways: per instruction (the tracer) or
-// per executed run (Machine.OnRun, which the engine feeds from its batch
-// tier, its careful tier and — through an event adapter — the
-// interpreter). These tests require every feed to produce the same
-// uarch.Stats, result, error and emu.Stats on generated programs, for the
-// in-order and the out-of-order machine model.
+// The timing model can be fed two ways: per instruction (the tracer, whose
+// runs execute on the interpreter) or per executed run (Machine.OnRun,
+// which the engine feeds from its batch tier, its careful tier and —
+// through an event adapter — the interpreter). These tests require every
+// feed to produce the same uarch.Stats, result, error and emu.Stats on
+// generated programs, for the in-order and the out-of-order machine model.
 
 // timingFeed names one way of attaching the timing model to a machine.
 type timingFeed int
 
 const (
-	feedEvents  timingFeed = iota // per-event tracer, predecoded engine
+	feedEvents  timingFeed = iota // per-event tracer (interpreter)
 	feedRuns                      // run feed, predecoded engine (batch tier)
-	feedCareful                   // run feed with a tracer attached (careful tier)
+	feedCareful                   // run feed, careful tier only (carefulOnly)
 	feedInterp                    // run feed through the interpreter
 	numFeeds
 )
@@ -42,7 +42,20 @@ type feedOutcome struct {
 	Uarch  uarch.Stats
 }
 
+// carefulOnly returns a copy of prog whose functions have no batch form, a
+// shape the predecoded engine runs on its careful tier alone.
+func carefulOnly(prog *ir.Program) *ir.Program {
+	c := prog.Clone()
+	for _, df := range c.Decoded().Funcs {
+		df.XCode = nil
+	}
+	return c
+}
+
 func runTimingFeed(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, feed timingFeed) feedOutcome {
+	if feed == feedCareful {
+		prog = carefulOnly(prog)
+	}
 	m := emu.New(prog)
 	m.Limit = limit
 	m.Interp = feed == feedInterp
@@ -55,9 +68,6 @@ func runTimingFeed(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []
 	sim.Attach(m)
 	if (m.OnRun == nil) != (feed == feedEvents) {
 		panic(fmt.Sprintf("Attach chose the wrong feed for the %s feed", feed))
-	}
-	if feed == feedCareful {
-		m.Trace = func(*emu.Event) {}
 	}
 	var out feedOutcome
 	var err error

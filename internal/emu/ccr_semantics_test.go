@@ -294,15 +294,15 @@ func TestInvalidateDropsMemoryInstances(t *testing.T) {
 	}
 }
 
-// TestEventFieldsOverwritten checks that both engines assign every Event
-// field on every emission: a tracer that scrambles each event after
-// copying it must see the same event stream as one that only copies.
-// Reuse hits and misses and Inval fan-outs all occur in the program.
+// TestEventFieldsOverwritten checks that the interpreter, which builds
+// every traced run's events, assigns every Event field on every emission:
+// a tracer that scrambles each event after copying it must see the same
+// event stream as one that only copies. Reuse hits and misses and Inval
+// fan-outs all occur in the program.
 func TestEventFieldsOverwritten(t *testing.T) {
 	p := buildInvalRegion(t)
-	record := func(interp, scramble bool) []Event {
+	record := func(scramble bool) []Event {
 		m := New(p)
-		m.Interp = interp
 		m.CRB = crb.New(crb.Config{Entries: 8, Instances: 4}, p)
 		var evs []Event
 		m.Trace = func(ev *Event) {
@@ -321,31 +321,29 @@ func TestEventFieldsOverwritten(t *testing.T) {
 		}
 		return evs
 	}
-	for _, interp := range []bool{false, true} {
-		want, got := record(interp, false), record(interp, true)
-		if len(got) != len(want) {
-			t.Fatalf("interp=%v: %d events scrambled vs %d", interp, len(got), len(want))
+	want, got := record(false), record(true)
+	if len(got) != len(want) {
+		t.Fatalf("%d events scrambled vs %d", len(got), len(want))
+	}
+	var hits, invals int
+	for i := range want {
+		w, g := want[i], got[i]
+		// Regs views the live register file: compare its length.
+		if len(g.Regs) != len(w.Regs) {
+			t.Fatalf("event %d has %d regs, want %d", i, len(g.Regs), len(w.Regs))
 		}
-		var hits, invals int
-		for i := range want {
-			w, g := want[i], got[i]
-			// Regs views the live register file: compare its length.
-			if len(g.Regs) != len(w.Regs) {
-				t.Fatalf("interp=%v: event %d has %d regs, want %d", interp, i, len(g.Regs), len(w.Regs))
-			}
-			w.Regs, g.Regs = nil, nil
-			if !reflect.DeepEqual(w, g) {
-				t.Fatalf("interp=%v: event %d = %+v, want %+v", interp, i, g, w)
-			}
-			if w.ReuseHit {
-				hits++
-			}
-			if w.InvalCount > 0 {
-				invals++
-			}
+		w.Regs, g.Regs = nil, nil
+		if !reflect.DeepEqual(w, g) {
+			t.Fatalf("event %d = %+v, want %+v", i, g, w)
 		}
-		if hits == 0 || invals == 0 {
-			t.Fatalf("interp=%v: %d hits, %d invals: program no longer exercises both", interp, hits, invals)
+		if w.ReuseHit {
+			hits++
 		}
+		if w.InvalCount > 0 {
+			invals++
+		}
+	}
+	if hits == 0 || invals == 0 {
+		t.Fatalf("%d hits, %d invals: program no longer exercises both", hits, invals)
 	}
 }

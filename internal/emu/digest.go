@@ -5,12 +5,11 @@ import "ccr/internal/ir"
 // Digest accumulates the streaming components of an architectural digest
 // (internal/oracle seals it with the result and final memory). Attach one
 // as Machine.Digest: the predecoded engine folds each executed
-// instruction into it inline on whichever tier runs it (batch when
-// untraced), at the points where the careful tier would emit an Event,
-// without building the event or calling out. The
-// interpreter folds its own event stream through the same methods, so it
-// stays an independent reference for which values get folded. The zero
-// value is an empty digest.
+// instruction into it inline on whichever tier runs it, at the points
+// where the interpreter emits an Event, without building the event or
+// calling out. The interpreter folds its own event stream through the
+// same methods, so it stays an independent reference for which values
+// get folded. The zero value is an empty digest.
 type Digest struct {
 	// Trace mixes every executed instruction's byte address and result,
 	// plus the target address of a taken transfer; DynInstrs counts the

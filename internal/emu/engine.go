@@ -6,17 +6,15 @@ package emu
 // — so the hot path is a switch over a contiguous stream with no
 // block/index bookkeeping, no InstrAddr arithmetic (byte addresses are
 // Base + 4*pc), and no heap traffic: frames and register files come from
-// the machine's pools and the shared Event value in Machine.ev is reused
-// for every emission. With no tracer attached and no CRB the loop
-// performs zero allocations per run (pinned by TestRunAllocs).
+// the machine's pools. It builds no Event: a run with a tracer attached
+// executes on the reference interpreter instead (see Machine.Run). With
+// no CRB the loop performs zero allocations per run (pinned by
+// TestRunAllocs).
 //
 // The engine is two-tier:
 //
-//   - The *batch* tier runs whenever execution is untraced: no tracer
-//     (a Machine.OnRun hook, fed once per run, and a Machine.Digest or
-//     Machine.Profile, folded inline, are fine), no active memoization,
-//     and the function
-//     has an XCode (operand-shape specialized batch form, see
+//   - The *batch* tier runs whenever no memoization is active and the
+//     function has an XCode (operand-shape specialized batch form, see
 //     ir.batchDecode). Its loop carries no per-instruction statistics at
 //     all: the instruction budget is charged per straight-line *run* on
 //     entry (rem -= RunEnd[pc]-pc+1) and entry
@@ -28,27 +26,26 @@ package emu
 //     are rewritten in place into fused superinstructions (ir.fuseXCode,
 //     DESIGN.md §15) that the loop executes in one dispatch; fusion never
 //     pairs across a run-entry PC, so PCs, budget charging and the per-run
-//     histograms stay in architectural instructions. Straight-line arms
-//     fall out of the dispatch switch into one shared tail and control
-//     arms jump to another (transfer), so fold support costs an unfolded
-//     run one test per straight-line dispatch: the tail branches to a
-//     shared fold (foldDest, foldZero, foldPair) only when a digest or a
-//     profile is attached, and the run-ending transfer folds beside the
-//     run feed (batchTransfer).
+//     histograms stay in architectural instructions. A Machine.OnRun hook
+//     is fed once per run, and a Machine.Digest or Machine.Profile is
+//     folded inline. Straight-line arms fall out of the dispatch switch
+//     into one shared tail and control arms jump to another (transfer),
+//     so fold support costs an unfolded run one test per straight-line
+//     dispatch: the tail branches to a shared fold (foldDest, foldZero,
+//     foldPair) only when a digest or a profile is attached, and the
+//     run-ending transfer folds beside the run feed (batchTransfer).
 //   - The *careful* tier is the original instruction-at-a-time loop with
-//     full per-instruction accounting; it runs traced execution (event
-//     consumers such as the span tracer and the reuse baselines),
-//     memoization recording, the limit endgame (where a whole run no
-//     longer fits in the budget), and functions whose shape the batch
-//     decoder rejects.
+//     full per-instruction accounting; it runs memoization recording, the
+//     limit endgame (where a whole run no longer fits in the budget), and
+//     functions whose shape the batch decoder rejects.
 //     It executes one straight-line run at a time and returns to the
 //     tier dispatch at every control transfer, so batch
 //     execution resumes as soon as the observable condition (an armed
 //     memo, typically) has passed.
 //
 // Both tiers fold an attached digest and an attached value profile
-// inline, at the points where the careful tier would call a tracer and
-// with no Event built. The digest folds each executed instruction's
+// inline, at the points where the interpreter emits an Event, without
+// building one. The digest folds each executed instruction's
 // address, result and taken target, every store, and every ret
 // (synthesized ones for function-level reuse hits included); the profile
 // gets each instruction's address, its operands as they were before it
@@ -83,11 +80,12 @@ package emu
 //     interpreter normalizes at most one block forward; the careful tier
 //     therefore derives that pair from the PInstr's CFG coordinates
 //     instead of the flat successor;
-//   - the call event carries the callee's register file and the return
-//     event the returning frame's, exactly as the interpreter emits them;
+//   - the profile fold of a call sees the callee's register file and that
+//     of a return the returning frame's, exactly as the interpreter's
+//     events expose them;
 //   - the dynamic instruction count lives in a countdown register (rem)
 //     and is folded back into Stats.DynInstrs at every point that can
-//     observe it: reuse execution, returns, trace emission, and run exit.
+//     observe it: reuse execution, returns, and run exit.
 //     In batch mode the charge is "through the end of the current run",
 //     which at every sync point (Reuse, Ret — both run enders) equals the
 //     interpreter's count through the current instruction.
@@ -117,27 +115,6 @@ func (m *Machine) popFFrame() {
 	m.regPool = append(m.regPool, fr.regs)
 	fr.regs = nil
 	m.fframes = m.fframes[:len(m.fframes)-1]
-}
-
-// emitFlat builds the trace event for the instruction at flat PC pc of df.
-// regs is the register file the event exposes (the callee's for Call, the
-// executing frame's otherwise).
-func (m *Machine) emitFlat(trace Tracer, df *ir.DecodedFunc, pc int, in *ir.PInstr, mt *ir.PMeta,
-	v1, v2, addr, result int64, taken bool, tpc int64, regs []int64) {
-	// Every field is assigned in place: a composite-literal assignment
-	// builds a temporary and block-copies it, per traced instruction.
-	ev := &m.ev
-	ev.Func, ev.Block, ev.Index, ev.Instr = df.Fn, mt.Block, int(mt.Index), mt.Src
-	ev.PC = df.Addr(int32(pc))
-	ev.Regs = regs
-	ev.Val1, ev.Val2, ev.Addr, ev.Result = v1, v2, addr, result
-	ev.Taken, ev.TargetPC = taken, tpc
-	ev.ReuseHit, ev.ReuseOut, ev.ReusedInstrs = false, 0, 0
-	ev.InvalCount = 0
-	if in.Op == ir.Inval {
-		ev.InvalCount = m.lastInval
-	}
-	trace(ev)
 }
 
 // batchFault finalizes a fault raised at flat PC pc of a pre-charged batch
@@ -263,7 +240,6 @@ func (m *Machine) runFast(args []int64) (int64, error) {
 	if limit <= 0 {
 		limit = DefaultLimit
 	}
-	trace := m.Trace
 	// fold is the batch tier's one test for both inline folds; they
 	// read m.Digest and m.Profile only where it holds, which keeps the
 	// loop's register pressure that of an unfolded run.
@@ -306,12 +282,11 @@ outer:
 		}
 
 		// ---- batch tier ------------------------------------------------
-		// Eligible only when execution is untraced (no tracer, no armed
-		// memo; a run hook sees whole runs, and a digest and a profile
-		// are folded in the loop) and the function has a batch form. The run containing pc
-		// is charged up front; if it doesn't fit in the budget the careful
-		// tier below takes over and finds the exact ErrLimit point.
-		if trace == nil && !m.memo.active && df.XCode != nil {
+		// Eligible only when no memo is armed and the function has a
+		// batch form. The run containing pc is charged up front; if it
+		// doesn't fit in the budget the careful tier below takes over and
+		// finds the exact ErrLimit point.
+		if !m.memo.active && df.XCode != nil {
 			xcode := df.XCode
 			runEnd := df.RunEnd
 			cnt := m.entryCnt[df.Fn.ID]
@@ -837,9 +812,8 @@ outer:
 						goto transfer
 					case ir.XInval:
 						m.Stats.Invalidations++
-						m.lastInval = 0
 						if m.CRB != nil {
-							m.lastInval = m.CRB.Invalidate(ir.MemID(in.ObjLo))
+							m.CRB.Invalidate(ir.MemID(in.ObjLo))
 						}
 						if len(m.funcMemos) > 0 {
 							m.dropFuncMemos()
@@ -1178,10 +1152,6 @@ outer:
 				if prof != nil {
 					prof.Fold(df.Addr(int32(pc)), v1, v2, true, nf.regs)
 				}
-				if trace != nil {
-					m.Stats.DynInstrs = limit - rem
-					m.emitFlat(trace, df, pc, in, &meta[pc], v1, v2, 0, 0, true, cdf.Base, nf.regs)
-				}
 				fr = nf
 				df = cdf
 				pc = 0
@@ -1201,9 +1171,6 @@ outer:
 				}
 				if prof != nil {
 					prof.Fold(df.Addr(int32(pc)), v1, v2, true, regs)
-				}
-				if trace != nil {
-					m.emitFlat(trace, df, pc, in, &meta[pc], v1, v2, 0, retVal, true, m.retTarget(), regs)
 				}
 				if m.OnRun != nil {
 					m.feedRun(df, pc, true)
@@ -1245,29 +1212,12 @@ outer:
 				if prof != nil {
 					prof.Fold(df.Addr(int32(pc)), 0, 0, hit, regs)
 				}
-				if trace != nil {
-					tpc := df.Addr(in.Target)
-					if !hit {
-						tpc = df.Addr(int32(pc + 1))
-					}
-					mt := &meta[pc]
-					ev := &m.ev
-					ev.Func, ev.Block, ev.Index, ev.Instr = df.Fn, mt.Block, int(mt.Index), mt.Src
-					ev.PC = df.Addr(int32(pc))
-					ev.Regs = regs
-					ev.Val1, ev.Val2, ev.Addr, ev.Result = 0, 0, 0, 0
-					ev.Taken, ev.TargetPC = hit, tpc
-					ev.ReuseHit, ev.ReuseOut, ev.ReusedInstrs = hit, rout, reused
-					ev.InvalCount = 0
-					trace(ev)
-				}
 				pc = nextPC
 				continue outer
 			case ir.Inval:
 				m.Stats.Invalidations++
-				m.lastInval = 0
 				if m.CRB != nil {
-					m.lastInval = m.CRB.Invalidate(ir.MemID(in.Aux))
+					m.CRB.Invalidate(ir.MemID(in.Aux))
 				}
 				if memoActive {
 					m.abortMemo()
@@ -1304,14 +1254,6 @@ outer:
 			}
 			if prof != nil {
 				prof.Fold(df.Addr(int32(pc)), v1, v2, taken, regs)
-			}
-			if trace != nil {
-				m.Stats.DynInstrs = limit - rem
-				tpc := int64(0)
-				if in.Op.IsBranch() {
-					tpc = df.Addr(int32(nextPC))
-				}
-				m.emitFlat(trace, df, pc, in, &meta[pc], v1, v2, addr, result, taken, tpc, regs)
 			}
 			if ctrl {
 				if m.OnRun != nil {

@@ -82,8 +82,8 @@ type Run struct {
 type RunHook func(*Run)
 
 // ProfileFold receives a value profile's inline fold (Machine.Profile):
-// one call per executed instruction, at the points where the careful tier
-// would emit an Event, carrying the Event facts a profile reads. A
+// one call per executed instruction, at the points where the interpreter
+// emits an Event, carrying the Event facts a profile reads. A
 // faulting instruction, the sentinel and a DTM replay fold nothing.
 type ProfileFold interface {
 	// Fold records the instruction at byte address pc. v1 and v2 are its

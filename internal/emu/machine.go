@@ -2,25 +2,27 @@
 // representation. It executes linked programs instruction by instruction,
 // implements the architectural semantics of the CCR instruction-set
 // extensions (reuse lookup, memoization mode, instance commit, and
-// invalidation) against a Computation Reuse Buffer, streams a dynamic
-// instruction event to an optional tracer, and folds an optional oracle
-// digest (Digest) and an optional value profile (Profile) as it executes.
+// invalidation) against a Computation Reuse Buffer, and folds an optional
+// oracle digest (Digest), an optional value profile (Profile) and an
+// optional per-run feed (OnRun) as it executes.
 //
 // Two execution engines share one architectural semantics:
 //
 //   - the predecoded engine (the default, engine.go) runs the flat
 //     ir.DecodedProgram form — a single tight loop over a dense
 //     instruction array with pre-resolved operand indices and flat-PC
-//     branch targets, allocation-free on the no-tracer path;
+//     branch targets, allocation-free with no CRB attached;
 //   - the block-structured interpreter (runInterp below) walks the CFG
 //     form directly. It is retained as the reference implementation: the
 //     differential gate (experiments.TestEngineDifferential, CI) checks
 //     the two engines produce bit-identical internal/oracle digests —
 //     trace checksums included — on every bench × dataset × swept config.
+//     It is also the one source of per-instruction events: a run with a
+//     tracer attached (Trace) always executes on it.
 //
 // Setting CCR_ENGINE=interp in the environment (or Machine.Interp)
-// selects the interpreter, e.g. to re-run a whole -verify sweep on the
-// reference engine.
+// selects the interpreter for every run, e.g. to re-run a whole -verify
+// sweep on the reference engine.
 //
 // The emulator is the "emulation" half of the paper's emulation-driven
 // simulation methodology: the timing model in internal/uarch consumes the
@@ -219,11 +221,13 @@ type Machine struct {
 	// (or a chaos wrapper); nil runs are bit-identical to pre-DTM builds.
 	DTM TraceBuffer
 	// Trace, when non-nil, receives every executed dynamic instruction.
+	// A traced run executes on the reference interpreter, the only
+	// engine that builds events; the predecoded engine serves untraced
+	// runs.
 	Trace Tracer
 	// Digest, when non-nil, accumulates the run's digest streams (see
-	// Digest). The engine folds them inline on either tier, without
-	// building events; unlike a tracer, a digest leaves untraced runs on
-	// the batch tier.
+	// Digest). The predecoded engine folds them inline on either tier,
+	// without building events, and the interpreter from its own events.
 	Digest *Digest
 	// Profile, when non-nil, receives the run's value-profile fold (see
 	// ProfileFold). Like Digest it is folded inline on either tier, and
@@ -231,9 +235,9 @@ type Machine struct {
 	Profile ProfileFold
 	// OnRun, when non-nil, receives every executed straight-line run
 	// (see Run): exactly the instructions a Trace would see, grouped per
-	// run, with only their dynamic facts. Unlike Trace it keeps the
-	// engine on its batch tier. DTM replays feed nothing, as they emit no
-	// events.
+	// run, with only their dynamic facts. The predecoded engine feeds it
+	// from either tier; the interpreter regroups its events into runs.
+	// DTM replays feed nothing, as they execute no instructions.
 	OnRun RunHook
 	// Limit bounds the number of dynamic instructions executed
 	// (0 means the DefaultLimit).
@@ -260,7 +264,7 @@ type Machine struct {
 	// (interpreter only; built lazily on the first interpreted run).
 	addrBase [][]int64
 	// lastInval carries the current Inval instruction's instance fan-out
-	// from the execute switch to the event emitted for it.
+	// from the interpreter's execute switch to the event emitted for it.
 	lastInval int
 	// regPool recycles register files across calls.
 	regPool [][]int64
@@ -281,8 +285,9 @@ type Machine struct {
 	// entry but never executed (a mid-run fault, or the sentinel slot);
 	// flushOpCounts subtracts them.
 	byCorr []opCorr
-	// ev is the event value reused across every emitted instruction, so
-	// attaching a tracer never forces a per-run heap allocation.
+	// ev is the interpreter's event value, reused across every emitted
+	// instruction, so attaching a tracer never forces a per-run heap
+	// allocation.
 	ev Event
 	// run is the Run value passed to OnRun, and runAddrs the Ld/St address
 	// buffer behind run.Addrs, sized to the program's longest run
@@ -501,7 +506,9 @@ func (m *Machine) popFrame() {
 	m.frames = m.frames[:len(m.frames)-1]
 }
 
-// Run executes main with the given arguments and returns its result.
+// Run executes main with the given arguments and returns its result. It
+// runs on the reference interpreter when Interp is set or a tracer is
+// attached, and on the predecoded engine otherwise.
 func (m *Machine) Run(args ...int64) (int64, error) {
 	mainFn := m.Prog.Func(m.Prog.Main)
 	if mainFn == nil {
@@ -510,7 +517,7 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 	if len(args) != mainFn.NumParams {
 		return 0, fmt.Errorf("emu: main wants %d args, got %d", mainFn.NumParams, len(args))
 	}
-	if m.Interp {
+	if m.Interp || m.Trace != nil {
 		return m.runInterp(mainFn, args)
 	}
 	return m.runFast(args)
@@ -627,7 +634,8 @@ func (m *Machine) dtmInterpEnter(limit int64) error {
 }
 
 // runInterp is the legacy block-structured interpreter: the reference
-// implementation the predecoded engine is differentially tested against.
+// implementation the predecoded engine is differentially tested against,
+// and the engine of every traced run.
 // It folds Digest and Profile from, and feeds OnRun by regrouping, its
 // own event stream (digestEvent, profileEvent, feedEvent).
 func (m *Machine) runInterp(mainFn *ir.Func, args []int64) (int64, error) {

@@ -22,8 +22,9 @@ import (
 //   - Digested: the internal/oracle digests (result, final memory, store,
 //     return-value and trace streams) must be byte-identical three ways.
 //     The predecoded engine folds them inline on its batch tier, and on
-//     its careful tier when a no-op tracer is attached too; the
-//     interpreter folds them from its event stream. This pins all three.
+//     its careful tier for a copy of the program with no batch form
+//     (carefulOnly); the interpreter folds them from its event stream.
+//     This pins all three.
 //   - Untraced: a plain run with no tracer or digest — the batch tier's
 //     fast path — must reproduce the interpreter's result, final memory
 //     image, and the complete statistics block (DynInstrs, per-opcode
@@ -31,7 +32,8 @@ import (
 //     and DTM counters when those buffers are attached.
 //   - Profiled: the value profile of the base program, folded inline on
 //     the batch tier as core.ProfileRun folds it, must deep-equal the
-//     profiles fed by the careful tier's and the interpreter's events.
+//     profile the careful tier folds inline and the one fed by the
+//     interpreter's events.
 //
 // Configurations cover the untransformed base program, the default CCR
 // compilation, a conflict-pressure geometry, the function-level extension
@@ -117,11 +119,20 @@ func newMachine(prog *ir.Program, rc reuse.Config, interp bool) *emu.Machine {
 	return m
 }
 
-// carefulDigest digests a run of the predecoded engine with a no-op
-// tracer attached, which keeps it on its careful tier throughout.
+// carefulOnly returns a copy of prog whose functions have no batch form, a
+// shape the predecoded engine runs on its careful tier alone.
+func carefulOnly(prog *ir.Program) *ir.Program {
+	c := prog.Clone()
+	for _, df := range c.Decoded().Funcs {
+		df.XCode = nil
+	}
+	return c
+}
+
+// carefulDigest digests a run of the predecoded engine on its careful
+// tier throughout.
 func carefulDigest(prog *ir.Program, rc reuse.Config, args []int64) (oracle.Digest, error) {
-	m := newMachine(prog, rc, false)
-	m.Trace = func(*emu.Event) {}
+	m := newMachine(carefulOnly(prog), rc, false)
 	var col oracle.Collector
 	col.Attach(m)
 	res, err := m.Run(args...)
@@ -132,14 +143,18 @@ func carefulDigest(prog *ir.Program, rc reuse.Config, args []int64) (oracle.Dige
 }
 
 // compareProfiles profiles prog on args three ways — the engine's inline
-// fold on its batch tier, and the profiler's event feed on the careful
-// tier and on the interpreter — and requires equal profiles and results.
+// fold on its batch tier and on its careful tier, and the profiler's event
+// feed on the interpreter — and requires equal profiles and results. Each
+// profile is built against prog, which it holds.
 func compareProfiles(t *testing.T, label string, prog *ir.Program, args []int64) {
 	t.Helper()
-	run := func(interp, events bool) (*vprof.Profile, int64) {
+	run := func(careful, events bool) (*vprof.Profile, int64) {
 		pr := vprof.NewProfiler(prog)
-		m := emu.New(prog)
-		m.Interp = interp
+		run := prog
+		if careful {
+			run = carefulOnly(prog)
+		}
+		m := emu.New(run)
 		if events {
 			m.Trace = pr.Tracer()
 		} else {
@@ -152,8 +167,8 @@ func compareProfiles(t *testing.T, label string, prog *ir.Program, args []int64)
 		return pr.Finish(), res
 	}
 	batch, rb := run(false, false)
-	careful, rc := run(false, true)
-	interp, ri := run(true, true)
+	careful, rc := run(true, false)
+	interp, ri := run(false, true)
 	if !reflect.DeepEqual(batch, careful) || rb != rc {
 		t.Errorf("%s: the batch tier's profile differs from the careful tier's", label)
 	}

@@ -15,7 +15,9 @@ import (
 // reuse baselines, which read per-instruction values, and machines that
 // already carry a tracer, which may read mid-run cycle stamps, consume
 // per-instruction events instead (observe), each replayed as a
-// one-instruction run, so both feeds apply the same rules.
+// one-instruction run, so both feeds apply the same rules. A machine with
+// a tracer attached runs on the reference interpreter, the one engine
+// that builds events.
 type Simulator struct {
 	cfg Config
 	tab *table
@@ -119,7 +121,9 @@ func NewSimulator(cfg Config, prog *ir.Program) *Simulator {
 // (observe) is used instead, teed ahead of any tracer already on m, when
 // the configuration reads per-instruction values (the instruction- and
 // block-reuse baselines) and when m already has a tracer — which may read
-// CycleCount mid-run, so the model must be current at every event.
+// CycleCount mid-run, so the model must be current at every event. Either
+// way m then carries a tracer, so it runs on the reference interpreter
+// (emu.Machine.Run).
 func (s *Simulator) Attach(m *emu.Machine) {
 	switch {
 	case s.irb != nil || s.brb != nil || m.Trace != nil:
