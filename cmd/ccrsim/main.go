@@ -45,7 +45,6 @@ import (
 	"ccr/internal/core"
 	"ccr/internal/ir"
 	"ccr/internal/obsv"
-	"ccr/internal/opt"
 	"ccr/internal/oracle"
 	"ccr/internal/reuse"
 	"ccr/internal/runner"
@@ -66,7 +65,6 @@ func main() {
 	tassoc := flag.Int("tassoc", 2, "DTM set associativity")
 	minrun := flag.Int("minrun", 3, "minimum run length the DTM will memoize")
 	useRef := flag.Bool("ref", false, "simulate the reference input instead of training")
-	optimize := flag.Bool("O", false, "run the classic optimizer on the base program first")
 	list := flag.Bool("list", false, "list benchmarks and exit")
 	jobs := flag.Int("jobs", 0, "workers for the base/CCR simulation pair (0 = GOMAXPROCS)")
 	manifest := flag.String("manifest", "", "write a JSON run manifest to this file")
@@ -97,11 +95,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *optimize {
-		st := opt.Optimize(b.Prog)
-		fmt.Printf("optimizer: folded %d, propagated %d, eliminated %d\n",
-			st.Folded, st.Propagated, st.Eliminated)
 	}
 	scheme, err := reuse.ParseScheme(*schemeFlag)
 	if err != nil {
