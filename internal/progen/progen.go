@@ -182,7 +182,10 @@ func (c *fctx) emitALU() {
 }
 
 // emitMem emits a masked, hinted load or store: idx = v & (words-1);
-// addr = base(obj) + idx.
+// addr = base(obj) + idx, formed by one indexed Lea or, for every other
+// idx register, by a Lea of the base and an Add of the index (the
+// Add-then-Ld pair the batch tier fuses into XFAddLd). The choice draws no
+// random number, so the rest of every seed's program keeps its shape.
 func (c *fctx) emitMem() {
 	g := c.g
 	oi := g.intn(len(g.objs))
@@ -191,7 +194,13 @@ func (c *fctx) emitMem() {
 	idx := c.fresh()
 	c.cur.AndI(idx, c.pick(), mask)
 	addr := c.fresh()
-	c.cur.LeaIdx(addr, obj, idx, 0)
+	if idx%2 == 0 {
+		base := c.fb.NewReg()
+		c.cur.Lea(base, obj, 0)
+		c.cur.Add(addr, base, idx)
+	} else {
+		c.cur.LeaIdx(addr, obj, idx, 0)
+	}
 	if !g.ro[oi] && g.pct(g.cfg.StoreBias) {
 		c.cur.St(addr, 0, c.pick(), obj)
 		return
