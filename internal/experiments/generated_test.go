@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ccr/internal/progen"
-	"ccr/internal/store"
 	"ccr/internal/workloads"
 )
 
@@ -36,13 +35,8 @@ func generatedBenches(n int) []*workloads.Benchmark {
 // scheme must be transparent under oracle.Compare, and the warm rerun
 // must report the same rows while writing nothing.
 func TestVerifyGeneratedPrograms(t *testing.T) {
-	st, err := store.Open(store.Options{Dir: filepath.Join(t.TempDir(), "store"), Revision: "test-rev"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Jobs = 2
-	cfg.Store = st
+	cfg := storeConfig(t, filepath.Join(t.TempDir(), "store"))
+	st := cfg.Store
 	r := &cfg.Opts.Region
 	r.R, r.Rm, r.MinLiveInInvariance, r.BlockReusableFrac = 0, 0, 0, 0
 	r.CyclicReuseOpportunity, r.CyclicMultiIter = -1, -1
