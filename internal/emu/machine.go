@@ -2,9 +2,9 @@
 // representation. It executes linked programs instruction by instruction,
 // implements the architectural semantics of the CCR instruction-set
 // extensions (reuse lookup, memoization mode, instance commit, and
-// invalidation) against a Computation Reuse Buffer, and folds an optional
-// oracle digest (Digest), an optional value profile (Profile) and an
-// optional per-run feed (OnRun) as it executes.
+// invalidation) against a Computation Reuse Buffer, folds an optional
+// oracle digest (Digest) and an optional value profile (Profile), and
+// feeds an optional per-run hook (OnRun) as it executes.
 //
 // Two execution engines share one architectural semantics:
 //
