@@ -56,6 +56,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -68,12 +69,13 @@ import (
 	"ccr/internal/workloads"
 )
 
-// knownFigs lists the -fig values in print order; "all" selects every one.
-var knownFigs = []string{"4", "8a", "8b", "9", "10", "11", "scalars", "compare", "ablations", "decant"}
-
 func main() {
 	fabric.MaybeWorker() // fabric worker re-exec: never returns when spawned as one
 	scale := flag.String("scale", "medium", "workload scale: tiny, small, medium, large")
+	var knownFigs []string
+	for _, sec := range experiments.Sections {
+		knownFigs = append(knownFigs, sec.Name)
+	}
 	fig := flag.String("fig", "all", "which figure to regenerate: "+strings.Join(knownFigs, ", ")+", all")
 	jobs := flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	manifest := flag.String("manifest", "", "write a JSON run manifest to this file")
@@ -109,7 +111,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Scale = sc
-	if *fig != "all" && !validFig(*fig) {
+	if *fig != "all" && !slices.Contains(knownFigs, *fig) {
 		fmt.Fprintf(os.Stderr, "unknown -fig %q; known figures: %s, all\n",
 			*fig, strings.Join(knownFigs, ", "))
 		os.Exit(2)
@@ -133,101 +135,12 @@ func main() {
 	suite.AttachManifest(m)
 
 	exitCode := 0
-	want := func(f string) bool { return *fig == "all" || *fig == f }
-	if want("4") {
-		r, err := experiments.Figure4(suite)
-		if err != nil {
-			log.Fatal(err)
+	for _, sec := range experiments.Sections {
+		if *fig == "all" || *fig == sec.Name {
+			if err := sec.Print(suite, os.Stdout); err != nil {
+				log.Fatal(err)
+			}
 		}
-		fmt.Println(r.Render())
-	}
-	if want("8a") {
-		r, err := experiments.Figure8a(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(r.Render("Figure 8(a): speedup vs computation instances"))
-	}
-	if want("8b") {
-		r, err := experiments.Figure8b(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(r.Render("Figure 8(b): speedup vs computation entries"))
-	}
-	if want("9") {
-		r, err := experiments.Figure9(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(r.Render())
-	}
-	if want("10") {
-		r, err := experiments.Figure10(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(r.Render())
-	}
-	if want("11") {
-		r, err := experiments.Figure11(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(r.Render())
-	}
-	if want("scalars") {
-		r, err := experiments.Scalars(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(r.Render())
-	}
-	if want("compare") {
-		c, err := experiments.Comparison(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(c.Render())
-	}
-	if want("ablations") {
-		a, err := experiments.AblationAssoc(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(a.Render())
-		n, err := experiments.AblationNoMem(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(n.Render())
-		sp, err := experiments.AblationSpeculation(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(sp.Render())
-		fl, err := experiments.AblationFuncLevel(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(fl.Render())
-		oo, err := experiments.AblationOutOfOrder(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(oo.Render())
-		h, err := experiments.AblationHeuristics(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(experiments.RenderHeuristics(h))
-	}
-	if want("decant") {
-		d, err := experiments.Decant(suite)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(d.Render())
 	}
 	if *verify {
 		v, err := experiments.Verify(suite)
@@ -305,13 +218,4 @@ func runFabric(fc fabricConfig) int {
 			m.Store.Puts, m.Store.Hits, m.Store.Misses, m.StoreHitRate)
 	}
 	return 0
-}
-
-func validFig(f string) bool {
-	for _, k := range knownFigs {
-		if f == k {
-			return true
-		}
-	}
-	return false
 }
