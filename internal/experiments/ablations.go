@@ -13,37 +13,11 @@ import (
 type AblationResult struct {
 	Title  string
 	Labels []string
-	// Rows maps benchmark → speedup per label; Avg is per label.
-	Rows    []string
-	Speedup map[string][]float64
-	Avg     []float64
-	// Failed maps a benchmark to per-label failure reasons ("" = cell ok);
-	// failed cells render as FAILED and drop out of the averages.
-	Failed rowFailures
+	SpeedupTable
 }
 
 // Render formats the ablation as a table.
-func (r *AblationResult) Render() string {
-	head := append([]string{"benchmark"}, r.Labels...)
-	t := stats.Table{Header: head}
-	for _, b := range r.Rows {
-		cells := []string{b}
-		for pi, sp := range r.Speedup[b] {
-			if reason := r.Failed.get(b, pi); reason != "" {
-				cells = append(cells, failCell(reason))
-				continue
-			}
-			cells = append(cells, fmt.Sprintf("%.3f", sp))
-		}
-		t.Add(cells...)
-	}
-	avg := []string{"average"}
-	for _, a := range r.Avg {
-		avg = append(avg, fmt.Sprintf("%.3f", a))
-	}
-	t.Add(avg...)
-	return r.Title + "\n" + t.String()
-}
+func (r *AblationResult) Render() string { return r.render(r.Title, r.Labels) }
 
 // AblationAssoc sweeps CRB set associativity at the small 32-entry
 // capacity, where programs with large variant-kernel families (gcc, li)
@@ -77,48 +51,14 @@ func AblationNoMem(s *Suite) (*AblationResult, error) {
 	return runAblation(s, res, points)
 }
 
-// runAblation fans the (benchmark × configuration) cells of an ablation
-// out across the suite's worker pool, like the Figure 8 sweeps. Failed
-// cells degrade to FAILED entries rather than aborting the ablation.
+// runAblation runs the (benchmark × configuration) cells of an ablation
+// on the suite's grid, like the Figure 8 sweeps. Failed cells degrade to
+// FAILED entries rather than aborting the ablation.
 func runAblation(s *Suite, res *AblationResult, points []SweepPoint) (*AblationResult, error) {
 	for _, p := range points {
 		res.Labels = append(res.Labels, p.Label)
 	}
-	nb, np := len(s.Benches), len(points)
-	rows := make([][]float64, nb)
-	for i := range rows {
-		rows[i] = make([]float64, np)
-	}
-	errs := s.MapErrs(nb*np,
-		func(i int) string {
-			return fmt.Sprintf("ablation/%s/%s", s.Benches[i/np].Name, points[i%np].Label)
-		},
-		func(i int) error {
-			b, pt := s.Benches[i/np], points[i%np]
-			sp, err := s.SpeedupPoint(b, b.Train, pt.Reuse)
-			if err != nil {
-				return err
-			}
-			rows[i/np][i%np] = sp
-			return nil
-		})
-	res.Speedup = map[string][]float64{}
-	sums := make([][]float64, np)
-	for bi, b := range s.Benches {
-		res.Rows = append(res.Rows, b.Name)
-		res.Speedup[b.Name] = rows[bi]
-		for pi := range points {
-			if err := errs[bi*np+pi]; err != nil {
-				res.Failed.set(b.Name, np, pi, err)
-				continue
-			}
-			sums[pi] = append(sums[pi], rows[bi][pi])
-		}
-	}
-	res.Avg = make([]float64, np)
-	for i := range points {
-		res.Avg[i] = stats.Mean(sums[i])
-	}
+	res.SpeedupTable, _ = speedupGrid(s, "ablation", points, trainSpeedup(s))
 	return res, nil
 }
 
@@ -126,34 +66,23 @@ func runAblation(s *Suite, res *AblationResult, points []SweepPoint) (*AblationR
 // computing both columns of its row; a failing benchmark degrades to a
 // FAILED row instead of aborting the ablation.
 func twoColumnAblation(s *Suite, res *AblationResult, tag string, cell func(b *workloads.Benchmark) ([2]float64, error)) (*AblationResult, error) {
-	rows := make([][2]float64, len(s.Benches))
+	rows := make([][]float64, len(s.Benches))
+	for i := range rows {
+		rows[i] = make([]float64, 2)
+	}
 	errs := s.MapErrs(len(s.Benches),
 		func(i int) string { return tag + "/" + s.Benches[i].Name },
 		func(i int) error {
 			row, err := cell(s.Benches[i])
-			if err != nil {
-				return err
-			}
-			rows[i] = row
-			return nil
+			copy(rows[i], row[:])
+			return err
 		})
-	res.Speedup = map[string][]float64{}
-	sums := make([][]float64, 2)
-	for bi, b := range s.Benches {
-		res.Rows = append(res.Rows, b.Name)
-		res.Speedup[b.Name] = rows[bi][:]
-		if errs[bi] != nil {
-			res.Failed.setRow(b.Name, 2, errs[bi])
-			continue
-		}
-		sums[0] = append(sums[0], rows[bi][0])
-		sums[1] = append(sums[1], rows[bi][1])
-	}
-	res.Avg = []float64{stats.Mean(sums[0]), stats.Mean(sums[1])}
+	res.SpeedupTable = tabulate(s.Benches, 2, rows, func(bi, _ int) error { return errs[bi] })
 	return res, nil
 }
 
 // HeuristicPoint is one region-formation setting of the heuristic ablation.
+// A nil Mutate is the suite's own options.
 type HeuristicPoint struct {
 	Label   string
 	Mutate  func(*core.Options)
@@ -164,12 +93,15 @@ type HeuristicPoint struct {
 // AblationHeuristics re-compiles the suite under varied formation
 // thresholds — the §4.4 sensitivity the paper describes empirically
 // ("lower values tend to admit too many instructions ... that are not
-// successfully reused"). Unlike the CRB sweeps this needs one fresh
-// compilation per point, so it builds its own pipeline instead of the
-// shared Suite caches.
-func AblationHeuristics(cfg Config) ([]HeuristicPoint, error) {
+// successfully reused"). Its (point, benchmark) cells run on the suite's
+// grid. The paper point is the suite's own compilation and default CCR
+// run; every other point compiles the prepared program under its
+// thresholds and is timed against the suite's base run, which region
+// options do not change. A failing cell fails the ablation: the error is
+// the first failing cell's in (point, benchmark) order.
+func AblationHeuristics(s *Suite) ([]HeuristicPoint, error) {
 	points := []HeuristicPoint{
-		{Label: "paper (R=0.65)", Mutate: func(o *core.Options) {}},
+		{Label: "paper (R=0.65)"},
 		{Label: "strict (R=0.90)", Mutate: func(o *core.Options) {
 			o.Region.R = 0.90
 			o.Region.MinLiveInInvariance = 0.70
@@ -187,34 +119,62 @@ func AblationHeuristics(cfg Config) ([]HeuristicPoint, error) {
 			o.Region.MinStaticSize = 1
 		}},
 	}
-	benches := workloads.All(cfg.Scale)
+	np := len(points)
+	regions := make([]int, len(s.Benches)*np)
+	sps := make([]float64, len(s.Benches)*np)
+	errs := s.Grid(np,
+		func(bi, pi int) string { return "heuristic/" + s.Benches[bi].Name + "/" + points[pi].Label },
+		func(bi, pi int) (err error) {
+			regions[bi*np+pi], sps[bi*np+pi], err = heuristicCell(s, s.Benches[bi], points[pi])
+			return err
+		})
 	for pi := range points {
-		opts := cfg.Opts
-		points[pi].Mutate(&opts)
-		var sps []float64
-		for _, b := range benches {
-			cr, err := core.Compile(b.Prog, b.Train, opts)
-			if err != nil {
-				return nil, fmt.Errorf("heuristic ablation %s/%s: %w", points[pi].Label, b.Name, err)
-			}
-			points[pi].Regions += len(cr.Prog.Regions)
-			base, err := core.Simulate(b.Prog, nil, opts.Uarch, b.Train, opts.Limit)
-			if err != nil {
+		var avg []float64
+		for bi := range s.Benches {
+			if err := errs[bi*np+pi]; err != nil {
 				return nil, err
 			}
-			ccr, err := core.Simulate(cr.Prog, &opts.CRB, opts.Uarch, b.Train, opts.Limit)
-			if err != nil {
-				return nil, err
-			}
-			if base.Result != ccr.Result {
-				return nil, fmt.Errorf("heuristic ablation %s/%s: architectural mismatch",
-					points[pi].Label, b.Name)
-			}
-			sps = append(sps, core.Speedup(base, ccr))
+			points[pi].Regions += regions[bi*np+pi]
+			avg = append(avg, sps[bi*np+pi])
 		}
-		points[pi].Avg = stats.Mean(sps)
+		points[pi].Avg = stats.Mean(avg)
 	}
 	return points, nil
+}
+
+// heuristicCell compiles b under p's thresholds and returns the program's
+// region count and CCR speedup.
+func heuristicCell(s *Suite, b *workloads.Benchmark, p HeuristicPoint) (int, float64, error) {
+	if p.Mutate == nil {
+		cr, err := s.Compiled(b)
+		if err != nil {
+			return 0, 0, err
+		}
+		sp, err := s.Speedup(b, b.Train, s.cfg.Opts.CRB)
+		return len(cr.Prog.Regions), sp, err
+	}
+	opts := s.cfg.Opts
+	p.Mutate(&opts)
+	ar, err := s.prepared(b)
+	if err != nil {
+		return 0, 0, err
+	}
+	cr, err := core.CompileWith(b.Prog, ar, b.Train, opts)
+	if err != nil {
+		return 0, 0, fmt.Errorf("heuristic ablation %s/%s: %w", p.Label, b.Name, err)
+	}
+	base, err := s.BaseSim(b, b.Train)
+	if err != nil {
+		return 0, 0, err
+	}
+	ccr, err := core.Simulate(cr.Prog, &opts.CRB, opts.Uarch, b.Train, opts.Limit)
+	if err != nil {
+		return 0, 0, err
+	}
+	if base.Result != ccr.Result {
+		return 0, 0, fmt.Errorf("heuristic ablation %s/%s: architectural mismatch", p.Label, b.Name)
+	}
+	return len(cr.Prog.Regions), core.Speedup(base, ccr), nil
 }
 
 // RenderHeuristics formats the heuristic ablation.

@@ -95,10 +95,10 @@ func depthBucket(d int) int {
 }
 
 // Decant runs the decanting ablation lab. The (benchmark × scheme) speedup
-// cells fan out across the suite's worker pool; the decompositions then
-// aggregate the cached simulation results in deterministic benchmark order,
-// so the output is identical regardless of -jobs and of whether the cells
-// were computed or loaded from a warm store. Failed cells degrade to FAILED
+// cells run on the suite's grid; the decompositions then aggregate the
+// cached simulation results in deterministic benchmark order, so the
+// output is identical regardless of -jobs and of whether the cells were
+// computed or loaded from a warm store. Failed cells degrade to FAILED
 // ablation rows and drop out of the aggregates.
 func Decant(s *Suite) (*DecantResult, error) {
 	points := decantPoints(s)
@@ -113,52 +113,21 @@ func Decant(s *Suite) (*DecantResult, error) {
 		res.Ablation.Labels = append(res.Ablation.Labels, p.Label)
 	}
 
-	nb, np := len(s.Benches), len(points)
-	rows := make([][]float64, nb)
-	for i := range rows {
-		rows[i] = make([]float64, np)
-	}
-	errs := s.MapErrs(nb*np,
-		func(i int) string {
-			return fmt.Sprintf("decant/%s/%s", s.Benches[i/np].Name, points[i%np].Label)
-		},
-		func(i int) error {
-			b, pt := s.Benches[i/np], points[i%np]
-			if _, err := decantRef(s, b, pt.Reuse); err != nil {
-				return err
+	var errs []error
+	res.Ablation.SpeedupTable, errs = speedupGrid(s, "decant", points,
+		func(b *workloads.Benchmark, rc reuse.Config) (float64, error) {
+			if _, err := decantRef(s, b, rc); err != nil {
+				return 0, err
 			}
-			sp, err := s.SpeedupPoint(b, b.Train, pt.Reuse)
-			if err != nil {
-				return err
-			}
-			rows[i/np][i%np] = sp
-			return nil
+			return s.SpeedupPoint(b, b.Train, rc)
 		})
-
-	res.Ablation.Speedup = map[string][]float64{}
-	sums := make([][]float64, np)
-	for bi, b := range s.Benches {
-		res.Ablation.Rows = append(res.Ablation.Rows, b.Name)
-		res.Ablation.Speedup[b.Name] = rows[bi]
-		for pi := range points {
-			if err := errs[bi*np+pi]; err != nil {
-				res.Ablation.Failed.set(b.Name, np, pi, err)
-				continue
-			}
-			sums[pi] = append(sums[pi], rows[bi][pi])
-		}
-	}
-	res.Ablation.Avg = make([]float64, np)
-	for pi := range points {
-		res.Ablation.Avg[pi] = stats.Mean(sums[pi])
-	}
 
 	// Decomposition pass: every fetch below is a cache (or store) hit for
 	// cells that succeeded, so this sequential loop costs no simulation.
 	depthCache := map[*ir.Program][][]int{}
 	for si, pt := range points {
 		for bi, b := range s.Benches {
-			if errs[bi*np+si] != nil {
+			if errs[bi*len(points)+si] != nil {
 				continue
 			}
 			run, err := s.ReuseSim(b, b.Train, pt.Reuse)

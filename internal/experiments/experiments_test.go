@@ -337,7 +337,7 @@ func TestRenderersProduceTables(t *testing.T) {
 	if !strings.Contains(ab.Render(), "associativity") {
 		t.Fatal("ablation render")
 	}
-	h, err := AblationHeuristics(s.Config())
+	h, err := AblationHeuristics(s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,57 +83,17 @@ type SweepPoint struct {
 
 // Fig8Result holds a speedup sweep: one column per configuration.
 type Fig8Result struct {
-	Points  []SweepPoint
-	Rows    []string             // benchmark order
-	Speedup map[string][]float64 // bench → speedup per point
-	Avg     []float64            // per point
-	// Failed maps a benchmark to per-point failure reasons ("" = cell ok);
-	// failed cells render as FAILED and drop out of the per-point averages.
-	Failed rowFailures
+	Points []SweepPoint
+	SpeedupTable
 }
 
 // sweep runs the (benchmark × configuration) product of a Figure 8-style
-// study through the suite's worker pool. Each cell writes into its own
-// slot of a preallocated matrix and aggregation walks the matrix in input
-// order, so the rendered table is byte-identical to a serial run. Failed
-// cells degrade to FAILED entries rather than aborting the sweep.
+// study on the suite's grid. Each cell writes into its own slot, so the
+// rendered table is byte-identical to a serial run. Failed cells degrade
+// to FAILED entries rather than aborting the sweep.
 func sweep(s *Suite, points []SweepPoint) (*Fig8Result, error) {
-	nb, np := len(s.Benches), len(points)
-	rows := make([][]float64, nb)
-	for i := range rows {
-		rows[i] = make([]float64, np)
-	}
-	errs := s.MapErrs(nb*np,
-		func(i int) string {
-			return fmt.Sprintf("sweep/%s/%s", s.Benches[i/np].Name, points[i%np].Label)
-		},
-		func(i int) error {
-			b, pt := s.Benches[i/np], points[i%np]
-			sp, err := s.SpeedupPoint(b, b.Train, pt.Reuse)
-			if err != nil {
-				return err
-			}
-			rows[i/np][i%np] = sp
-			return nil
-		})
-	res := &Fig8Result{Points: points, Speedup: map[string][]float64{}}
-	sums := make([][]float64, np)
-	for bi, b := range s.Benches {
-		res.Rows = append(res.Rows, b.Name)
-		res.Speedup[b.Name] = rows[bi]
-		for pi := range points {
-			if err := errs[bi*np+pi]; err != nil {
-				res.Failed.set(b.Name, np, pi, err)
-				continue
-			}
-			sums[pi] = append(sums[pi], rows[bi][pi])
-		}
-	}
-	res.Avg = make([]float64, np)
-	for i := range points {
-		res.Avg[i] = stats.Mean(sums[i])
-	}
-	return res, nil
+	t, _ := speedupGrid(s, "sweep", points, trainSpeedup(s))
+	return &Fig8Result{Points: points, SpeedupTable: t}, nil
 }
 
 // Figure8a sweeps the number of computation instances per entry
@@ -164,28 +124,11 @@ func Figure8b(s *Suite) (*Fig8Result, error) {
 
 // Render formats the sweep as a text table.
 func (r *Fig8Result) Render(title string) string {
-	head := append([]string{"benchmark"}, make([]string, len(r.Points))...)
+	labels := make([]string, len(r.Points))
 	for i, p := range r.Points {
-		head[i+1] = p.Label
+		labels[i] = p.Label
 	}
-	t := stats.Table{Header: head}
-	for _, b := range r.Rows {
-		cells := []string{b}
-		for pi, sp := range r.Speedup[b] {
-			if reason := r.Failed.get(b, pi); reason != "" {
-				cells = append(cells, failCell(reason))
-				continue
-			}
-			cells = append(cells, fmt.Sprintf("%.3f", sp))
-		}
-		t.Add(cells...)
-	}
-	avg := []string{"average"}
-	for _, a := range r.Avg {
-		avg = append(avg, fmt.Sprintf("%.3f", a))
-	}
-	t.Add(avg...)
-	return title + "\n" + t.String()
+	return r.render(title, labels)
 }
 
 // PaperGroups is the Figure 9 bucket list, in the paper's legend order.

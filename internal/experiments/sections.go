@@ -27,7 +27,7 @@ var Sections = []Section{
 		printed(AblationAssoc), printed(AblationNoMem), printed(AblationSpeculation),
 		printed(AblationFuncLevel), printed(AblationOutOfOrder),
 		func(s *Suite, w io.Writer) error {
-			h, err := AblationHeuristics(s.Config())
+			h, err := AblationHeuristics(s)
 			if err != nil {
 				return err
 			}

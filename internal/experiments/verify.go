@@ -119,28 +119,23 @@ func Verify(s *Suite) (*VerifyResult, error) {
 		return v.(*core.CompileResult), nil
 	}
 
-	// Cell layout: bench-major, then dataset, then config; the last config
-	// index is the function-level variant.
+	// A grid point is a (dataset, config) pair; the last config index is
+	// the function-level variant.
 	nc := len(points) + 1
-	nd := len(datasets)
-	n := len(s.Benches) * nd * nc
-	decode := func(i int) (b *workloads.Benchmark, ds int, ci int) {
-		return s.Benches[i/(nd*nc)], (i / nc) % nd, i % nc
-	}
+	np := len(datasets) * nc
 	label := func(ci int) string {
 		if ci == len(points) {
 			return "funclevel"
 		}
 		return points[ci].Label
 	}
-	errs := s.MapErrs(n,
-		func(i int) string {
-			b, ds, ci := decode(i)
-			return fmt.Sprintf("verify/%s/%s/%s", b.Name, datasets[ds].name, label(ci))
+	errs := s.Grid(np,
+		func(bi, pi int) string {
+			return fmt.Sprintf("verify/%s/%s/%s", s.Benches[bi].Name, datasets[pi/nc].name, label(pi%nc))
 		},
-		func(i int) error {
-			b, ds, ci := decode(i)
-			args := datasets[ds].args(b)
+		func(bi, pi int) error {
+			b, ci := s.Benches[bi], pi%nc
+			args := datasets[pi/nc].args(b)
 			ref, err := s.BaseDigest(b, args)
 			if err != nil {
 				return err
@@ -163,14 +158,14 @@ func Verify(s *Suite) (*VerifyResult, error) {
 			}
 			return oracle.Compare(ref, got)
 		})
-	res := &VerifyResult{Checked: n}
-	for i := range errs {
-		if errs[i] == nil {
+	res := &VerifyResult{Checked: len(errs)}
+	for i, err := range errs {
+		if err == nil {
 			continue
 		}
-		b, ds, ci := decode(i)
+		pi := i % np
 		res.Rows = append(res.Rows, VerifyRow{
-			Bench: b.Name, Dataset: datasets[ds].name, Config: label(ci), Err: shortReason(errs[i]),
+			Bench: s.Benches[i/np].Name, Dataset: datasets[pi/nc].name, Config: label(pi % nc), Err: shortReason(err),
 		})
 	}
 	return res, nil

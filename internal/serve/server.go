@@ -688,38 +688,36 @@ func (s *Server) doSweep(req SweepReq, sink runner.ProgressSink) (*SweepResp, er
 	points := experiments.VerifySweepPoints(view)
 	datasets := []string{"train", "ref"}
 	benches := view.Benches
-	n := len(benches) * len(datasets) * len(points)
-	rows := make([]SweepRow, n)
-	decode := func(i int) (int, int, int) {
-		np := len(points)
-		return i / (len(datasets) * np), (i / np) % len(datasets), i % np
+	np := len(datasets) * len(points)
+	// Grid point pi is dataset pi/len(points) under config pi%len(points).
+	point := func(pi int) (string, experiments.SweepPoint) {
+		return datasets[pi/len(points)], points[pi%len(points)]
 	}
-	errs := view.MapErrs(n,
-		func(i int) string {
-			bi, di, pi := decode(i)
-			return fmt.Sprintf("sweep/%s/%s/%s", benches[bi].Name, datasets[di], points[pi].Label)
+	rows := make([]SweepRow, len(benches)*np)
+	errs := view.Grid(np,
+		func(bi, pi int) string {
+			ds, pt := point(pi)
+			return fmt.Sprintf("sweep/%s/%s/%s", benches[bi].Name, ds, pt.Label)
 		},
-		func(i int) error {
-			bi, di, pi := decode(i)
+		func(bi, pi int) error {
 			b := benches[bi]
+			ds, pt := point(pi)
 			args := b.Train
-			if datasets[di] == "ref" {
+			if ds == "ref" {
 				args = b.Ref
 			}
-			sp, err := view.SpeedupPoint(b, args, points[pi].Reuse)
+			sp, err := view.SpeedupPoint(b, args, pt.Reuse)
 			if err != nil {
 				return err
 			}
-			rows[i] = SweepRow{Bench: b.Name, Dataset: datasets[di],
-				Config: points[pi].Reuse.Key(), Speedup: sp}
+			rows[bi*np+pi] = SweepRow{Bench: b.Name, Dataset: ds, Config: pt.Reuse.Key(), Speedup: sp}
 			return nil
 		})
 	failed := 0
-	for i := range errs {
-		if errs[i] != nil {
-			bi, di, pi := decode(i)
-			rows[i] = SweepRow{Bench: benches[bi].Name, Dataset: datasets[di],
-				Config: points[pi].Reuse.Key(), Err: errs[i].Error()}
+	for i, err := range errs {
+		if err != nil {
+			ds, pt := point(i % np)
+			rows[i] = SweepRow{Bench: benches[i/np].Name, Dataset: ds, Config: pt.Reuse.Key(), Err: err.Error()}
 			failed++
 		}
 	}
