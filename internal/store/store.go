@@ -22,6 +22,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -188,13 +189,19 @@ func (s *Store) Put(kind, key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal %s/%s: %w", kind, key, err)
 	}
-	data, err := json.Marshal(Entry{
+	// The envelope is encoded without its payload, which marshals as the
+	// trailing null, and the payload is spliced in for it. Marshal output
+	// is already compact, so these are the bytes json.Marshal(Entry) would
+	// write, without a second pass over the payload.
+	head, err := json.Marshal(Entry{
 		Format: EntryFormat, Kind: kind, Key: key, Revision: s.revision,
-		Checksum: payloadChecksum(payload), Payload: payload,
+		Checksum: payloadChecksum(payload),
 	})
 	if err != nil {
 		return fmt.Errorf("store: marshal envelope %s/%s: %w", kind, key, err)
 	}
+	data := append(bytes.TrimSuffix(head, []byte("null}")), payload...)
+	data = append(data, "}\n"...)
 	path := s.path(kind, key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
@@ -204,7 +211,7 @@ func (s *Store) Put(kind, key string, v any) error {
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -44,6 +45,45 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if st := s.Stats(); st.Puts != 1 || st.Hits != 1 || st.Misses != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestPutWritesMarshaledEntry pins the on-disk bytes: Put writes exactly
+// json.Marshal(Entry) plus a newline, for payloads and identities that
+// need escaping, with and without a revision.
+func TestPutWritesMarshaledEntry(t *testing.T) {
+	values := []any{
+		artifact{Name: "compress", Cycles: 12345},
+		map[string]any{"html": "<a&b>", "sep": "x\u2028y", "utf8": "é", "nested": []any{1.5, nil, true}},
+		json.RawMessage(` { "spaced" : [ 1 , 2 ] } `),
+		"quote\"and\\slash",
+	}
+	for _, rev := range []string{"", "rev<1>"} {
+		s := openTest(t, rev)
+		for i, v := range values {
+			kind, key := "k\"ind", fmt.Sprintf("key|<%d>|ü", i)
+			if err := s.Put(kind, key, v); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(s.EntryPath(kind, key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(Entry{
+				Format: EntryFormat, Kind: kind, Key: key, Revision: rev,
+				Checksum: payloadChecksum(payload), Payload: payload,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want = append(want, '\n'); string(got) != string(want) {
+				t.Errorf("rev %q value %d:\n got %s\nwant %s", rev, i, got, want)
+			}
+		}
 	}
 }
 
