@@ -420,6 +420,18 @@ func BenchmarkAblationFuncLevel(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationHeuristics regenerates the §4.4 formation-threshold
+// study: one compilation per (threshold point, benchmark) on the suite's
+// pool, timed against the suite's shared base runs.
+func BenchmarkAblationHeuristics(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuite(benchConfig())
+		if _, err := experiments.AblationHeuristics(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkComparison regenerates the §2.1 related-work positioning table
 // (instruction reuse vs block reuse vs CCR).
 func BenchmarkComparison(b *testing.B) {

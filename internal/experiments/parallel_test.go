@@ -21,74 +21,24 @@ func suiteWithJobs(jobs int) *Suite {
 
 // TestParallelMatchesSerial locks in the runner's determinism contract:
 // a parallel figure run renders byte-identically to the serial (jobs=1)
-// run, for every converted driver.
+// run, for every grid and pool driver; the ablations section includes the
+// heuristic ablation.
 func TestParallelMatchesSerial(t *testing.T) {
-	figures := []struct {
-		name string
-		run  func(*Suite) (string, error)
-	}{
-		{"figure4", func(s *Suite) (string, error) {
-			r, err := Figure4(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"figure8a", func(s *Suite) (string, error) {
-			r, err := Figure8a(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render("Figure 8(a)"), nil
-		}},
-		{"figure8b", func(s *Suite) (string, error) {
-			r, err := Figure8b(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render("Figure 8(b)"), nil
-		}},
-		{"figure10", func(s *Suite) (string, error) {
-			r, err := Figure10(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"figure11", func(s *Suite) (string, error) {
-			r, err := Figure11(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"ablation-assoc", func(s *Suite) (string, error) {
-			r, err := AblationAssoc(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-		{"ablation-nomem", func(s *Suite) (string, error) {
-			r, err := AblationNoMem(s)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		}},
-	}
+	run := map[string]bool{"4": true, "8a": true, "8b": true, "10": true, "11": true, "ablations": true, "decant": true}
 	serial, parallel := suiteWithJobs(1), suiteWithJobs(8)
-	for _, fig := range figures {
-		want, err := fig.run(serial)
-		if err != nil {
-			t.Fatalf("%s serial: %v", fig.name, err)
+	for _, sec := range Sections {
+		if !run[sec.Name] {
+			continue
 		}
-		got, err := fig.run(parallel)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", fig.name, err)
+		var want, got strings.Builder
+		if err := sec.Print(serial, &want); err != nil {
+			t.Fatalf("%s serial: %v", sec.Name, err)
 		}
-		if got != want {
-			t.Errorf("%s: parallel output differs from serial\n--- serial ---\n%s--- parallel ---\n%s", fig.name, want, got)
+		if err := sec.Print(parallel, &got); err != nil {
+			t.Fatalf("%s parallel: %v", sec.Name, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: parallel output differs from serial\n--- serial ---\n%s--- parallel ---\n%s", sec.Name, want.String(), got.String())
 		}
 	}
 }
@@ -126,9 +76,11 @@ func TestRunCellsErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestCompileSingleFlight runs several figure drivers concurrently-capable
-// and checks the compile cache proves one compilation per benchmark across
-// the whole run — the cache-aware half of the tentpole.
+// TestCompileSingleFlight runs the Figure 8, 10 and 11 drivers and every
+// ablation on one parallel suite and checks the shared caches computed one
+// compilation per benchmark and one base run per (benchmark, input) across
+// the whole run: the heuristic ablation's paper point is the suite's own
+// compilation, and its other points time against the suite's base runs.
 func TestCompileSingleFlight(t *testing.T) {
 	s := suiteWithJobs(8)
 	if _, err := Figure8a(s); err != nil {
@@ -143,6 +95,16 @@ func TestCompileSingleFlight(t *testing.T) {
 	if _, err := Figure11(s); err != nil {
 		t.Fatal(err)
 	}
+	for _, ablation := range []func(*Suite) (*AblationResult, error){
+		AblationAssoc, AblationNoMem, AblationSpeculation, AblationFuncLevel, AblationOutOfOrder,
+	} {
+		if _, err := ablation(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := AblationHeuristics(s); err != nil {
+		t.Fatal(err)
+	}
 	st := s.CacheStats()
 	nb := int64(len(s.Benches))
 	if st["compile"].Misses != nb {
@@ -151,8 +113,8 @@ func TestCompileSingleFlight(t *testing.T) {
 	if st["compile"].Hits == 0 {
 		t.Fatal("compile cache never shared work across drivers")
 	}
-	// Baseline sims: one per (benchmark, input); Figures 8/10 use the
-	// training input, Figure 11 adds the reference input.
+	// Baseline sims: one per (benchmark, input); Figures 8/10 and the
+	// ablations use the training input, Figure 11 adds the reference input.
 	if st["base_sim"].Misses != 2*nb {
 		t.Fatalf("base_sim cache: %d misses, want %d", st["base_sim"].Misses, 2*nb)
 	}
@@ -198,5 +160,35 @@ func TestSuiteManifest(t *testing.T) {
 	}
 	if _, err := m.JSON(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGridDispatchInterleavesBenchmarks checks the grid's dispatch order
+// in the manifest: with two or more workers, the first len(Benches) cells
+// of a sweep and of Verify name distinct benchmarks, so no worker starts
+// by waiting on another's single-flight base run or base digest.
+func TestGridDispatchInterleavesBenchmarks(t *testing.T) {
+	s := suiteWithJobs(2)
+	s.Benches = s.Benches[:4]
+	for _, run := range []struct {
+		name string
+		fn   func(*Suite) error
+	}{
+		{"sweep", func(s *Suite) error { _, err := Figure8a(s); return err }},
+		{"verify", func(s *Suite) error { _, err := Verify(s); return err }},
+	} {
+		m := runner.NewManifest(run.name, s.Jobs())
+		s.AttachManifest(m)
+		if err := run.fn(s); err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, c := range m.Cells[:len(s.Benches)] {
+			bench := strings.Split(c.ID, "/")[1]
+			if seen[bench] {
+				t.Errorf("%s: benchmark %s dispatched twice among the first %d cells (%s)", run.name, bench, len(s.Benches), c.ID)
+			}
+			seen[bench] = true
+		}
 	}
 }
