@@ -3,9 +3,9 @@
 // tables (the data behind EXPERIMENTS.md).
 //
 // The simulation cells of each figure fan out across -jobs workers
-// (default: GOMAXPROCS) through internal/runner; shared artifacts —
-// compilations, baseline simulations, limit studies — are computed exactly
-// once per benchmark across the whole run. -manifest writes a JSON record
+// (default: GOMAXPROCS) through internal/runner, the heuristic ablation's
+// included; shared artifacts — compilations, baseline simulations, limit
+// studies — are computed exactly once per benchmark across the whole run. -manifest writes a JSON record
 // of the run: per-cell wall times, cache hit/miss counters and worker
 // utilization.
 //

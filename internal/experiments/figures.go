@@ -420,25 +420,23 @@ type Fig11Result struct {
 }
 
 // Figure11 runs the transformed program (regions chosen on the training
-// profile) on both inputs. Each (benchmark, input) pair is one parallel
-// cell, so the training and reference runs of one benchmark overlap too;
-// a failed cell degrades that half of the row to FAILED.
+// profile) on both inputs. Each (benchmark, input) pair is one cell of the
+// suite's grid; a failed cell degrades that half of the row to FAILED.
 func Figure11(s *Suite) (*Fig11Result, error) {
 	cc := s.cfg.Opts.CRB
-	nb := len(s.Benches)
-	rows := make([]Fig11Row, nb)
+	rows := make([]Fig11Row, len(s.Benches))
 	for i, b := range s.Benches {
 		rows[i].Bench = b.Name
 	}
 	inputName := [2]string{"train", "ref"}
-	errs := s.MapErrs(2*nb,
-		func(i int) string {
-			return fmt.Sprintf("fig11/%s/%s", s.Benches[i/2].Name, inputName[i%2])
+	errs := s.Grid(2,
+		func(bi, pi int) string {
+			return fmt.Sprintf("fig11/%s/%s", s.Benches[bi].Name, inputName[pi])
 		},
-		func(i int) error {
-			b := s.Benches[i/2]
+		func(bi, pi int) error {
+			b := s.Benches[bi]
 			args := b.Train
-			if i%2 == 1 {
+			if pi == 1 {
 				args = b.Ref
 			}
 			sp, err := s.Speedup(b, args, cc)
@@ -465,9 +463,9 @@ func Figure11(s *Suite) (*Fig11Result, error) {
 					rep = 1
 				}
 			}
-			row := &rows[i/2]
+			row := &rows[bi]
 			// The two input cells of one benchmark write disjoint fields.
-			if i%2 == 0 {
+			if pi == 0 {
 				row.TrainSpeedup, row.TrainElimFrac, row.TrainRepetElim = sp, elim, rep
 			} else {
 				row.RefSpeedup, row.RefElimFrac, row.RefRepetElim = sp, elim, rep
