@@ -64,13 +64,6 @@ func (f *rowFailures) set(row string, ncols, col int, err error) {
 	cells[col] = shortReason(err)
 }
 
-// setRow records one reason for every column of a row.
-func (f *rowFailures) setRow(row string, ncols int, err error) {
-	for c := 0; c < ncols; c++ {
-		f.set(row, ncols, c, err)
-	}
-}
-
 // get returns the failure reason for (row, col), or "".
 func (f rowFailures) get(row string, col int) string {
 	cells := f[row]
@@ -78,18 +71,4 @@ func (f rowFailures) get(row string, col int) string {
 		return ""
 	}
 	return cells[col]
-}
-
-// failedRow reports whether every column of the row failed.
-func (f rowFailures) failedRow(row string) bool {
-	cells := f[row]
-	if cells == nil {
-		return false
-	}
-	for _, c := range cells {
-		if c == "" {
-			return false
-		}
-	}
-	return true
 }

@@ -200,8 +200,9 @@ func (s *Store) Put(kind, key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("store: marshal envelope %s/%s: %w", kind, key, err)
 	}
-	data := append(bytes.TrimSuffix(head, []byte("null}")), payload...)
-	data = append(data, "}\n"...)
+	head = bytes.TrimSuffix(head, []byte("null}"))
+	data := make([]byte, 0, len(head)+len(payload)+2)
+	data = append(append(append(data, head...), payload...), "}\n"...)
 	path := s.path(kind, key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
