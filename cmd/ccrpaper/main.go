@@ -5,9 +5,9 @@
 // The simulation cells of each figure fan out across -jobs workers
 // (default: GOMAXPROCS) through internal/runner, the heuristic ablation's
 // included; shared artifacts — compilations, baseline simulations, limit
-// studies — are computed exactly once per benchmark across the whole run. -manifest writes a JSON record
-// of the run: per-cell wall times, cache hit/miss counters and worker
-// utilization.
+// studies — are computed exactly once per benchmark across the whole run.
+// -manifest writes a JSON record of the run: per-cell wall times, cache
+// hit/miss counters and worker utilization.
 //
 // A failing simulation cell no longer aborts the run: its figure renders a
 // FAILED(<reason>) entry and every other cell completes normally. -strict
