@@ -76,7 +76,8 @@ const (
 )
 
 // entry is one computation entry: a tagged slot holding the instances
-// recorded for a single region.
+// recorded for a single region. Its banks are nil until the entry is first
+// installed (Commit).
 type entry struct {
 	tag     ir.RegionID
 	valid   bool
@@ -192,15 +193,8 @@ func New(cfg Config, prog *ir.Program) *CRB {
 		c.sets = 1
 	}
 	capCount := int((1-cfg.NoMemEntriesFrac)*float64(cfg.Entries) + 0.5)
-	// One flat backing array each for the instance and LRU stores keeps
-	// the whole buffer contiguous (cache-friendly scans, one allocation).
-	cisAll := make([]Instance, cfg.Entries*cfg.Instances)
-	useAll := make([]uint64, cfg.Entries*cfg.Instances)
 	for i := range c.entries {
 		e := &c.entries[i]
-		lo, hi := i*cfg.Instances, (i+1)*cfg.Instances
-		e.cis = cisAll[lo:hi:hi]
-		e.lastUse = useAll[lo:hi:hi]
 		// Spread memory-capable entries evenly (Bresenham-style) so a
 		// fraction of every set has the capability.
 		e.memCap = (i+1)*capCount/cfg.Entries != i*capCount/cfg.Entries
@@ -396,9 +390,17 @@ func (c *CRB) Commit(region ir.RegionID, inst Instance) bool {
 		}
 		e.tag = region
 		e.valid = true
-		for i := range e.cis {
-			e.cis[i] = Instance{}
-			e.lastUse[i] = 0
+		if e.cis == nil {
+			// An entry's instance and LRU banks are allocated on its
+			// first install, so a run pays only for the entries its
+			// regions reach.
+			e.cis = make([]Instance, c.cfg.Instances)
+			e.lastUse = make([]uint64, c.cfg.Instances)
+		} else {
+			for i := range e.cis {
+				e.cis[i] = Instance{}
+				e.lastUse[i] = 0
+			}
 		}
 		if c.sink != nil {
 			c.everResident[region] = true

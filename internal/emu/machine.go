@@ -274,7 +274,8 @@ type Machine struct {
 	// reuse path never hashes a map key.
 	rstat []*RegionStats
 	// initMem is the pristine linked memory image, kept so Reset can
-	// restore architectural state without reallocating.
+	// restore architectural state without reallocating. It is shared by
+	// every machine of the program (pristineMemory) and never written.
 	initMem []int64
 	// entryCnt[f][pc] counts the batch loop's straight-line run entries at
 	// flat PC pc of function f. Per-opcode and branch counts are
@@ -329,11 +330,11 @@ const DefaultLimit int64 = 2_000_000_000
 // New prepares a machine for the linked program p with fresh memory.
 func New(p *ir.Program) *Machine {
 	m := &Machine{
-		Prog:    p,
-		Interp:  interpDefault,
-		dec:     p.Decoded(),
-		initMem: p.InitialMemory(),
+		Prog:   p,
+		Interp: interpDefault,
+		dec:    p.Decoded(),
 	}
+	m.initMem = pristineMemory(m.dec)
 	m.Mem = append([]int64(nil), m.initMem...)
 	m.readOnly = make([]bool, len(p.Objects))
 	for _, o := range p.Objects {
@@ -352,6 +353,17 @@ func New(p *ir.Program) *Machine {
 		m.entryCnt[i], cnt = cnt[:len(df.Code):len(df.Code)], cnt[len(df.Code):]
 	}
 	return m
+}
+
+type memImageKey struct{}
+
+// pristineMemory returns the program's linked memory image, built once per
+// decoded program and shared read-only by all of its machines: New copies
+// it into Mem and Reset copies it back, so nothing ever writes it.
+func pristineMemory(d *ir.DecodedProgram) []int64 {
+	return d.Ext(memImageKey{}, func(d *ir.DecodedProgram) any {
+		return d.Prog.InitialMemory()
+	}).([]int64)
 }
 
 // opCorr is a pre-counted-but-unexecuted instruction range [Lo, Hi] of

@@ -163,8 +163,10 @@ type tentry struct {
 	lastTouch uint64
 	hits      int64 // per-head accounting for HeadStats
 	reused    int64
-	cis       []tinstance
-	lastUse   []uint64
+	// cis and lastUse are nil until the entry's first install
+	// (ensureEntry).
+	cis     []tinstance
+	lastUse []uint64
 }
 
 // pendingRec is the one in-flight trace recording. Arming it snapshots the
@@ -217,7 +219,8 @@ type DTM struct {
 }
 
 // NewDTM builds a trace buffer for one program. Like crb.New it allocates
-// the whole geometry up front from flat backing arrays; steady-state
+// the entry array up front and each entry's instance and LRU banks on the
+// entry's first install; once every entry a run reaches is installed,
 // operation allocates nothing.
 func NewDTM(cfg DTMConfig, prog *ir.Program) *DTM {
 	cfg = cfg.normalized()
@@ -234,12 +237,6 @@ func NewDTM(cfg DTMConfig, prog *ir.Program) *DTM {
 		entries:  make([]tentry, n),
 		plans:    make([][]*headPlan, len(prog.Funcs)),
 		memHeads: make([][]uint64, len(prog.Objects)),
-	}
-	cis := make([]tinstance, n*cfg.Instances)
-	use := make([]uint64, n*cfg.Instances)
-	for i := range d.entries {
-		d.entries[i].cis = cis[i*cfg.Instances : (i+1)*cfg.Instances : (i+1)*cfg.Instances]
-		d.entries[i].lastUse = use[i*cfg.Instances : (i+1)*cfg.Instances : (i+1)*cfg.Instances]
 	}
 	d.pending.ins = make([]int64, 0, maxTraceBank)
 	d.scratch.Outputs = make([]crb.RegVal, 0, maxTraceBank)
@@ -710,9 +707,11 @@ func (d *DTM) ensureEntry(key uint64, plan *headPlan) *tentry {
 			d.sink.TraceEvict(e.key, telemetry.EvictCapacity, live)
 		}
 	} else {
-		for i := range e.cis {
-			e.cis[i].valid = false
-		}
+		// An entry is never invalidated once installed, so this is its
+		// first install: its banks are allocated here, not in NewDTM, so
+		// a run pays only for the heads it records.
+		e.cis = make([]tinstance, d.cfg.Instances)
+		e.lastUse = make([]uint64, d.cfg.Instances)
 	}
 	e.key = key
 	e.valid = true

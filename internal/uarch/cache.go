@@ -9,7 +9,13 @@ type cache struct {
 	tags      []int64
 }
 
-func newCache(sizeBytes, lineBytes int) cache {
+// newCache builds a cache of sizeBytes in lineBytes lines. A positive span
+// promises that every accessed byte address lies in [0, span). A set index
+// (line & mask) is at most the line itself, so no access reaches a set past
+// the last line below span, and the tag array stops there: the index
+// function and every answer are those of the full array. A span <= 0
+// promises nothing and keeps the full array.
+func newCache(sizeBytes, lineBytes int, span int64) cache {
 	lines := sizeBytes / lineBytes
 	if lines < 1 {
 		lines = 1
@@ -21,7 +27,7 @@ func newCache(sizeBytes, lineBytes int) cache {
 	c := cache{
 		lineShift: shift,
 		mask:      int64(lines - 1),
-		tags:      make([]int64, lines),
+		tags:      make([]int64, reach(lines, shift, span)),
 	}
 	for i := range c.tags {
 		c.tags[i] = -1
@@ -54,14 +60,30 @@ type btbEntry struct {
 	valid  bool
 }
 
-func newBTB(entries int) btb {
+// newBTB builds a BTB of the given entry count. A positive span promises
+// that every branch lies at a byte address in [0, span); as in newCache,
+// the entry array then stops at the last slot such an address indexes, and
+// a span <= 0 keeps the full array.
+func newBTB(entries int, span int64) btb {
 	if entries < 1 {
 		entries = 1
 	}
 	return btb{
 		mask:    int64(entries - 1),
-		entries: make([]btbEntry, entries),
+		entries: make([]btbEntry, reach(entries, 2, span)),
 	}
+}
+
+// reach returns how many of a table's n slots the index (a>>shift)&(n-1)
+// can name for addresses a in [0, span): min(n, (span-1)>>shift + 1), or n
+// when span <= 0.
+func reach(n int, shift uint, span int64) int {
+	if span > 0 {
+		if last := (span - 1) >> shift; last+1 < int64(n) {
+			return int(last + 1)
+		}
+	}
+	return n
 }
 
 // predict returns the predicted direction and target for the branch at pc.

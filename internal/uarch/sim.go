@@ -84,12 +84,11 @@ func NewSimulator(cfg Config, prog *ir.Program) *Simulator {
 	s := &Simulator{
 		cfg:      cfg,
 		tab:      tableFor(prog),
-		icache:   newCache(cfg.ICacheBytes, cfg.LineBytes),
-		dcache:   newCache(cfg.DCacheBytes, cfg.LineBytes),
-		btb:      newBTB(cfg.BTBEntries),
 		lastLine: -1,
 		frames:   make([]simFrame, 0, 8),
 	}
+	s.icache = newCache(cfg.ICacheBytes, cfg.LineBytes, s.tab.textBytes)
+	s.btb = newBTB(cfg.BTBEntries, s.tab.textBytes)
 	s.fuLim = [...]int{
 		ir.FUInt:    cfg.IntALUs,
 		ir.FUMem:    cfg.MemPorts,
@@ -125,6 +124,9 @@ func NewSimulator(cfg Config, prog *ir.Program) *Simulator {
 // way m then carries a tracer, so it runs on the reference interpreter
 // (emu.Machine.Run).
 func (s *Simulator) Attach(m *emu.Machine) {
+	// Every Ld/St address the machine reports is a word index into
+	// m.Mem, so the D-cache needs sets only for that image's lines.
+	s.dcache = newCache(s.cfg.DCacheBytes, s.cfg.LineBytes, 8*int64(len(m.Mem)))
 	switch {
 	case s.irb != nil || s.brb != nil || m.Trace != nil:
 		m.Trace = emu.Tee(s.observe, m.Trace)

@@ -59,6 +59,9 @@ type table struct {
 	// maxRegs is the largest register file of any function, which sizes
 	// every frame's ready array.
 	maxRegs int
+	// textBytes bounds every instruction's byte address: each lies in
+	// [0, textBytes). It sizes the I-cache tag array and the BTB.
+	textBytes int64
 }
 
 type tableKey struct{}
@@ -114,6 +117,9 @@ func buildTable(d *ir.DecodedProgram) any {
 			}
 		}
 		t.funcs[fid] = ents
+		// The sentinel slot's address is one past the function's last
+		// instruction.
+		t.textBytes = max(t.textBytes, df.Addr(int32(len(ents)-1)))
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"math/rand"
 	"testing"
 
 	"ccr/internal/emu"
@@ -8,7 +9,7 @@ import (
 )
 
 func TestCacheDirectMapped(t *testing.T) {
-	c := newCache(1024, 32) // 32 lines
+	c := newCache(1024, 32, 0) // 32 lines
 	if c.access(0) {
 		t.Fatal("cold miss expected")
 	}
@@ -28,7 +29,7 @@ func TestCacheDirectMapped(t *testing.T) {
 }
 
 func TestBTBTwoBitCounter(t *testing.T) {
-	b := newBTB(16)
+	b := newBTB(16, 0)
 	pc, tgt := int64(0x40), int64(0x80)
 	if taken, _ := b.predict(pc); taken {
 		t.Fatal("unknown branch predicts not-taken")
@@ -47,6 +48,123 @@ func TestBTBTwoBitCounter(t *testing.T) {
 	b.update(pc, false, 0) // 3 → 2: still predicts taken (hysteresis)
 	if taken, _ := b.predict(pc); !taken {
 		t.Fatal("saturating counter should keep predicting taken")
+	}
+}
+
+// TestBoundedTablesMatchFull drives a BTB and a cache built with a span
+// bound and the same tables at full size with one random stream of
+// in-range addresses, and requires every answer to agree. The cases cover
+// text far shorter than the tables, text longer than them (every slot
+// aliases, so the bounded table is the full one) and sizes that are not
+// powers of two.
+func TestBoundedTablesMatchFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		entries, cacheBytes int
+		span                int64 // bytes of text (BTB, I-cache) or data
+		bounded             bool  // the span leaves slots unreachable
+	}{
+		{4096, 32 << 10, 4 * 250, true},
+		{4096, 32 << 10, 4 * 2450, true},
+		{64, 1 << 10, 4 * 2420, false},
+		{100, 1000, 4 * 77, true},
+		{16, 64, 4, true},
+	} {
+		fullB, boundB := newBTB(tc.entries, 0), newBTB(tc.entries, tc.span)
+		fullC, boundC := newCache(tc.cacheBytes, 32, 0), newCache(tc.cacheBytes, 32, tc.span)
+		if shorter := len(boundB.entries) < len(fullB.entries); shorter != tc.bounded {
+			t.Errorf("%+v: BTB has %d of %d entries", tc, len(boundB.entries), len(fullB.entries))
+		}
+		if shorter := len(boundC.tags) < len(fullC.tags); shorter != tc.bounded {
+			t.Errorf("%+v: cache has %d of %d sets", tc, len(boundC.tags), len(fullC.tags))
+		}
+		for i := 0; i < 20000; i++ {
+			pc := 4 * rng.Int63n(tc.span/4)
+			ft, ftgt := fullB.predict(pc)
+			bt, btgt := boundB.predict(pc)
+			if ft != bt || ftgt != btgt {
+				t.Fatalf("%+v: step %d: predict(%d) = %v,%d bounded, %v,%d full", tc, i, pc, bt, btgt, ft, ftgt)
+			}
+			taken, target := rng.Intn(2) == 0, 4*rng.Int63n(tc.span/4)
+			fullB.update(pc, taken, target)
+			boundB.update(pc, taken, target)
+			addr := rng.Int63n(tc.span)
+			if f, b := fullC.access(addr), boundC.access(addr); f != b {
+				t.Fatalf("%+v: step %d: access(%d) = %v bounded, %v full", tc, i, addr, b, f)
+			}
+		}
+	}
+}
+
+// sumArray builds a loop that sums an n-word array: its loads, its loop
+// branch and its text exercise the D-cache, the BTB and the I-cache.
+func sumArray(n int64) *ir.Program {
+	pb := ir.NewProgramBuilder("sum")
+	init := make([]int64, n)
+	for i := range init {
+		init[i] = int64(i + 1)
+	}
+	a := pb.Object("a", n, init)
+	f := pb.Func("main", 1)
+	e, h, body, x := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
+	k, acc, ptr, v := f.NewReg(), f.NewReg(), f.NewReg(), f.NewReg()
+	e.MovI(k, 0)
+	e.MovI(acc, 0)
+	h.Bge(k, f.Param(0), x.ID())
+	body.LeaIdx(ptr, a, k, 0)
+	body.Ld(v, ptr, 0, a)
+	body.Add(acc, acc, v)
+	body.AddI(k, k, 1)
+	body.Jmp(h.ID())
+	x.Ret(acc)
+	return ir.MustVerify(pb.Build())
+}
+
+// TestSimulatorTablesFollowProgram checks the bounds NewSimulator and
+// Attach derive — a BTB of one entry per instruction and caches that stop
+// at the last line of the text or the data image, for a program smaller
+// than the tables, and the full tables for one larger than them — and
+// that a run on the bounded tables times exactly as one on full ones.
+func TestSimulatorTablesFollowProgram(t *testing.T) {
+	p := sumArray(100)
+	m := emu.New(p)
+	sim := NewSimulator(DefaultConfig(), p)
+	sim.Attach(m)
+	if _, err := m.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	bounded := sim.Stats()
+	if got, want := len(sim.btb.entries), p.TextLen; got != want {
+		t.Errorf("BTB has %d entries, want one per instruction (%d)", got, want)
+	}
+	if got, want := len(sim.icache.tags), (4*p.TextLen-1)/32+1; got != want {
+		t.Errorf("I-cache has %d sets, want %d", got, want)
+	}
+	if got, want := len(sim.dcache.tags), int((8*p.MemWords-1)/32+1); got != want {
+		t.Errorf("D-cache has %d sets, want %d", got, want)
+	}
+
+	cfg := DefaultConfig()
+	m = emu.New(p)
+	sim = NewSimulator(cfg, p)
+	sim.Attach(m)
+	sim.btb = newBTB(cfg.BTBEntries, 0)
+	sim.icache = newCache(cfg.ICacheBytes, cfg.LineBytes, 0)
+	sim.dcache = newCache(cfg.DCacheBytes, cfg.LineBytes, 0)
+	if _, err := m.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	if full := sim.Stats(); full != bounded {
+		t.Errorf("bounded tables time %+v, full tables %+v", bounded, full)
+	}
+
+	small := DefaultConfig()
+	small.BTBEntries, small.ICacheBytes, small.DCacheBytes = 2, 32, 32
+	sim = NewSimulator(small, p)
+	sim.Attach(m)
+	if len(sim.btb.entries) != 2 || len(sim.icache.tags) != 1 || len(sim.dcache.tags) != 1 {
+		t.Errorf("tables smaller than the program: %d BTB entries, %d I-cache and %d D-cache sets",
+			len(sim.btb.entries), len(sim.icache.tags), len(sim.dcache.tags))
 	}
 }
 
