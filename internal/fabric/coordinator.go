@@ -281,6 +281,11 @@ func Run(cfg Config) (*Result, error) {
 	if err := c.runSlots(scale, benches); err != nil {
 		return nil, err
 	}
+	// The one fsync of the run: every journaled cell is durable before
+	// digests.json reports it.
+	if err := journal.Sync(); err != nil {
+		return nil, err
+	}
 
 	c.man.WallSeconds = time.Since(c.man.Start).Seconds()
 	if st := c.man.Store; st != nil && st.Hits+st.Misses > 0 {

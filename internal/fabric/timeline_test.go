@@ -88,7 +88,7 @@ func TestKillResumeTimeline(t *testing.T) {
 	t.Setenv("CCR_FABRIC_TEST_SPANS", spanDir)
 
 	// One worker keeps recordDone serial, so the SIGKILL cannot land
-	// between another slot's journal fsync and its commit-span write.
+	// between another slot's journal append and its commit-span write.
 	state := spawnCoordinator(t, dir, storeDir, 1, 5)
 	if ws, ok := state.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
 		t.Fatalf("coordinator did not die by SIGKILL: %v", state)

@@ -6,15 +6,19 @@
 //
 // Durability contract:
 //
-//   - Every entry is written atomically: the envelope is serialized to a
-//     private temp file in the store's tmp/ directory, fsynced, and
-//     renamed into place. A crash (or SIGKILL) mid-write leaves at worst
-//     an orphaned temp file, never a half-written entry under objects/.
+//   - Every entry is written with one write to a private temp file in the
+//     store's tmp/ directory and renamed into place, without an fsync. A
+//     killed process (SIGKILL) loses nothing, because the page cache
+//     outlives it. A power loss may leave an entry empty or torn under its
+//     final name; the read-side check below turns that into a miss, and
+//     the next Put rewrites it. An fsync would repeat that guarantee at
+//     the cost of a disk flush per entry.
 //   - Every entry is integrity-checked on read: the envelope records a
 //     SHA-256 checksum of the payload plus the kind and key it was stored
-//     under. A torn, truncated or tampered entry — or one whose file name
-//     does not match its recorded identity — is quarantined with a logged
-//     cause and reported as a miss, never served and never a panic.
+//     under. A torn, truncated, empty or tampered entry — or one whose
+//     file name does not match its recorded identity — is quarantined with
+//     a logged cause and reported as a miss, never served and never a
+//     panic.
 //   - Every entry records the build revision that produced it. An entry
 //     from a different revision is stale: counted, reported as a miss,
 //     and overwritten by the next Put. Simulation results are only
@@ -213,12 +217,6 @@ func (s *Store) Put(kind, key string, v any) error {
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
-	}
-	// fsync before rename: the entry must be durable before it becomes
-	// visible, or a crash could expose a named-but-empty artifact.
-	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}
