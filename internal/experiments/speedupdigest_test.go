@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 
+	"ccr/internal/core"
 	"ccr/internal/oracle"
 	"ccr/internal/reuse"
 	"ccr/internal/runner"
@@ -173,5 +175,76 @@ func TestSpeedupDigest(t *testing.T) {
 					c.b.Name, c.pt.Label, i, sps[i], ds[i], errs[i], c.speed, c.digest)
 			}
 		}
+	}
+}
+
+// TestBaseDigestSharesBaseRun requires BaseDigest on a cold suite to run
+// the base program once for both results: the digest equals
+// core.DigestRun's, the BaseSim that follows equals core.Simulate's and
+// hits the cache BaseDigest filled, and a store-backed suite persists
+// both entries. When BaseSim ran first, BaseDigest finds its run in the
+// cache and computes the digest on its own.
+func TestBaseDigestSharesBaseRun(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = workloads.Tiny
+	b := workloads.Load("compress", workloads.Tiny)
+	opts := cfg.Opts
+	wantSim, err := core.Simulate(b.Prog, nil, opts.Uarch, b.Ref, opts.Limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDigest, err := core.DigestRun(b.Prog, nil, b.Ref, opts.Limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(path string, s *Suite, digestFirst bool) {
+		t.Helper()
+		var d oracle.Digest
+		var sim *core.SimResult
+		if digestFirst {
+			if d, err = s.BaseDigest(b, b.Ref); err == nil {
+				sim, err = s.BaseSim(b, b.Ref)
+			}
+		} else {
+			if sim, err = s.BaseSim(b, b.Ref); err == nil {
+				d, err = s.BaseDigest(b, b.Ref)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if d != wantDigest {
+			t.Errorf("%s: digest %+v, want %+v", path, d, wantDigest)
+		}
+		if !reflect.DeepEqual(sim, wantSim) {
+			t.Errorf("%s: base sim %+v, want %+v", path, sim, wantSim)
+		}
+		if st := s.baseSim.Stats(); st.Misses != 1 || st.Hits != 1 {
+			t.Errorf("%s: base_sim cache %+v, want one timed base run", path, st)
+		}
+	}
+	check("digest first", NewSuiteOf(cfg, []*workloads.Benchmark{b}), true)
+	check("sim first", NewSuiteOf(cfg, []*workloads.Benchmark{b}), false)
+
+	dir := filepath.Join(t.TempDir(), "store")
+	cold := NewSuiteOf(storeConfig(t, dir), []*workloads.Benchmark{b})
+	check("digest first, stored", cold, true)
+	if st := cold.Store().Stats(); st.Puts != 2 {
+		t.Errorf("cold store: %d puts, want the base_sim and digest entries", st.Puts)
+	}
+	warm := NewSuiteOf(storeConfig(t, dir), []*workloads.Benchmark{b})
+	d, err := warm.BaseDigest(b, b.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := warm.BaseSim(b, b.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d != wantDigest || sim.Cycles != wantSim.Cycles || sim.Result != wantSim.Result {
+		t.Errorf("warm store: digest %+v, cycles %d, result %d", d, sim.Cycles, sim.Result)
+	}
+	if st := warm.Store().Stats(); st.Puts != 0 || st.Hits != 2 {
+		t.Errorf("warm store: %+v, want 2 hits and no puts", st)
 	}
 }

@@ -361,6 +361,18 @@ func dsKey(args []int64) string { return fmt.Sprintf("%v", args) }
 
 // BaseSim returns the cached baseline timing run of b on args.
 func (s *Suite) BaseSim(b *workloads.Benchmark, args []int64) (*core.SimResult, error) {
+	r, _, err := s.baseRun(b, args, nil)
+	return r, err
+}
+
+// baseRun is BaseSim's cache and store path. Like reuseSim, a non-nil
+// digest asks for the base run's oracle digest as well: when this caller
+// computes the timed run itself (a cache and store miss), the run folds
+// the digest in the same execution and baseRun writes it to *digest,
+// reporting true. A run served from the cache, the store or another
+// caller's flight carries no digest, and baseRun reports false.
+func (s *Suite) baseRun(b *workloads.Benchmark, args []int64, digest *oracle.Digest) (*core.SimResult, bool, error) {
+	fresh := false
 	v, err := s.baseSim.Do(b.Name+"|"+dsKey(args), func() (any, error) {
 		key, err := s.storeKey(b, "ds="+dsKey(args))
 		if err != nil {
@@ -370,17 +382,23 @@ func (s *Suite) BaseSim(b *workloads.Benchmark, args []int64) (*core.SimResult, 
 		if s.fromStore("base_sim", key, &cached) {
 			return &cached, nil
 		}
-		r, err := core.Simulate(b.Prog, nil, s.cfg.Opts.Uarch, args, s.cfg.Opts.Limit)
+		var r *core.SimResult
+		if digest != nil {
+			r, *digest, err = core.SimulateReuseDigest(b.Prog, reuse.Config{Scheme: reuse.Off}, s.cfg.Opts.Uarch, args, s.cfg.Opts.Limit, nil)
+		} else {
+			r, err = core.Simulate(b.Prog, nil, s.cfg.Opts.Uarch, args, s.cfg.Opts.Limit)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: base sim %s: %w", b.Name, err)
 		}
 		s.toStore("base_sim", key, r)
+		fresh = digest != nil
 		return r, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return v.(*core.SimResult), nil
+	return v.(*core.SimResult), fresh, nil
 }
 
 // progFor returns the program a reuse scheme runs on: schemes with a CCR
@@ -535,7 +553,10 @@ func (s *Suite) LimitFor(b *workloads.Benchmark, args []int64) (potential.Result
 
 // BaseDigest returns (computing once per benchmark × dataset) the
 // architectural digest of the base program's CRB-off run — the reference
-// side of every transparency check.
+// side of every transparency check. When neither the cache nor the store
+// holds the base timing run either, one execution computes both: the
+// timed base run folds the digest, and BaseSim then hits its cache.
+// Otherwise the digest comes from its own functional run.
 func (s *Suite) BaseDigest(b *workloads.Benchmark, args []int64) (oracle.Digest, error) {
 	v, err := s.digest.Do(b.Name+"|"+dsKey(args), func() (any, error) {
 		key, err := s.storeKey(b, "ds="+dsKey(args))
@@ -546,9 +567,15 @@ func (s *Suite) BaseDigest(b *workloads.Benchmark, args []int64) (oracle.Digest,
 		if s.fromStore("digest", key, &cached) {
 			return cached, nil
 		}
-		d, err := core.DigestRun(b.Prog, nil, args, s.cfg.Opts.Limit)
+		var d oracle.Digest
+		_, fresh, err := s.baseRun(b, args, &d)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: base digest %s: %w", b.Name, err)
+			return nil, err
+		}
+		if !fresh {
+			if d, err = core.DigestRun(b.Prog, nil, args, s.cfg.Opts.Limit); err != nil {
+				return nil, fmt.Errorf("experiments: base digest %s: %w", b.Name, err)
+			}
 		}
 		s.toStore("digest", key, d)
 		return d, nil
