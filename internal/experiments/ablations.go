@@ -225,7 +225,8 @@ func AblationSpeculation(s *Suite) (*AblationResult, error) {
 // the §6 function-level extension: calls to pure functions with recurring
 // arguments become reuse regions of their own, eliminating the call,
 // callee body and return in one hit. Each point needs its own compilation,
-// so the shared caches are bypassed for the extension runs.
+// so the shared caches are bypassed for the extension runs; it compiles
+// the suite's prepared program, as Verify's function-level check does.
 func AblationFuncLevel(s *Suite) (*AblationResult, error) {
 	res := &AblationResult{
 		Title:  "Ablation: function-level CCR (128 entries, 8 CIs)",
@@ -242,7 +243,11 @@ func AblationFuncLevel(s *Suite) (*AblationResult, error) {
 		if err != nil {
 			return [2]float64{}, err
 		}
-		cr, err := core.Compile(b.Prog, b.Train, flOpts)
+		ar, err := s.prepared(b)
+		if err != nil {
+			return [2]float64{}, err
+		}
+		cr, err := core.CompileWith(b.Prog, ar, b.Train, flOpts)
 		if err != nil {
 			return [2]float64{}, fmt.Errorf("funclevel ablation %s: %w", b.Name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -189,6 +190,55 @@ func TestGridDispatchInterleavesBenchmarks(t *testing.T) {
 				t.Errorf("%s: benchmark %s dispatched twice among the first %d cells (%s)", run.name, bench, len(s.Benches), c.ID)
 			}
 			seen[bench] = true
+		}
+	}
+}
+
+// TestAblationFuncLevelLeavesProgramReadOnly checks that the
+// function-level ablation compiles the suite's prepared program and never
+// re-annotates it: once prepared, a benchmark's program is read-only, so a
+// reader may dump it while the ablation runs beside it. Under -race any
+// write to the program, such as a second alias analysis annotating it, is
+// a data race; without -race the dumps before and after must match.
+func TestAblationFuncLevelLeavesProgramReadOnly(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = workloads.Tiny
+	cfg.Jobs = 2
+	s := NewSuiteOf(cfg, []*workloads.Benchmark{
+		workloads.Load("compress", workloads.Tiny), workloads.Load("m88ksim", workloads.Tiny),
+	})
+	want := make([]string, len(s.Benches))
+	for i, b := range s.Benches {
+		if _, err := s.prepared(b); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = b.Prog.Dump()
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			for _, b := range s.Benches {
+				b.Prog.Dump()
+			}
+		}
+	}()
+	_, err := AblationFuncLevel(s)
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range s.Benches {
+		if b.Prog.Dump() != want[i] {
+			t.Errorf("%s: the ablation changed the prepared program", b.Name)
 		}
 	}
 }
