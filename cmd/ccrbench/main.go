@@ -9,10 +9,11 @@
 //	                           engine, current = the engine as committed)
 //	-check                     compares the medians against the file:
 //	                           fails if any benchmark regressed more than
-//	                           -gate percent over its "current" entry, or
-//	                           if MachineRun is less than -minspeedup times
-//	                           faster than its "baseline" entry, or if
-//	                           MachineRun allocates.
+//	                           -gate percent in ns/op or more than 10
+//	                           percent in B/op over its "current" entry,
+//	                           or if MachineRun is less than -minspeedup
+//	                           times faster than its "baseline" entry, or
+//	                           if MachineRun allocates.
 //
 // scripts/bench.sh is the intended driver; see EXPERIMENTS.md for how to
 // read the file.
@@ -29,6 +30,11 @@ import (
 	"strconv"
 	"strings"
 )
+
+// bytesGatePct is the largest B/op growth over the "current" record that
+// -check accepts, in percent. Allocation is deterministic enough that,
+// unlike time, it needs no per-machine tolerance.
+const bytesGatePct = 10
 
 // Result is the median record of one benchmark in one section.
 type Result struct {
@@ -258,9 +264,10 @@ func doCheck(path string, run map[string][]sample, gatePct, minSpeedup float64) 
 	got := reduce(run)
 	failed := false
 
-	// Regression gate: nothing may be more than gatePct slower than the
-	// committed "current" record. A record that doesn't say which commit
-	// it measured can't be trusted as a gate.
+	// Regression gate: nothing may be more than gatePct slower, or
+	// allocate more than bytesGatePct more bytes, than the committed
+	// "current" record. A record that doesn't say which commit it
+	// measured can't be trusted as a gate.
 	if f.Current != nil && f.Current.Commit == "" {
 		fatal("%s: current section has no commit stamp; re-record it (scripts/bench.sh update-current)", path)
 	}
@@ -278,6 +285,13 @@ func doCheck(path string, run map[string][]sample, gatePct, minSpeedup float64) 
 			}
 			fmt.Printf("%-18s %12.1f ns/op  vs current %12.1f  (%+6.1f%%, gate %.0f%%) %s\n",
 				name, g.NsPerOp, want.NsPerOp, pct, gatePct, mark)
+			mark = "ok"
+			if g.BytesPerOp > want.BytesPerOp*(1+bytesGatePct/100.0) {
+				mark = "FAIL"
+				failed = true
+			}
+			fmt.Printf("%-18s %12.0f B/op   vs current %12.0f  (gate +%d%%) %s\n",
+				name, g.BytesPerOp, want.BytesPerOp, bytesGatePct, mark)
 		}
 	}
 
