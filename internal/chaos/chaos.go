@@ -114,7 +114,9 @@ func (s *sampler) fire() bool {
 }
 
 // Injector wraps a CRB, injecting the configured fault class. It
-// implements emu.ReuseBuffer.
+// implements emu.ReuseBuffer and keeps its contract: it clones an
+// instance before perturbing or shadowing it, so it never writes the
+// buffer's banks or retains the machine's.
 type Injector struct {
 	sampler
 	crb *crb.CRB

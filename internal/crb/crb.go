@@ -30,7 +30,14 @@ type Instance struct {
 	UsesMem bool
 	// MemOK is the validity half: false once an invalidation for any of
 	// the region's objects arrives, making the instance unreusable.
-	MemOK   bool
+	MemOK bool
+	// fullSig marks sig valid (declared beside the flags to keep the
+	// instance small).
+	fullSig bool
+	// Inputs and Outputs are the register banks. In a CRB slot they are
+	// storage the slot owns: Commit copies the committed banks into them,
+	// growing them only when they do not fit, so a slot keeps its storage
+	// across evictions and entry reinstalls.
 	Inputs  []RegVal
 	Outputs []RegVal
 	// ReplacedInstrs is the dynamic instruction count of the recorded
@@ -44,8 +51,7 @@ type Instance struct {
 	// signature mismatch proves the full comparison would fail. Both are
 	// computed by Commit — external constructors leave them unset and the
 	// instance simply takes the slow comparison path.
-	sig     uint64
-	fullSig bool
+	sig uint64
 }
 
 // Reusable reports whether the instance can satisfy a lookup whose current
@@ -76,8 +82,8 @@ const (
 )
 
 // entry is one computation entry: a tagged slot holding the instances
-// recorded for a single region. Its banks are nil until the entry is first
-// installed (Commit).
+// recorded for a single region. Its instance and LRU banks grow a slot at
+// a time, up to Instances, as Commit first needs each slot.
 type entry struct {
 	tag     ir.RegionID
 	valid   bool
@@ -152,10 +158,18 @@ type Stats struct {
 }
 
 // CRB is the Computation Reuse Buffer.
+//
+// Commit copies the committed instance's banks into storage the buffer
+// owns and never retains the caller's slices, so callers may pass scratch
+// they reuse. The instance Lookup returns is valid until the next Commit.
 type CRB struct {
-	cfg     Config
-	sets    int
-	entries []entry // sets × assoc
+	cfg  Config
+	sets int
+	// entries holds the first len(entries)/Assoc sets of the sets ×
+	// Assoc array: the sets the program's region IDs can index. A region
+	// ID outside the program's table that maps past them grows the array
+	// to full size (setOf).
+	entries []entry
 	clock   uint64
 	stats   Stats
 
@@ -181,24 +195,25 @@ type CRB struct {
 }
 
 // New builds a CRB for the given configuration and program region table.
+// Region IDs index sets modulo the set count, so the program's
+// len(prog.Regions) IDs reach at most that many sets, and the entry array
+// holds only those (all of them without a program).
 func New(cfg Config, prog *ir.Program) *CRB {
 	cfg = cfg.normalized()
 	c := &CRB{
 		cfg:        cfg,
 		sets:       cfg.Entries / cfg.Assoc,
-		entries:    make([]entry, cfg.Entries),
 		memRegions: map[ir.MemID][]ir.RegionID{},
 	}
 	if c.sets == 0 {
 		c.sets = 1
 	}
-	capCount := int((1-cfg.NoMemEntriesFrac)*float64(cfg.Entries) + 0.5)
-	for i := range c.entries {
-		e := &c.entries[i]
-		// Spread memory-capable entries evenly (Bresenham-style) so a
-		// fraction of every set has the capability.
-		e.memCap = (i+1)*capCount/cfg.Entries != i*capCount/cfg.Entries
+	reach := c.sets
+	if prog != nil {
+		reach = min(reach, len(prog.Regions))
 	}
+	c.entries = make([]entry, reach*cfg.Assoc)
+	c.setMemCap(0)
 	if prog != nil {
 		c.regionInputs = make([][]ir.Reg, len(prog.Regions))
 		for _, r := range prog.Regions {
@@ -233,10 +248,29 @@ func (c *CRB) SetSink(s telemetry.Sink) {
 	}
 }
 
-// setOf returns the entry slice forming the set a region maps to.
+// setMemCap marks which of entries[from:] have memory-valid hardware.
+// Memory-capable entries are spread evenly (Bresenham-style) over the full
+// Entries, so a fraction of every set has the capability; an entry's
+// capability depends only on its index, however much of the array exists.
+func (c *CRB) setMemCap(from int) {
+	n := c.cfg.Entries
+	capCount := int((1-c.cfg.NoMemEntriesFrac)*float64(n) + 0.5)
+	for i := from; i < len(c.entries); i++ {
+		c.entries[i].memCap = (i+1)*capCount/n != i*capCount/n
+	}
+}
+
+// setOf returns the entry slice forming the set a region maps to. A region
+// ID outside the program's table may map past the sets New allocated; the
+// array then grows to full size, so it answers as the full array would.
 func (c *CRB) setOf(region ir.RegionID) []entry {
-	set := int(region) % c.sets
-	return c.entries[set*c.cfg.Assoc : (set+1)*c.cfg.Assoc]
+	lo := int(region) % c.sets * c.cfg.Assoc
+	if lo >= len(c.entries) {
+		n := len(c.entries)
+		c.entries = append(c.entries, make([]entry, c.cfg.Entries-n)...)
+		c.setMemCap(n)
+	}
+	return c.entries[lo : lo+c.cfg.Assoc]
 }
 
 // findEntry returns the resident entry for region, or nil.
@@ -370,6 +404,8 @@ func (c *CRB) Lookup(region ir.RegionID, regs []int64) (*Instance, bool) {
 // replacing the computation entry as needed and evicting the LRU instance.
 // It reports whether the instance was stored (false when the region is
 // memory-dependent but maps to an entry without memory-valid hardware).
+// inst's banks are copied into the slot's own storage; Commit never
+// retains them.
 func (c *CRB) Commit(region ir.RegionID, inst Instance) bool {
 	c.clock++
 	e := c.findEntry(region)
@@ -390,17 +426,9 @@ func (c *CRB) Commit(region ir.RegionID, inst Instance) bool {
 		}
 		e.tag = region
 		e.valid = true
-		if e.cis == nil {
-			// An entry's instance and LRU banks are allocated on its
-			// first install, so a run pays only for the entries its
-			// regions reach.
-			e.cis = make([]Instance, c.cfg.Instances)
-			e.lastUse = make([]uint64, c.cfg.Instances)
-		} else {
-			for i := range e.cis {
-				e.cis[i] = Instance{}
-				e.lastUse[i] = 0
-			}
+		for i := range e.cis {
+			e.cis[i].clear()
+			e.lastUse[i] = 0
 		}
 		if c.sink != nil {
 			c.everResident[region] = true
@@ -420,6 +448,14 @@ func (c *CRB) Commit(region ir.RegionID, inst Instance) bool {
 			break
 		}
 	}
+	if slot == -1 && len(e.cis) < c.cfg.Instances {
+		// The slots past len(e.cis) are all invalid, so the first of
+		// them is the one to take. Slots are allocated as an entry first
+		// needs them, so a run pays only for the instances it records.
+		slot = len(e.cis)
+		e.cis = append(e.cis, Instance{})
+		e.lastUse = append(e.lastUse, 0)
+	}
 	if slot == -1 {
 		slot = 0
 		for i := 1; i < len(e.cis); i++ {
@@ -434,14 +470,21 @@ func (c *CRB) Commit(region ir.RegionID, inst Instance) bool {
 		}
 		c.sink.Commit(region, true)
 	}
-	inst.Valid = true
-	inst.MemOK = true
-	inst.sig, inst.fullSig = c.sigOfInstance(region, &inst)
-	e.cis[slot] = inst
+	ci := &e.cis[slot]
+	ins, outs := ci.Inputs, ci.Outputs
+	*ci = inst
+	ci.Inputs = append(ins[:0], inst.Inputs...)
+	ci.Outputs = append(outs[:0], inst.Outputs...)
+	ci.Valid = true
+	ci.MemOK = true
+	ci.sig, ci.fullSig = c.sigOfInstance(region, ci)
 	e.lastUse[slot] = c.clock
 	c.stats.Records++
 	return true
 }
+
+// clear empties a slot, keeping the bank storage it owns.
+func (ci *Instance) clear() { *ci = Instance{Inputs: ci.Inputs[:0], Outputs: ci.Outputs[:0]} }
 
 // validInstances counts the valid instances of e (telemetry attribution
 // for entry-level evictions).
@@ -520,7 +563,7 @@ func (c *CRB) InvalidateAll() {
 		e := &c.entries[i]
 		e.valid = false
 		for j := range e.cis {
-			e.cis[j] = Instance{}
+			e.cis[j].clear()
 			e.lastUse[j] = 0
 		}
 	}

@@ -158,7 +158,9 @@ type ReuseBuffer interface {
 	// retain or modify it.
 	Lookup(region ir.RegionID, regs []int64) (*crb.Instance, bool)
 	// Commit installs a freshly recorded instance, reporting whether it
-	// was stored.
+	// was stored. It copies inst's banks and never retains them: the
+	// machine passes its recording scratch, which it reuses. The instance
+	// a Lookup returned is valid until the next Commit.
 	Commit(region ir.RegionID, inst crb.Instance) bool
 	// Invalidate discards the memory-dependent instances of every region
 	// registered against object m.
@@ -258,8 +260,11 @@ type Machine struct {
 	// funcMemos is the stack of pending function-level recordings (§6
 	// extension): each marker waits for the call made right after its
 	// reuse instruction to return, then commits (args → result) to the
-	// CRB. Markers match returns by frame depth (LIFO).
+	// CRB. Markers match returns by frame depth (LIFO). Popped markers
+	// keep their input banks for the next push at that depth.
 	funcMemos []funcMemo
+	// funcOuts is the output-bank scratch of a function-level commit.
+	funcOuts []crb.RegVal
 	// addrBase[f][b] is the byte address of block b's first instruction
 	// (interpreter only; built lazily on the first interpreted run).
 	addrBase [][]int64
@@ -1144,16 +1149,18 @@ func (m *Machine) execReuse(id ir.RegionID, regs []int64, numRegs, depth int) (h
 	m.Stats.ReuseMisses++
 	rs.Misses++
 	if region.Kind == ir.FuncLevel {
-		fm := funcMemo{
-			region:   region,
-			depth:    depth,
-			startDyn: m.Stats.DynInstrs,
+		n := len(m.funcMemos)
+		if n < cap(m.funcMemos) {
+			m.funcMemos = m.funcMemos[:n+1]
+		} else {
+			m.funcMemos = append(m.funcMemos, funcMemo{})
 		}
-		fm.inputs = make([]crb.RegVal, len(region.Inputs))
-		for i, r := range region.Inputs {
-			fm.inputs[i] = crb.RegVal{Reg: r, Val: regs[r]}
+		fm := &m.funcMemos[n]
+		fm.region, fm.depth, fm.startDyn = region, depth, m.Stats.DynInstrs
+		fm.inputs = fm.inputs[:0]
+		for _, r := range region.Inputs {
+			fm.inputs = append(fm.inputs, crb.RegVal{Reg: r, Val: regs[r]})
 		}
-		m.funcMemos = append(m.funcMemos, fm)
 		return false, 0, 0
 	}
 	m.memo.reset(region, numRegs)
@@ -1169,13 +1176,15 @@ func (m *Machine) commitFuncMemos(retVal int64, depth int) {
 			return
 		}
 		rs := m.regionStat(fm.region.ID)
+		m.funcOuts = m.funcOuts[:0]
+		for _, out := range fm.region.Outputs {
+			m.funcOuts = append(m.funcOuts, crb.RegVal{Reg: out, Val: retVal})
+		}
 		inst := crb.Instance{
 			UsesMem:        len(fm.region.MemObjects) > 0,
-			Inputs:         append([]crb.RegVal(nil), fm.inputs...),
+			Inputs:         fm.inputs,
+			Outputs:        m.funcOuts,
 			ReplacedInstrs: int(m.Stats.DynInstrs - fm.startDyn),
-		}
-		for _, out := range fm.region.Outputs {
-			inst.Outputs = append(inst.Outputs, crb.RegVal{Reg: out, Val: retVal})
 		}
 		if m.CRB.Commit(fm.region.ID, inst) {
 			rs.Records++
@@ -1249,17 +1258,13 @@ const (
 func (m *Machine) commitMemo() {
 	mm := &m.memo
 	rs := m.regionStat(mm.region.ID)
-	// One backing array for both banks: the CRB retains the slices, so
-	// they must be freshly owned, but they never need to grow.
-	bank := make([]crb.RegVal, len(mm.inputs)+len(mm.outputs))
+	// The CRB copies the banks, so the recording's scratch goes as is.
 	inst := crb.Instance{
 		UsesMem:        mm.usesMem,
-		Inputs:         bank[:len(mm.inputs):len(mm.inputs)],
-		Outputs:        bank[len(mm.inputs):],
+		Inputs:         mm.inputs,
+		Outputs:        mm.outputs,
 		ReplacedInstrs: mm.count,
 	}
-	copy(inst.Inputs, mm.inputs)
-	copy(inst.Outputs, mm.outputs)
 	if m.CRB.Commit(mm.region.ID, inst) {
 		rs.Records++
 	}

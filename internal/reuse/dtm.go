@@ -120,11 +120,12 @@ type HeadStat struct {
 }
 
 // headPlan is the static trace-eligibility analysis of one straight-line
-// run, computed once per head PC and shared by every instance recorded
-// there. A run is eligible when it is pure-register dataflow plus loads
-// with known provenance: no stores, no calls/returns, no CCR instructions,
-// and an ender that is a jump or conditional branch (so the landing set is
-// statically known and replay can be validated).
+// run, computed once per head PC and program (see planSet) and shared by
+// every instance recorded there. A run is eligible when it is
+// pure-register dataflow plus loads with known provenance: no stores, no
+// calls/returns, no CCR instructions, and an ender that is a jump or
+// conditional branch (so the landing set is statically known and replay
+// can be validated).
 type headPlan struct {
 	head int32
 	end  int32 // flat PC of the ender (RunEnd[head])
@@ -140,9 +141,51 @@ type headPlan struct {
 	succFall   int32 // landing when a conditional ender falls through; -1 for Jmp
 }
 
-// planIneligible marks a head whose run analysis rejected tracing; cached
-// so every subsequent landing there is a single pointer compare.
-var planIneligible = &headPlan{}
+// planSet is the trace-eligibility analysis of every head of one program
+// at one MinRun. It is pure program analysis, so it is built once per
+// decoded program and MinRun (planSetFor) and shared read-only by every
+// DTM of that program.
+type planSet struct {
+	// plans[fn][pc] is the plan of the run headed at flat PC pc of
+	// function fn, nil when the head is ineligible.
+	plans [][]*headPlan
+	// memHeads[m] lists, in (function, head PC) order, every head key
+	// whose plan loads writable object m; store watching walks it.
+	memHeads [][]uint64
+}
+
+type planKey struct{ minRun int }
+
+// planSetFor returns the analysis of dec at minRun, building it on first
+// use.
+func planSetFor(dec *ir.DecodedProgram, minRun int) *planSet {
+	return dec.Ext(planKey{minRun}, func(dec *ir.DecodedProgram) any {
+		return buildPlanSet(dec, minRun)
+	}).(*planSet)
+}
+
+func buildPlanSet(dec *ir.DecodedProgram, minRun int) *planSet {
+	ps := &planSet{
+		plans:    make([][]*headPlan, len(dec.Funcs)),
+		memHeads: make([][]uint64, len(dec.Prog.Objects)),
+	}
+	for fn, df := range dec.Funcs {
+		plans := make([]*headPlan, len(df.Code)-1)
+		for head := range plans {
+			p := buildPlan(dec.Prog, df, int32(head), minRun)
+			if p == nil {
+				continue
+			}
+			plans[head] = p
+			key := EncodeHead(ir.FuncID(fn), int32(head))
+			for _, m := range p.mems {
+				ps.memHeads[m] = append(ps.memHeads[m], key)
+			}
+		}
+		ps.plans[fn] = plans
+	}
+	return ps
+}
 
 // tinstance is one recorded trace: the input values that key it and the
 // output values plus landing PC that replay it.
@@ -187,22 +230,17 @@ type pendingRec struct {
 // traces by watching stores instead of executing explicit Inval
 // instructions.
 type DTM struct {
-	cfg  DTMConfig
-	prog *ir.Program
-	dec  *ir.DecodedProgram
+	cfg DTMConfig
+	dec *ir.DecodedProgram
 
 	sets    int
 	entries []tentry
 	clock   uint64
 
-	// plans[fn][pc] caches the eligibility analysis: nil = not yet
-	// analyzed, planIneligible = analyzed and rejected.
-	plans [][]*headPlan
-
-	// memHeads[m] lists every head key whose plan loads writable object
-	// m; store watching walks it. memResident counts live memOK traces,
-	// so the per-store fast path is one integer compare.
-	memHeads    [][]uint64
+	// plans is the program's shared eligibility analysis at cfg.MinRun.
+	plans *planSet
+	// memResident counts live memOK traces, so the per-store fast path is
+	// one integer compare.
 	memResident int
 
 	pending pendingRec
@@ -221,7 +259,8 @@ type DTM struct {
 // NewDTM builds a trace buffer for one program. Like crb.New it allocates
 // the entry array up front and each entry's instance and LRU banks on the
 // entry's first install; once every entry a run reaches is installed,
-// operation allocates nothing.
+// operation allocates nothing. The head plans are the program's, shared
+// with every other DTM of it at the same MinRun.
 func NewDTM(cfg DTMConfig, prog *ir.Program) *DTM {
 	cfg = cfg.normalized()
 	sets := cfg.Entries / cfg.Assoc
@@ -229,14 +268,13 @@ func NewDTM(cfg DTMConfig, prog *ir.Program) *DTM {
 		sets = 1
 	}
 	n := sets * cfg.Assoc
+	dec := prog.Decoded()
 	d := &DTM{
-		cfg:      cfg,
-		prog:     prog,
-		dec:      prog.Decoded(),
-		sets:     sets,
-		entries:  make([]tentry, n),
-		plans:    make([][]*headPlan, len(prog.Funcs)),
-		memHeads: make([][]uint64, len(prog.Objects)),
+		cfg:     cfg,
+		dec:     dec,
+		sets:    sets,
+		entries: make([]tentry, n),
+		plans:   planSetFor(dec, cfg.MinRun),
 	}
 	d.pending.ins = make([]int64, 0, maxTraceBank)
 	d.scratch.Outputs = make([]crb.RegVal, 0, maxTraceBank)
@@ -344,31 +382,18 @@ func (d *DTM) findEntry(key uint64) *tentry {
 	return nil
 }
 
-// planFor returns the cached eligibility plan for (fn, head), running the
-// static analysis on first touch. Out-of-range identities — possible only
-// from fuzzed or chaos-perturbed callers — are ineligible, never a panic.
+// planFor returns the eligibility plan for (fn, head), nil when the head
+// is ineligible. Out-of-range identities — possible only from fuzzed or
+// chaos-perturbed callers — are ineligible, never a panic.
 func (d *DTM) planFor(fn ir.FuncID, head int32) *headPlan {
-	if fn < 0 || int(fn) >= len(d.plans) {
+	if fn < 0 || int(fn) >= len(d.plans.plans) {
 		return nil
 	}
-	df := d.dec.Funcs[fn]
-	if head < 0 || int(head) >= len(df.Code)-1 {
+	ps := d.plans.plans[fn]
+	if head < 0 || int(head) >= len(ps) {
 		return nil
 	}
-	ps := d.plans[fn]
-	if ps == nil {
-		ps = make([]*headPlan, len(df.Code))
-		d.plans[fn] = ps
-	}
-	p := ps[head]
-	if p == nil {
-		p = d.buildPlan(fn, df, head)
-		ps[head] = p
-	}
-	if p == planIneligible {
-		return nil
-	}
-	return p
+	return ps[head]
 }
 
 // EligibleHead reports whether the run headed at flat PC head of fn is
@@ -381,21 +406,22 @@ func (d *DTM) EligibleHead(fn ir.FuncID, head int32) bool {
 	return d.planFor(fn, head) != nil
 }
 
-// buildPlan runs the static trace-eligibility analysis for the run headed
-// at flat PC head. See headPlan for the eligibility contract.
-func (d *DTM) buildPlan(fn ir.FuncID, df *ir.DecodedFunc, head int32) *headPlan {
+// buildPlan runs the static trace-eligibility analysis for the run of
+// prog headed at flat PC head of df, returning nil when the head is
+// ineligible. See headPlan for the eligibility contract.
+func buildPlan(prog *ir.Program, df *ir.DecodedFunc, head int32, minRun int) *headPlan {
 	sentinel := int32(len(df.Code) - 1)
 	end := df.RunEnd[head]
 	if end >= sentinel || end < head {
-		return planIneligible // run falls off the end of the function
+		return nil // run falls off the end of the function
 	}
 	ender := df.Code[end].Op
 	if ender != ir.Jmp && !ender.IsCondBranch() {
-		return planIneligible // Call/Ret/Reuse enders have dynamic successors
+		return nil // Call/Ret/Reuse enders have dynamic successors
 	}
 	n := end - head + 1
-	if int(n) < d.cfg.MinRun {
-		return planIneligible
+	if int(n) < minRun {
+		return nil
 	}
 	p := &headPlan{head: head, end: end, n: n}
 	defined := func(r ir.Reg) bool {
@@ -436,26 +462,26 @@ func (d *DTM) buildPlan(fn ir.FuncID, df *ir.DecodedFunc, head int32) *headPlan 
 			// *reuse hit's* outputs with no input or memory dependence and
 			// replay them after the CRB instance is invalidated. Never
 			// replayable.
-			return planIneligible
+			return nil
 		case in.Op.IsBinaryALU() || in.Op.IsCondBranch():
 			readsSrc1, readsSrc2 = true, true
 		default:
 			// St, Call, Ret, Inval, or anything unknown: the run has side
 			// effects or dynamic control we cannot replay.
-			return planIneligible
+			return nil
 		}
 		if readsSrc1 && !addIn(in.Src1) {
-			return planIneligible
+			return nil
 		}
 		if readsSrc2 && in.Src2 != ir.NoReg && !addIn(in.Src2) {
-			return planIneligible
+			return nil
 		}
 		if in.Op == ir.Ld {
 			m := ir.MemID(in.Aux)
 			if m == ir.NoMem {
-				return planIneligible // unknown provenance: cannot watch stores
+				return nil // unknown provenance: cannot watch stores
 			}
-			if !d.prog.Objects[m].ReadOnly {
+			if !prog.Objects[m].ReadOnly {
 				p.usesMem = true
 				seen := false
 				for _, o := range p.mems {
@@ -471,7 +497,7 @@ func (d *DTM) buildPlan(fn ir.FuncID, df *ir.DecodedFunc, head int32) *headPlan 
 		}
 		if in.Op.HasDest() && in.Dest != ir.NoReg && !defined(in.Dest) {
 			if len(p.outs) == maxTraceBank {
-				return planIneligible
+				return nil
 			}
 			p.outs = append(p.outs, in.Dest)
 		}
@@ -481,10 +507,6 @@ func (d *DTM) buildPlan(fn ir.FuncID, df *ir.DecodedFunc, head int32) *headPlan 
 	p.succFall = -1
 	if e.Op.IsCondBranch() {
 		p.succFall = end + 1
-	}
-	key := EncodeHead(fn, head)
-	for _, m := range p.mems {
-		d.memHeads[m] = append(d.memHeads[m], key)
 	}
 	return p
 }
@@ -749,8 +771,8 @@ func (d *DTM) Store(m ir.MemID) int {
 		return 0
 	}
 	n := 0
-	if m >= 0 && int(m) < len(d.memHeads) {
-		for _, key := range d.memHeads[m] {
+	if m >= 0 && int(m) < len(d.plans.memHeads) {
+		for _, key := range d.plans.memHeads[m] {
 			e := d.findEntry(key)
 			if e == nil {
 				continue

@@ -279,9 +279,10 @@ func (b *blockRB) record(pc int64, regs []int64, objVer []uint64) {
 	}
 }
 
-// observeInstrReuse implements the instruction-reuse timing shortcut.
-// It returns true when the event was fully handled (reused).
-func (s *Simulator) observeInstrReuse(ev *emu.Event, fetch int64) bool {
+// observeInstrReuse implements the instruction-reuse timing shortcut for
+// ev, whose static entry is e. It returns true when the event was fully
+// handled (reused).
+func (s *Simulator) observeInstrReuse(ev *emu.Event, e *tentry, fetch int64) bool {
 	in := ev.Instr
 	switch in.Op {
 	case ir.St, ir.Call, ir.Ret, ir.Jmp, ir.Nop, ir.Reuse, ir.Inval:
@@ -307,7 +308,7 @@ func (s *Simulator) observeInstrReuse(ev *emu.Event, fetch int64) bool {
 	// immediately, and a reused branch resolves without misprediction.
 	issue := s.issueAt(fetch, ir.FUNone)
 	if in.Op.IsCondBranch() {
-		s.btb.update(ev.PC, ev.Taken, ev.TargetPC)
+		s.btb.update(e.br, ev.PC, ev.Taken, ev.TargetPC)
 		if ev.Taken {
 			s.redirect(issue, int64(s.cfg.TakenBubble))
 		}

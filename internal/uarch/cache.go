@@ -47,9 +47,12 @@ func (c *cache) access(addr int64) bool {
 }
 
 // btb is the branch target buffer: direct-mapped 2-bit saturating counters
-// with a stored target for direction-and-target prediction.
+// with a stored target for direction-and-target prediction. A branch is
+// named by its ordinal (tentry.br), and slot maps it to its entry; the
+// entry array holds only the entries the program's branches index (see
+// btbLayout), and the tag check on the full pc is the full array's.
 type btb struct {
-	mask    int64
+	slot    []int32
 	entries []btbEntry
 }
 
@@ -60,18 +63,9 @@ type btbEntry struct {
 	valid  bool
 }
 
-// newBTB builds a BTB of the given entry count. A positive span promises
-// that every branch lies at a byte address in [0, span); as in newCache,
-// the entry array then stops at the last slot such an address indexes, and
-// a span <= 0 keeps the full array.
-func newBTB(entries int, span int64) btb {
-	if entries < 1 {
-		entries = 1
-	}
-	return btb{
-		mask:    int64(entries - 1),
-		entries: make([]btbEntry, reach(entries, 2, span)),
-	}
+// newBTB builds a BTB with the given layout, every entry empty.
+func newBTB(l *btbLayout) btb {
+	return btb{slot: l.slot, entries: make([]btbEntry, l.n)}
 }
 
 // reach returns how many of a table's n slots the index (a>>shift)&(n-1)
@@ -86,19 +80,19 @@ func reach(n int, shift uint, span int64) int {
 	return n
 }
 
-// predict returns the predicted direction and target for the branch at pc.
+// predict returns the predicted direction and target for branch br at pc.
 // Unknown branches predict not-taken (fall through).
-func (b *btb) predict(pc int64) (taken bool, target int64) {
-	e := &b.entries[(pc>>2)&b.mask]
+func (b *btb) predict(br int32, pc int64) (taken bool, target int64) {
+	e := &b.entries[b.slot[br]]
 	if !e.valid || e.tag != pc {
 		return false, 0
 	}
 	return e.ctr >= 2, e.target
 }
 
-// update trains the entry with the actual outcome.
-func (b *btb) update(pc int64, taken bool, target int64) {
-	e := &b.entries[(pc>>2)&b.mask]
+// update trains branch br's entry with the actual outcome.
+func (b *btb) update(br int32, pc int64, taken bool, target int64) {
+	e := &b.entries[b.slot[br]]
 	if !e.valid || e.tag != pc {
 		e.valid = true
 		e.tag = pc

@@ -175,9 +175,9 @@ func (s *Simulator) replayOOO(r *emu.Run) {
 			if taken {
 				target = e.pc + int64(e.aux)
 			}
-			predTaken, predTarget := s.btb.predict(e.pc)
+			predTaken, predTarget := s.btb.predict(e.br, e.pc)
 			correct := predTaken == taken && (!taken || predTarget == target)
-			s.btb.update(e.pc, taken, target)
+			s.btb.update(e.br, e.pc, taken, target)
 			if !correct {
 				s.stats.Mispredicts++
 				s.stats.StallBranch += int64(cfg.MispredictPenalty)

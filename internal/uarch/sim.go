@@ -88,7 +88,7 @@ func NewSimulator(cfg Config, prog *ir.Program) *Simulator {
 		frames:   make([]simFrame, 0, 8),
 	}
 	s.icache = newCache(cfg.ICacheBytes, cfg.LineBytes, s.tab.textBytes)
-	s.btb = newBTB(cfg.BTBEntries, s.tab.textBytes)
+	s.btb = newBTB(s.tab.btbFor(cfg.BTBEntries))
 	s.fuLim = [...]int{
 		ir.FUInt:    cfg.IntALUs,
 		ir.FUMem:    cfg.MemPorts,
@@ -265,7 +265,7 @@ func (s *Simulator) replay(r *emu.Run) {
 		}
 
 		// Instruction-level reuse baseline.
-		if s.irb != nil && s.ev != nil && s.observeInstrReuse(s.ev, fetch) {
+		if s.irb != nil && s.ev != nil && s.observeInstrReuse(s.ev, e, fetch) {
 			continue
 		}
 
@@ -318,9 +318,9 @@ func (s *Simulator) replay(r *emu.Run) {
 			if taken {
 				target = e.pc + int64(e.aux)
 			}
-			predTaken, predTarget := s.btb.predict(e.pc)
+			predTaken, predTarget := s.btb.predict(e.br, e.pc)
 			correct := predTaken == taken && (!taken || predTarget == target)
-			s.btb.update(e.pc, taken, target)
+			s.btb.update(e.br, e.pc, taken, target)
 			if !correct {
 				s.stats.Mispredicts++
 				s.stats.StallBranch += int64(s.cfg.MispredictPenalty)

@@ -38,7 +38,11 @@ type tentry struct {
 	// target as a byte offset from pc, a St's object (the baselines'
 	// version stamps), or a Call's or Reuse's index into table.ext.
 	aux int32
-	pc  int64 // byte address
+	// br is a conditional branch's ordinal among the program's
+	// conditional branches, which names its BTB entry (btbLayout). It
+	// fills what would be padding, so the entry stays 32 bytes.
+	br int32
+	pc int64 // byte address
 }
 
 // textra holds the operand lists of a Call or Reuse entry.
@@ -60,8 +64,10 @@ type table struct {
 	// every frame's ready array.
 	maxRegs int
 	// textBytes bounds every instruction's byte address: each lies in
-	// [0, textBytes). It sizes the I-cache tag array and the BTB.
+	// [0, textBytes). It sizes the I-cache tag array.
 	textBytes int64
+	// brPCs is the byte address of each conditional branch, by ordinal.
+	brPCs []int64
 }
 
 type tableKey struct{}
@@ -96,6 +102,8 @@ func buildTable(d *ir.DecodedProgram) any {
 				e.kind = kJmp
 			case ir.Beq, ir.Bne, ir.Blt, ir.Bge, ir.Ble, ir.Bgt:
 				e.kind, e.aux = kCBr, 4*(df.Code[pc].Target-int32(pc))
+				e.br = int32(len(t.brPCs))
+				t.brPCs = append(t.brPCs, e.pc)
 			case ir.Call:
 				x := textra{nregs: t.maxRegs, regs: in.Args}
 				if callee := p.Func(in.Callee); callee != nil {
@@ -122,6 +130,43 @@ func buildTable(d *ir.DecodedProgram) any {
 		t.textBytes = max(t.textBytes, df.Addr(int32(len(ents)-1)))
 	}
 	return t
+}
+
+// btbLayout is a program's BTB at one entry count: only conditional
+// branches index the BTB, each the entry (pc>>2)&(entries-1), so a
+// simulator allocates just the entries they name. slot numbers those
+// entries densely by branch ordinal; branches that alias one index share
+// a slot, exactly as they share the entry of the full array.
+type btbLayout struct {
+	slot []int32
+	n    int // distinct entries named
+}
+
+type btbKey struct{ entries int }
+
+// btbFor returns the program's BTB layout at entries, building it on
+// first use per decoded program and entry count.
+func (t *table) btbFor(entries int) *btbLayout {
+	return t.dec.Ext(btbKey{entries}, func(*ir.DecodedProgram) any {
+		return newBTBLayout(entries, t.brPCs)
+	}).(*btbLayout)
+}
+
+func newBTBLayout(entries int, pcs []int64) *btbLayout {
+	mask := int64(max(entries, 1) - 1)
+	l := &btbLayout{slot: make([]int32, len(pcs))}
+	dense := make(map[int64]int32, len(pcs))
+	for i, pc := range pcs {
+		idx := (pc >> 2) & mask
+		s, ok := dense[idx]
+		if !ok {
+			s = int32(len(dense))
+			dense[idx] = s
+		}
+		l.slot[i] = s
+	}
+	l.n = len(dense)
+	return l
 }
 
 // flatPC returns the function and flat PC of the instruction an event

@@ -29,65 +29,89 @@ func TestCacheDirectMapped(t *testing.T) {
 }
 
 func TestBTBTwoBitCounter(t *testing.T) {
-	b := newBTB(16, 0)
 	pc, tgt := int64(0x40), int64(0x80)
-	if taken, _ := b.predict(pc); taken {
+	b := newBTB(newBTBLayout(16, []int64{pc}))
+	if taken, _ := b.predict(0, pc); taken {
 		t.Fatal("unknown branch predicts not-taken")
 	}
-	b.update(pc, true, tgt) // allocates with counter 2 (weakly taken)
-	if taken, gotTgt := b.predict(pc); !taken || gotTgt != tgt {
+	b.update(0, pc, true, tgt) // allocates with counter 2 (weakly taken)
+	if taken, gotTgt := b.predict(0, pc); !taken || gotTgt != tgt {
 		t.Fatal("after one taken update, predict taken with target")
 	}
-	b.update(pc, false, 0) // 2 → 1
-	if taken, _ := b.predict(pc); taken {
+	b.update(0, pc, false, 0) // 2 → 1
+	if taken, _ := b.predict(0, pc); taken {
 		t.Fatal("counter should have decayed below threshold")
 	}
-	b.update(pc, true, tgt) // 1 → 2
-	b.update(pc, true, tgt) // 2 → 3 (saturates)
-	b.update(pc, true, tgt)
-	b.update(pc, false, 0) // 3 → 2: still predicts taken (hysteresis)
-	if taken, _ := b.predict(pc); !taken {
+	b.update(0, pc, true, tgt) // 1 → 2
+	b.update(0, pc, true, tgt) // 2 → 3 (saturates)
+	b.update(0, pc, true, tgt)
+	b.update(0, pc, false, 0) // 3 → 2: still predicts taken (hysteresis)
+	if taken, _ := b.predict(0, pc); !taken {
 		t.Fatal("saturating counter should keep predicting taken")
 	}
 }
 
-// TestBoundedTablesMatchFull drives a BTB and a cache built with a span
-// bound and the same tables at full size with one random stream of
-// in-range addresses, and requires every answer to agree. The cases cover
-// text far shorter than the tables, text longer than them (every slot
-// aliases, so the bounded table is the full one) and sizes that are not
-// powers of two.
+// fullBTB is the BTB at full size: every one of its entries exists, and
+// branch i uses entry (pcs[i]>>2)&(entries-1) directly.
+func fullBTB(entries int, pcs []int64) btb {
+	b := btb{slot: make([]int32, len(pcs)), entries: make([]btbEntry, entries)}
+	for i, pc := range pcs {
+		b.slot[i] = int32((pc >> 2) & int64(entries-1))
+	}
+	return b
+}
+
+// TestBoundedTablesMatchFull drives a BTB and a cache built to what a
+// program reaches and the same tables at full size with one random stream
+// of in-range addresses, and requires every answer to agree. The BTB gets
+// a slot per distinct index of a random set of branches; the cases cover
+// text far shorter than the tables, text longer than them (every set
+// aliases, so the bounded cache is the full one), more branches than BTB
+// entries (branches share slots) and sizes that are not powers of two.
 func TestBoundedTablesMatchFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range []struct {
 		entries, cacheBytes int
 		span                int64 // bytes of text (BTB, I-cache) or data
-		bounded             bool  // the span leaves slots unreachable
+		branches            int   // conditional branches in the text
+		bounded             bool  // the span leaves cache sets unreachable
 	}{
-		{4096, 32 << 10, 4 * 250, true},
-		{4096, 32 << 10, 4 * 2450, true},
-		{64, 1 << 10, 4 * 2420, false},
-		{100, 1000, 4 * 77, true},
-		{16, 64, 4, true},
+		{4096, 32 << 10, 4 * 250, 11, true},
+		{4096, 32 << 10, 4 * 2450, 117, true},
+		{4096, 1 << 10, 4 * 2420, 2420, false},
+		{64, 1 << 10, 4 * 2420, 117, false},
+		{16, 1 << 10, 4 * 2420, 117, false},
+		{100, 1000, 4 * 77, 20, true},
+		{16, 64, 4, 1, true},
 	} {
-		fullB, boundB := newBTB(tc.entries, 0), newBTB(tc.entries, tc.span)
+		pcs := make([]int64, 0, tc.branches)
+		for _, w := range rng.Perm(int(tc.span / 4))[:tc.branches] {
+			pcs = append(pcs, 4*int64(w))
+		}
+		l := newBTBLayout(tc.entries, pcs)
+		fullB, boundB := fullBTB(tc.entries, pcs), newBTB(l)
 		fullC, boundC := newCache(tc.cacheBytes, 32, 0), newCache(tc.cacheBytes, 32, tc.span)
-		if shorter := len(boundB.entries) < len(fullB.entries); shorter != tc.bounded {
-			t.Errorf("%+v: BTB has %d of %d entries", tc, len(boundB.entries), len(fullB.entries))
+		named := map[int32]bool{}
+		for _, s := range fullB.slot {
+			named[s] = true
+		}
+		if len(boundB.entries) != len(named) {
+			t.Errorf("%+v: BTB has %d entries, its branches name %d", tc, len(boundB.entries), len(named))
 		}
 		if shorter := len(boundC.tags) < len(fullC.tags); shorter != tc.bounded {
 			t.Errorf("%+v: cache has %d of %d sets", tc, len(boundC.tags), len(fullC.tags))
 		}
 		for i := 0; i < 20000; i++ {
-			pc := 4 * rng.Int63n(tc.span/4)
-			ft, ftgt := fullB.predict(pc)
-			bt, btgt := boundB.predict(pc)
+			br := int32(rng.Intn(len(pcs)))
+			pc := pcs[br]
+			ft, ftgt := fullB.predict(br, pc)
+			bt, btgt := boundB.predict(br, pc)
 			if ft != bt || ftgt != btgt {
 				t.Fatalf("%+v: step %d: predict(%d) = %v,%d bounded, %v,%d full", tc, i, pc, bt, btgt, ft, ftgt)
 			}
 			taken, target := rng.Intn(2) == 0, 4*rng.Int63n(tc.span/4)
-			fullB.update(pc, taken, target)
-			boundB.update(pc, taken, target)
+			fullB.update(br, pc, taken, target)
+			boundB.update(br, pc, taken, target)
 			addr := rng.Int63n(tc.span)
 			if f, b := fullC.access(addr), boundC.access(addr); f != b {
 				t.Fatalf("%+v: step %d: access(%d) = %v bounded, %v full", tc, i, addr, b, f)
@@ -121,7 +145,7 @@ func sumArray(n int64) *ir.Program {
 }
 
 // TestSimulatorTablesFollowProgram checks the bounds NewSimulator and
-// Attach derive — a BTB of one entry per instruction and caches that stop
+// Attach derive — a BTB of one entry per conditional branch and caches that stop
 // at the last line of the text or the data image, for a program smaller
 // than the tables, and the full tables for one larger than them — and
 // that a run on the bounded tables times exactly as one on full ones.
@@ -134,8 +158,8 @@ func TestSimulatorTablesFollowProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	bounded := sim.Stats()
-	if got, want := len(sim.btb.entries), p.TextLen; got != want {
-		t.Errorf("BTB has %d entries, want one per instruction (%d)", got, want)
+	if got, want := len(sim.btb.entries), len(sim.tab.brPCs); got != want || want != 1 {
+		t.Errorf("BTB has %d entries, want one per conditional branch (%d)", got, want)
 	}
 	if got, want := len(sim.icache.tags), (4*p.TextLen-1)/32+1; got != want {
 		t.Errorf("I-cache has %d sets, want %d", got, want)
@@ -148,7 +172,7 @@ func TestSimulatorTablesFollowProgram(t *testing.T) {
 	m = emu.New(p)
 	sim = NewSimulator(cfg, p)
 	sim.Attach(m)
-	sim.btb = newBTB(cfg.BTBEntries, 0)
+	sim.btb = fullBTB(cfg.BTBEntries, sim.tab.brPCs)
 	sim.icache = newCache(cfg.ICacheBytes, cfg.LineBytes, 0)
 	sim.dcache = newCache(cfg.DCacheBytes, cfg.LineBytes, 0)
 	if _, err := m.Run(100); err != nil {
@@ -162,7 +186,7 @@ func TestSimulatorTablesFollowProgram(t *testing.T) {
 	small.BTBEntries, small.ICacheBytes, small.DCacheBytes = 2, 32, 32
 	sim = NewSimulator(small, p)
 	sim.Attach(m)
-	if len(sim.btb.entries) != 2 || len(sim.icache.tags) != 1 || len(sim.dcache.tags) != 1 {
+	if len(sim.btb.entries) != 1 || len(sim.icache.tags) != 1 || len(sim.dcache.tags) != 1 {
 		t.Errorf("tables smaller than the program: %d BTB entries, %d I-cache and %d D-cache sets",
 			len(sim.btb.entries), len(sim.icache.tags), len(sim.dcache.tags))
 	}
