@@ -28,11 +28,11 @@
 // (and shared with ccrd daemons pointed at the same directory).
 //
 // -fabric DIR switches to the crash-safe sweep fabric instead of figure
-// rendering: the verification sweep's cells are journaled under DIR,
-// computed inline or sharded across -fabric-workers subprocesses, and a
-// rerun after any interruption (including SIGKILL) resumes from the
-// journal, skipping completed cells. digests.json is
-// byte-identical however the sweep is sharded or interrupted.
+// rendering: the verification sweep's cells are computed -jobs at a time
+// and journaled under DIR, and a rerun after any interruption (including
+// SIGKILL) resumes from the journal, skipping completed cells.
+// digests.json is byte-identical at any -jobs and however the sweep is
+// interrupted.
 // -fabric-spans additionally records per-process span logs under
 // DIR/spans; merge them with `ccrviz timeline -dir DIR/spans -journal
 // DIR/journal.jsonl` into a Perfetto-loadable trace of the whole sweep,
@@ -45,8 +45,7 @@
 //	         [-jobs N] [-manifest run.json] [-telemetry] [-heartbeat 30s]
 //	         [-verify] [-strict]
 //	         [-store DIR]
-//	         [-fabric DIR] [-fabric-workers N] [-fabric-benches x,y]
-//	         [-fabric-lease 2m] [-fabric-spans]
+//	         [-fabric DIR] [-fabric-benches x,y] [-fabric-spans]
 //	         [-version]
 package main
 
@@ -56,6 +55,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -70,14 +70,13 @@ import (
 )
 
 func main() {
-	fabric.MaybeWorker() // fabric worker re-exec: never returns when spawned as one
 	scale := flag.String("scale", "medium", "workload scale: tiny, small, medium, large")
 	var knownFigs []string
 	for _, sec := range experiments.Sections {
 		knownFigs = append(knownFigs, sec.Name)
 	}
 	fig := flag.String("fig", "all", "which figure to regenerate: "+strings.Join(knownFigs, ", ")+", all")
-	jobs := flag.Int("jobs", 0, "parallel simulation workers (0 = GOMAXPROCS)")
+	jobs := flag.Int("jobs", 0, "parallel simulation workers, and the fabric's cells in flight (0 = GOMAXPROCS)")
 	manifest := flag.String("manifest", "", "write a JSON run manifest to this file")
 	verify := flag.Bool("verify", false, "run the transparency-verification sweep (exit 1 on divergence)")
 	strict := flag.Bool("strict", false, "exit 1 if any simulation cell failed")
@@ -85,9 +84,7 @@ func main() {
 	telem := flag.Bool("telemetry", false, "embed per-cell CRB telemetry summaries in the manifest")
 	storeDir := flag.String("store", "", "root a persistent artifact store here (reused across runs)")
 	fabricDir := flag.String("fabric", "", "run the resumable sweep fabric with this state directory instead of figures")
-	fabricWorkers := flag.Int("fabric-workers", 0, "fabric: local worker subprocesses (0 = compute inline)")
 	fabricBenches := flag.String("fabric-benches", "", "fabric: restrict the sweep to these comma-separated benchmarks")
-	fabricLease := flag.Duration("fabric-lease", 0, "fabric: per-cell lease before the cell is requeued (0 = default 2m)")
 	fabricDieAfter := flag.Int("fabric-die-after", 0, "fabric: SIGKILL self after N journaled cells (crash-drill knob)")
 	fabricSpans := flag.Bool("fabric-spans", false, "fabric: record span logs under DIR/spans for 'ccrviz timeline'")
 	showVersion := flag.Bool("version", false, "print build/version info and exit")
@@ -100,8 +97,8 @@ func main() {
 	if *fabricDir != "" {
 		os.Exit(runFabric(fabricConfig{
 			dir: *fabricDir, scale: *scale, storeDir: *storeDir,
-			workers: *fabricWorkers, benches: *fabricBenches,
-			lease: *fabricLease, dieAfter: *fabricDieAfter, spans: *fabricSpans,
+			jobs: *jobs, benches: *fabricBenches,
+			dieAfter: *fabricDieAfter, spans: *fabricSpans,
 		}))
 	}
 	cfg := experiments.DefaultConfig()
@@ -176,8 +173,7 @@ func main() {
 // fabricConfig carries the -fabric* flag values into runFabric.
 type fabricConfig struct {
 	dir, scale, storeDir, benches string
-	workers, dieAfter             int
-	lease                         time.Duration
+	jobs, dieAfter                int
 	spans                         bool
 }
 
@@ -186,9 +182,11 @@ func runFabric(fc fabricConfig) int {
 	cfg := fabric.Config{
 		Dir:       fc.dir,
 		ScaleName: fc.scale,
-		Workers:   fc.workers,
+		Jobs:      fc.jobs,
 		StoreDir:  fc.storeDir,
-		Lease:     fc.lease,
+	}
+	if cfg.Jobs <= 0 {
+		cfg.Jobs = runtime.GOMAXPROCS(0)
 	}
 	if fc.spans {
 		cfg.SpanDir = filepath.Join(fc.dir, "spans")
@@ -211,8 +209,8 @@ func runFabric(fc fabricConfig) int {
 	}
 	m := res.Manifest
 	fmt.Fprintf(os.Stderr,
-		"ccrpaper: fabric %s: %d cells (%d resumed, %d computed) in %.2fs; requeues %d, restarts %d\n",
-		m.Scale, m.Cells, m.Resumed, m.Computed, m.WallSeconds, m.Requeues, m.Restarts)
+		"ccrpaper: fabric %s: %d cells (%d resumed, %d computed) in %.2fs\n",
+		m.Scale, m.Cells, m.Resumed, m.Computed, m.WallSeconds)
 	if m.Store != nil {
 		fmt.Fprintf(os.Stderr, "ccrpaper: fabric store: %d puts, %d hits, %d misses (hit rate %.2f)\n",
 			m.Store.Puts, m.Store.Hits, m.Store.Misses, m.StoreHitRate)

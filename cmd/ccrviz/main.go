@@ -8,8 +8,8 @@
 //
 // The timeline subcommand merges span logs into one Chrome trace-event
 // JSON file; open the output in Perfetto or chrome://tracing. With
-// -journal it merges a distributed fabric sweep — every coordinator
-// incarnation, every worker — ordered by the journal's commit sequence so
+// -journal it merges a fabric sweep — every coordinator incarnation of a
+// killed and resumed run — ordered by the journal's commit sequence so
 // the picture survives kill/resume seams. Without it, each process's
 // spans are laid out on their own clock, e.g. the cycle-stamped reuse
 // events of `ccrsim -spans`.

@@ -1,17 +1,20 @@
 // Package fabric is the crash-safe resumable experiment fabric: it runs
-// the transparency/speedup sweep grid inline or shards it across
-// supervised local worker processes, journals every completed cell to an
-// append-only manifest, and — layered over the content-addressed artifact
-// store of internal/store — resumes a killed sweep by skipping completed
-// cells and reloading partial pipeline artifacts instead of recomputing.
+// the transparency/speedup sweep grid in one process, its cells computed
+// Jobs at a time on an experiments.Suite pool, journals every completed
+// cell to an append-only manifest, and — layered over the
+// content-addressed artifact store of internal/store — resumes a killed
+// sweep by skipping completed cells and reloading partial pipeline
+// artifacts instead of recomputing.
 //
-// The durability contract is differential: a sweep that is SIGKILLed at
-// any point and resumed must produce a digests.json byte-identical to an
-// uninterrupted serial run. That holds because every cell is a pure
-// deterministic function of (benchmark bytes, dataset, reuse-scheme
-// configuration, build revision), the journal only records fully computed
-// cells (torn tails are discarded on load), and the store quarantines —
-// never serves — entries that fail integrity or revision checks.
+// The durability contract is differential: a sweep run at any Jobs, or
+// SIGKILLed at any point and resumed, must produce a digests.json
+// byte-identical to an uninterrupted serial run. That holds because every
+// cell is a pure deterministic function of (benchmark bytes, dataset,
+// reuse-scheme configuration, build revision), digests.json is written in
+// plan order whatever order the cells completed in, the journal only
+// records fully computed cells (torn tails are discarded on load), and
+// the store quarantines — never serves — entries that fail integrity or
+// revision checks.
 package fabric
 
 import (
@@ -25,7 +28,7 @@ import (
 
 // CellSpec names one sweep cell: a (benchmark, dataset, reuse scheme
 // configuration) point of the verification/speedup grid. It is the unit
-// of sharding, journaling and lease accounting.
+// of dispatch, journaling and resume.
 type CellSpec struct {
 	Bench   string       `json:"bench"`
 	Dataset string       `json:"dataset"` // "train" or "ref"
@@ -54,8 +57,8 @@ type CellOut struct {
 
 // Plan enumerates the sweep grid in canonical order — bench-major, then
 // dataset, then sweep point, exactly the layout of the serial verification
-// sweep — so every run of the same scale shards and journals the same cell
-// set and digests.json compares byte-for-byte across modes.
+// sweep — so every run of the same scale journals the same cell set and
+// digests.json compares byte-for-byte across modes.
 func Plan(s *experiments.Suite) []CellSpec {
 	points := experiments.VerifySweepPoints(s)
 	var plan []CellSpec

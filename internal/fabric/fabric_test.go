@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -12,25 +11,14 @@ import (
 	"strings"
 	"syscall"
 	"testing"
-	"time"
 
 	"ccr/internal/experiments"
 	"ccr/internal/workloads"
 )
 
-// TestMain is the re-exec hub: the coordinator spawns this test binary as
-// its workers (MaybeWorker), the kill/resume tests spawn it as a child
-// coordinator that SIGKILLs itself mid-sweep, and the lease test turns
-// the first worker incarnation into a hang.
+// TestMain is the re-exec hub: the kill/resume tests spawn this test
+// binary as a child coordinator that SIGKILLs itself mid-sweep.
 func TestMain(m *testing.M) {
-	if p := os.Getenv("CCR_FABRIC_TEST_HANG_ONCE"); p != "" && os.Getenv(EnvWorker) != "" {
-		if _, err := os.Stat(p); os.IsNotExist(err) {
-			os.WriteFile(p, []byte("hung\n"), 0o644)
-			io.Copy(io.Discard, os.Stdin) // hang until the coordinator kills us
-			os.Exit(0)
-		}
-	}
-	MaybeWorker()
 	if os.Getenv("CCR_FABRIC_TEST_COORD") == "1" {
 		coordMain()
 	}
@@ -40,13 +28,13 @@ func TestMain(m *testing.M) {
 // coordMain runs a fabric coordinator configured entirely from the
 // environment — the subprocess side of the kill/resume differential test.
 func coordMain() {
-	workers, _ := strconv.Atoi(os.Getenv("CCR_FABRIC_TEST_WORKERS"))
+	jobs, _ := strconv.Atoi(os.Getenv("CCR_FABRIC_TEST_JOBS"))
 	dieAfter, _ := strconv.Atoi(os.Getenv("CCR_FABRIC_TEST_DIEAFTER"))
 	cfg := Config{
 		Dir:       os.Getenv("CCR_FABRIC_TEST_DIR"),
 		ScaleName: "tiny",
 		Benches:   testBenches,
-		Workers:   workers,
+		Jobs:      jobs,
 		StoreDir:  os.Getenv("CCR_FABRIC_TEST_STORE"),
 		Revision:  "fabric-test",
 		SpanDir:   os.Getenv("CCR_FABRIC_TEST_SPANS"),
@@ -76,7 +64,6 @@ func testConfig(t *testing.T, dir string) Config {
 		ScaleName: "tiny",
 		Benches:   testBenches,
 		Revision:  "fabric-test",
-		Lease:     2 * time.Minute,
 	}
 }
 
@@ -196,39 +183,54 @@ func TestInlineRunCompletes(t *testing.T) {
 	}
 }
 
-// TestWorkersMatchSerial is the sharding half of the differential gate:
-// a sweep sharded across worker subprocesses must write a digests.json
-// byte-identical to the inline serial run.
-func TestWorkersMatchSerial(t *testing.T) {
+// TestParallelMatchesSerial is the parallel half of the differential
+// gate: a sweep computed Jobs cells at a time must write a digests.json
+// byte-identical to the serial run's and journal every cell exactly once.
+func TestParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("spawns worker subprocesses for a full tiny sweep")
+		t.Skip("full tiny sweeps")
 	}
-	serialDir, workerDir := t.TempDir(), t.TempDir()
+	serialDir := t.TempDir()
 	runSerial(t, serialDir)
-
-	cfg := testConfig(t, workerDir)
-	cfg.Workers = 3
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("sharded run failed: %v", err)
-	}
-	if res.Manifest.Computed != res.Manifest.Cells {
-		t.Fatalf("sharded run: %+v", res.Manifest)
-	}
-	var active int
-	for _, s := range res.Manifest.Slots {
-		if s.Cells > 0 {
-			active++
-		}
-	}
-	if active < 2 {
-		t.Errorf("work not sharded: slots %+v", res.Manifest.Slots)
-	}
-
 	serial := readFile(t, filepath.Join(serialDir, "digests.json"))
-	sharded := readFile(t, filepath.Join(workerDir, "digests.json"))
-	if !bytes.Equal(serial, sharded) {
-		t.Fatal("sharded digests.json diverged from serial")
+	for _, jobs := range []int{2, 3} {
+		dir := t.TempDir()
+		cfg := testConfig(t, dir)
+		cfg.Jobs = jobs
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("jobs %d: run failed: %v", jobs, err)
+		}
+		if res.Manifest.Computed != res.Manifest.Cells {
+			t.Fatalf("jobs %d: %+v", jobs, res.Manifest)
+		}
+		if !bytes.Equal(serial, readFile(t, filepath.Join(dir, "digests.json"))) {
+			t.Fatalf("jobs %d: digests.json diverged from serial", jobs)
+		}
+		requireJournalOnce(t, dir, res.Manifest.Cells)
+	}
+}
+
+// requireJournalOnce checks that dir's journal holds every one of the
+// plan's cells exactly once.
+func requireJournalOnce(t *testing.T, dir string, cells int) {
+	t.Helper()
+	data := readFile(t, filepath.Join(dir, "journal.jsonl"))
+	counts := map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var rec Record
+		if err := strictUnmarshal(line, &rec); err != nil {
+			t.Fatalf("journal line undecodable: %v", err)
+		}
+		counts[rec.Cell]++
+	}
+	if len(counts) != cells {
+		t.Fatalf("journal covers %d cells, want %d", len(counts), cells)
+	}
+	for cell, n := range counts {
+		if n != 1 {
+			t.Errorf("cell %s journaled %d times", cell, n)
+		}
 	}
 }
 
@@ -251,5 +253,37 @@ func TestResumeSkipsCompleted(t *testing.T) {
 	b, _ := json.Marshal(second.Digests)
 	if !bytes.Equal(a, b) {
 		t.Fatal("resumed digests diverged from original")
+	}
+}
+
+// TestFailedCellRecorded: a cell that errors is listed in the manifest's
+// Failed entries under its own ID, without the pool's wrapper, and the
+// other cells still compute and journal.
+func TestFailedCellRecorded(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	benches, err := resolveBenches(workloads.Tiny, []string{"compress"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := experiments.DefaultConfig()
+	cfg.Scale = workloads.Tiny
+	good := Plan(experiments.NewSuiteOf(cfg, benches))[0]
+	bad := good
+	bad.Dataset = "bogus"
+	c := &coordinator{cfg: Config{Jobs: 2}, plan: []CellSpec{good, bad}, journal: j, done: map[string]Record{}}
+	if err := c.compute(workloads.Tiny, benches, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.done[good.ID()]; !ok || c.man.Computed != 1 {
+		t.Errorf("good cell not journaled: computed %d, done %v", c.man.Computed, c.done)
+	}
+	want := []string{bad.ID() + `: fabric: unknown dataset "bogus"`}
+	if !slices.Equal(c.man.Failed, want) {
+		t.Errorf("failed = %q, want %q", c.man.Failed, want)
 	}
 }

@@ -3,133 +3,16 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"syscall"
 	"testing"
-	"time"
 )
 
-// ---- chaos class 1: worker SIGKILL ----
-
-// TestWorkerKillRecovery SIGKILLs the only worker after its first
-// journaled cell. The supervisor must requeue the in-flight cell, respawn
-// the worker, finish the sweep, and still match the serial digests.
-func TestWorkerKillRecovery(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns and kills worker subprocesses")
-	}
-	serialDir, chaosDir := t.TempDir(), t.TempDir()
-	runSerial(t, serialDir)
-
-	var mu sync.Mutex
-	var pid int
-	killed := false
-	cfg := testConfig(t, chaosDir)
-	cfg.Workers = 1
-	cfg.HookOnSpawn = func(slot, p int) {
-		mu.Lock()
-		pid = p
-		mu.Unlock()
-	}
-	cfg.HookAfterCell = func(n int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !killed && n >= 1 && pid != 0 {
-			killed = true
-			syscall.Kill(pid, syscall.SIGKILL)
-			// Give the kill time to land so the fault is a real mid-sweep
-			// death, not a no-op after the queue drained.
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("sweep did not survive a worker SIGKILL: %v", err)
-	}
-	if !killed {
-		t.Fatal("fault was never injected")
-	}
-	if res.Manifest.Restarts < 1 {
-		t.Errorf("no worker restart recorded: %+v", res.Manifest)
-	}
-	if res.Manifest.Computed != res.Manifest.Cells {
-		t.Errorf("sweep incomplete after recovery: %+v", res.Manifest)
-	}
-	serial := readFile(t, filepath.Join(serialDir, "digests.json"))
-	chaos := readFile(t, filepath.Join(chaosDir, "digests.json"))
-	if !bytes.Equal(serial, chaos) {
-		t.Fatal("digests diverged after worker kill + recovery")
-	}
-}
-
-// TestWorkerGivesUpAfterMaxRestarts: a worker that can never start (bogus
-// executable) exhausts its restart budget; the run fails with abandoned
-// cells instead of hanging.
-func TestWorkerGivesUpAfterMaxRestarts(t *testing.T) {
-	cfg := testConfig(t, t.TempDir())
-	cfg.Workers = 1
-	cfg.Exe = filepath.Join(t.TempDir(), "no-such-worker")
-	cfg.MaxRestarts = 2
-	cfg.Backoff = time.Millisecond
-	res, err := Run(cfg)
-	if err == nil {
-		t.Fatal("run with an unstartable worker reported success")
-	}
-	if res == nil {
-		t.Fatal("no result alongside the failure")
-	}
-	var gaveUp bool
-	for _, s := range res.Manifest.Slots {
-		gaveUp = gaveUp || s.GaveUp
-	}
-	if !gaveUp {
-		t.Errorf("slot did not record give-up: %+v", res.Manifest.Slots)
-	}
-	if len(res.Manifest.Failed) != res.Manifest.Cells {
-		t.Errorf("expected every cell abandoned, got %d/%d",
-			len(res.Manifest.Failed), res.Manifest.Cells)
-	}
-}
-
-// ---- chaos class 2: lease expiry (hung worker) ----
-
-// TestLeaseExpiryReassignsCell: the first worker incarnation hangs on its
-// first cell (TestMain's HANG_ONCE hook). The lease must expire, the cell
-// requeue, and the respawned — now healthy — worker finish the sweep.
-func TestLeaseExpiryReassignsCell(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	marker := filepath.Join(t.TempDir(), "hung-once")
-	t.Setenv("CCR_FABRIC_TEST_HANG_ONCE", marker)
-
-	cfg := testConfig(t, t.TempDir())
-	cfg.Workers = 1
-	cfg.Lease = 500 * time.Millisecond
-	cfg.Backoff = 10 * time.Millisecond
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatalf("sweep did not survive a hung worker: %v", err)
-	}
-	if _, err := os.Stat(marker); err != nil {
-		t.Fatal("hang fault was never injected")
-	}
-	if res.Manifest.LeaseExpiries < 1 {
-		t.Errorf("no lease expiry recorded: %+v", res.Manifest)
-	}
-	if res.Manifest.Requeues < 1 || res.Manifest.Restarts < 1 {
-		t.Errorf("hung worker not requeued+restarted: %+v", res.Manifest)
-	}
-	if res.Manifest.Computed != res.Manifest.Cells {
-		t.Errorf("sweep incomplete: %+v", res.Manifest)
-	}
-}
-
-// ---- chaos classes 3 and 4: torn and stale store artifacts ----
+// ---- chaos: torn and stale store artifacts ----
 
 // corruptOneStoreObject truncates one stored entry in place — the torn-
 // write fault a mid-kill leaves if rename durability is ever violated.
@@ -229,8 +112,9 @@ func TestStaleRevisionArtifactsRecomputed(t *testing.T) {
 // ---- the kill/resume differential gate ----
 
 // spawnCoordinator re-execs this test binary as a fabric coordinator
-// (TestMain's COORD hook) and waits for it, returning how it ended.
-func spawnCoordinator(t *testing.T, dir, storeDir string, workers, dieAfter int) *os.ProcessState {
+// (TestMain's COORD hook) computing jobs cells at a time, and waits for
+// it, returning how it ended.
+func spawnCoordinator(t *testing.T, dir, storeDir string, jobs, dieAfter int) *os.ProcessState {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -241,7 +125,7 @@ func spawnCoordinator(t *testing.T, dir, storeDir string, workers, dieAfter int)
 		"CCR_FABRIC_TEST_COORD=1",
 		"CCR_FABRIC_TEST_DIR="+dir,
 		"CCR_FABRIC_TEST_STORE="+storeDir,
-		"CCR_FABRIC_TEST_WORKERS="+strconv.Itoa(workers),
+		"CCR_FABRIC_TEST_JOBS="+strconv.Itoa(jobs),
 		"CCR_FABRIC_TEST_DIEAFTER="+strconv.Itoa(dieAfter),
 	)
 	cmd.Stderr = os.Stderr
@@ -249,8 +133,9 @@ func spawnCoordinator(t *testing.T, dir, storeDir string, workers, dieAfter int)
 	return cmd.ProcessState
 }
 
-// TestKillResumeDifferential is the tentpole's acceptance gate, run
-// against a real separate coordinator process:
+// TestKillResumeDifferential is the fabric's acceptance gate, run against
+// a real separate coordinator process, once per leg (the jobs the killed
+// and the resumed coordinator compute at):
 //
 //  1. serial uninterrupted run → reference digests.json
 //  2. fresh dir: coordinator SIGKILLs itself mid-sweep (after N cells)
@@ -266,98 +151,57 @@ func TestKillResumeDifferential(t *testing.T) {
 	serialDir := t.TempDir()
 	ref := runSerial(t, serialDir)
 	refBytes := readFile(t, filepath.Join(serialDir, "digests.json"))
-
-	killDir := t.TempDir()
-	storeDir := filepath.Join(t.TempDir(), "store")
 	const dieAfter = 8
 
-	state := spawnCoordinator(t, killDir, storeDir, 0, dieAfter)
-	if ws, ok := state.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
-		t.Fatalf("coordinator did not die by SIGKILL: %v", state)
-	}
-	killedDone, _, err := LoadJournal(filepath.Join(killDir, "journal.jsonl"))
-	if err != nil {
-		t.Fatalf("journal unreadable after SIGKILL: %v", err)
-	}
-	if len(killedDone) < dieAfter || len(killedDone) >= ref.Manifest.Cells {
-		t.Fatalf("kill point implausible: %d cells journaled of %d", len(killedDone), ref.Manifest.Cells)
-	}
+	for _, leg := range []struct{ kill, resume int }{{1, 1}, {2, 1}} {
+		t.Run(fmt.Sprintf("kill-jobs%d-resume-jobs%d", leg.kill, leg.resume), func(t *testing.T) {
+			killDir := t.TempDir()
+			storeDir := filepath.Join(t.TempDir(), "store")
 
-	state = spawnCoordinator(t, killDir, storeDir, 0, 0)
-	if !state.Success() {
-		t.Fatalf("resumed coordinator failed: %v", state)
-	}
+			state := spawnCoordinator(t, killDir, storeDir, leg.kill, dieAfter)
+			if ws, ok := state.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+				t.Fatalf("coordinator did not die by SIGKILL: %v", state)
+			}
+			killedDone, _, err := LoadJournal(filepath.Join(killDir, "journal.jsonl"))
+			if err != nil {
+				t.Fatalf("journal unreadable after SIGKILL: %v", err)
+			}
+			if len(killedDone) < dieAfter || len(killedDone) >= ref.Manifest.Cells {
+				t.Fatalf("kill point implausible: %d cells journaled of %d", len(killedDone), ref.Manifest.Cells)
+			}
 
-	// Every cell exactly once across the combined journal.
-	data := readFile(t, filepath.Join(killDir, "journal.jsonl"))
-	counts := map[string]int{}
-	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-		var rec Record
-		if err := strictUnmarshal(line, &rec); err != nil {
-			t.Fatalf("journal line undecodable after resume: %v", err)
-		}
-		counts[rec.Cell]++
-	}
-	if len(counts) != ref.Manifest.Cells {
-		t.Fatalf("journal covers %d cells, want %d", len(counts), ref.Manifest.Cells)
-	}
-	for cell, n := range counts {
-		if n != 1 {
-			t.Errorf("cell %s journaled %d times", cell, n)
-		}
-	}
+			state = spawnCoordinator(t, killDir, storeDir, leg.resume, 0)
+			if !state.Success() {
+				t.Fatalf("resumed coordinator failed: %v", state)
+			}
+			requireJournalOnce(t, killDir, ref.Manifest.Cells)
+			resumed := readFile(t, filepath.Join(killDir, "digests.json"))
+			if !bytes.Equal(refBytes, resumed) {
+				t.Fatal("kill/resume digests.json diverged from uninterrupted serial")
+			}
 
-	resumed := readFile(t, filepath.Join(killDir, "digests.json"))
-	if !bytes.Equal(refBytes, resumed) {
-		t.Fatal("kill/resume digests.json diverged from uninterrupted serial")
-	}
-
-	// A rerun over the warm store reloads everything: the ≥90% hit-rate
-	// acceptance bar, reported in the manifest.
-	warmDir := t.TempDir()
-	state = spawnCoordinator(t, warmDir, storeDir, 0, 0)
-	if !state.Success() {
-		t.Fatalf("warm rerun failed: %v", state)
-	}
-	var man Manifest
-	if err := jsonUnmarshalFile(filepath.Join(warmDir, "manifest.json"), &man); err != nil {
-		t.Fatal(err)
-	}
-	if man.StoreHitRate < 0.9 {
-		t.Errorf("warm-store hit rate %.3f < 0.9 (%+v)", man.StoreHitRate, man.Store)
-	}
-	if man.Store == nil || man.Store.Puts != 0 {
-		t.Errorf("warm rerun recomputed artifacts: %+v", man.Store)
-	}
-	warm := readFile(t, filepath.Join(warmDir, "digests.json"))
-	if !bytes.Equal(refBytes, warm) {
-		t.Fatal("warm-store digests.json diverged from serial")
-	}
-}
-
-// TestKillResumeWithWorkers repeats the kill/resume gate with the sweep
-// sharded across worker subprocesses on both sides of the kill.
-func TestKillResumeWithWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns coordinator+worker subprocess trees")
-	}
-	serialDir := t.TempDir()
-	runSerial(t, serialDir)
-	refBytes := readFile(t, filepath.Join(serialDir, "digests.json"))
-
-	killDir := t.TempDir()
-	storeDir := filepath.Join(t.TempDir(), "store")
-	state := spawnCoordinator(t, killDir, storeDir, 2, 6)
-	if ws, ok := state.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
-		t.Fatalf("coordinator did not die by SIGKILL: %v", state)
-	}
-	state = spawnCoordinator(t, killDir, storeDir, 2, 0)
-	if !state.Success() {
-		t.Fatalf("resumed sharded coordinator failed: %v", state)
-	}
-	resumed := readFile(t, filepath.Join(killDir, "digests.json"))
-	if !bytes.Equal(refBytes, resumed) {
-		t.Fatal("sharded kill/resume digests.json diverged from serial")
+			// A rerun over the warm store reloads everything: the ≥90%
+			// hit-rate acceptance bar, reported in the manifest.
+			warmDir := t.TempDir()
+			state = spawnCoordinator(t, warmDir, storeDir, leg.kill, 0)
+			if !state.Success() {
+				t.Fatalf("warm rerun failed: %v", state)
+			}
+			var man Manifest
+			if err := jsonUnmarshalFile(filepath.Join(warmDir, "manifest.json"), &man); err != nil {
+				t.Fatal(err)
+			}
+			if man.StoreHitRate < 0.9 {
+				t.Errorf("warm-store hit rate %.3f < 0.9 (%+v)", man.StoreHitRate, man.Store)
+			}
+			if man.Store == nil || man.Store.Puts != 0 {
+				t.Errorf("warm rerun recomputed artifacts: %+v", man.Store)
+			}
+			warm := readFile(t, filepath.Join(warmDir, "digests.json"))
+			if !bytes.Equal(refBytes, warm) {
+				t.Fatal("warm-store digests.json diverged from serial")
+			}
+		})
 	}
 }
 

@@ -12,10 +12,15 @@ import (
 // whatever ReadSpanLog accepts through both timeline layouts: the
 // journal merge (with the log's own commit cells as the journal) and the
 // no-journal clock layout. Each must return an error or valid JSON,
-// never panic. Seeded from the golden fixtures' span logs.
+// never panic. Seeded from the golden fixtures' span logs, plus one log
+// holding every journal-fixture span, so one log commits a whole sweep.
 func FuzzSpanTimeline(f *testing.F) {
 	journalProcs, _ := fixedProcs()
-	for _, p := range append(journalProcs, clockProcs()...) {
+	var all ProcSpans
+	for _, p := range journalProcs {
+		all.Spans = append(all.Spans, p.Spans...)
+	}
+	for _, p := range append(append(journalProcs, clockProcs()...), all) {
 		var log bytes.Buffer
 		for _, s := range p.Spans {
 			line, _ := json.Marshal(s)

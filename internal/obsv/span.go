@@ -30,10 +30,11 @@ type Span struct {
 	// Cell is the unit of work (a fabric cell ID, or a request tag for
 	// daemon-side request spans).
 	Cell string `json:"cell"`
-	// Phase is the span kind: lease, retry, attempt, compute, store-hit,
-	// commit, requeue — or any process-private vocabulary.
+	// Phase is the span kind: attempt, compute, store-hit, commit — or
+	// any process-private vocabulary.
 	Phase string `json:"phase"`
-	// Slot names the lane doing the work (w0, w1, inline...).
+	// Slot names the lane the span draws in (the fabric's "inline", a
+	// ccrsim region or memory object...).
 	Slot string `json:"slot,omitempty"`
 	// Seq is the cell's journal sequence number when the emitter knows it
 	// (commit spans); -1 otherwise.
@@ -44,7 +45,7 @@ type Span struct {
 	// N is the span's count, when its phase has one: instructions a
 	// reuse hit eliminated, instances an invalidation killed.
 	N int64 `json:"n,omitempty"`
-	// Err carries the failure cause for attempt/requeue spans.
+	// Err carries the failure cause for attempt spans.
 	Err string `json:"err,omitempty"`
 }
 

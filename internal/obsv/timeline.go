@@ -11,36 +11,30 @@ import (
 // trace-event (Perfetto-loadable) document. Span logs with no journal
 // are laid out on their own clocks (WriteClockTimeline); the rest of
 // this comment describes the journal layout. Wall clocks of different
-// processes — possibly different machines, possibly separated by a
-// SIGKILL and a resume — are never compared: the journal's append order
-// is the only cross-process sequence authority. Each journaled cell gets
-// one fixed-width virtual time slot in journal order, and every span is
-// drawn inside its cell's slot at a phase-deterministic offset. The
-// process-local measured duration is preserved in args.ms.
+// processes — a killed coordinator and the one that resumed it — are
+// never compared: the journal's append order is the only cross-process
+// sequence authority. Each journaled cell gets one fixed-width virtual
+// time slot in journal order, and every span is drawn inside its cell's
+// slot at a phase-deterministic offset. The process-local measured
+// duration is preserved in args.ms.
 //
 // Virtual layout within a cell's 1000µs slot:
 //
-//	lease/retry   [  0, 950)   slot holds the cell
 //	attempt       [ 50, 900)   a failed execution
 //	compute       [100, 900)   the work (store-hit when served from store)
-//	requeue        900         instant: cell went back to the queue
 //	commit        [950,1000)   journal append — the durability point
 const cellSlotUS = 1000
 
 // phaseGeom returns the virtual offset and duration of a phase inside
-// its cell slot, and whether it renders as an instant event.
-func phaseGeom(phase string) (offset, dur float64, instant bool) {
+// its cell slot.
+func phaseGeom(phase string) (offset, dur float64) {
 	switch phase {
-	case "lease", "retry":
-		return 0, 950, false
 	case "attempt":
-		return 50, 850, false
-	case "requeue":
-		return 900, 0, true
+		return 50, 850
 	case "commit":
-		return 950, 50, false
+		return 950, 50
 	default: // compute, store-hit, request spans, unknown phases
-		return 100, 800, false
+		return 100, 800
 	}
 }
 
@@ -134,8 +128,8 @@ func mergeTimeline(procs []ProcSpans, journalCells []string) (*timelineDoc, erro
 	}
 
 	doc := layout(procs, "sweep", func(s Span) (float64, float64, bool) {
-		off, dur, instant := phaseGeom(s.Phase)
-		return float64(slot[s.Cell]*cellSlotUS) + off, dur, instant
+		off, dur := phaseGeom(s.Phase)
+		return float64(slot[s.Cell]*cellSlotUS) + off, dur, false
 	})
 	doc.OtherData.JournalCells, doc.OtherData.ExtraCells = len(journalCells), len(extras)
 	return doc, nil
