@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ccr/internal/ir"
+	"ccr/internal/region"
 	"ccr/internal/vprof"
 	"ccr/internal/workloads"
 )
@@ -21,9 +22,11 @@ const compileGolden = "testdata/compile.golden"
 // workload at tiny and small scale: one row per program with the SHA-256
 // of the transformed program's dump, the training run's result, its
 // dynamic instruction count and the SHA-256 of the canonical text of its
-// value profile (profileText). A changed row means a compiled program or
-// the profile behind it changed. -update rewrites the file; -short skips
-// the small rows.
+// value profile (profileText). Each program also gets one row per
+// formationVariants entry, with the SHA-256 of the program compiled under
+// that variant's region options. A changed row means a compiled program
+// or the profile behind it changed. -update rewrites the file; -short
+// skips the small rows.
 func TestCompileGolden(t *testing.T) {
 	scales := []struct {
 		name  string
@@ -43,6 +46,16 @@ func TestCompileGolden(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s/%s prog=%x train=%d dyn=%d profile=%x",
 				name, s.name, sha256.Sum256([]byte(cr.Prog.Dump())), cr.TrainResult,
 				cr.Profile.TotalDyn, sha256.Sum256([]byte(profileText(w.Prog, cr.Profile)))))
+			for _, v := range formationVariants() {
+				opts := DefaultOptions()
+				opts.Region = v.opts
+				vr, err := CompileWith(w.Prog, cr.Alias, w.Train, opts)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: compile: %v", name, s.name, v.name, err)
+				}
+				got = append(got, fmt.Sprintf("%s/%s/%s prog=%x",
+					name, s.name, v.name, sha256.Sum256([]byte(vr.Prog.Dump()))))
+			}
 		}
 	}
 	if *update {
@@ -72,6 +85,24 @@ func TestCompileGolden(t *testing.T) {
 	if !testing.Short() && len(want) != len(got) {
 		t.Errorf("%d rows, golden has %d", len(got), len(want))
 	}
+}
+
+// formationVariant is a named set of region-formation options.
+type formationVariant struct {
+	name string
+	opts region.Options
+}
+
+// formationVariants returns the region options the experiments compile
+// under besides the paper's: the heuristic ablation's strict, lax and
+// greedy thresholds and §6 function-level formation.
+func formationVariants() []formationVariant {
+	strict, lax, greedy, fl := region.DefaultOptions(), region.DefaultOptions(), region.DefaultOptions(), region.DefaultOptions()
+	strict.R, strict.MinLiveInInvariance = 0.90, 0.70
+	lax.R, lax.MinLiveInInvariance, lax.BlockReusableFrac = 0.30, 0.15, 0.25
+	greedy.R, greedy.Rm, greedy.MinLiveInInvariance, greedy.BlockReusableFrac, greedy.MinStaticSize = 0, 0, 0, 0, 1
+	fl.FunctionLevel = true
+	return []formationVariant{{"strict", strict}, {"lax", lax}, {"greedy", greedy}, {"funclevel", fl}}
 }
 
 // profileText renders everything prof reports about prog through the
