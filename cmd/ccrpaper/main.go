@@ -158,9 +158,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ccrpaper: %.2fs wall, %d jobs, %d cells; compile %d misses / %d hits\n",
+	fmt.Fprintf(os.Stderr, "ccrpaper: %.2fs wall, %d jobs, %d cells; compile %d misses / %d hits; %d profiling runs\n",
 		m.WallSeconds, m.Jobs, len(m.Cells),
-		m.Caches["compile"].Misses, m.Caches["compile"].Hits)
+		m.Caches["compile"].Misses, m.Caches["compile"].Hits, m.Caches["profile"].Misses)
 	if n := suite.FailedCells(); n > 0 {
 		fmt.Fprintf(os.Stderr, "ccrpaper: %d cells failed (see FAILED entries above)\n", n)
 		if *strict {

@@ -94,14 +94,23 @@ func Prepare(base *ir.Program) *alias.Result {
 }
 
 // CompileWith is Compile with the alias analysis already performed (see
-// Prepare); it does not mutate base.
+// Prepare); it does not mutate base. It is ProfileRun followed by
+// CompileFrom.
 func CompileWith(base *ir.Program, ar *alias.Result, trainArgs []int64, opts Options) (*CompileResult, error) {
 	prof, trainResult, err := ProfileRun(base, trainArgs, opts.Limit)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling run: %w", err)
 	}
+	return CompileFrom(base, ar, prof, trainResult, opts.Region)
+}
 
-	plans := region.Form(base, prof, ar, opts.Region)
+// CompileFrom forms regions under ro from a finished profile of base and
+// transforms base. The profile and the training result depend only on
+// base, the training input and the run limit, so one ProfileRun serves
+// every set of region options. CompileFrom reads prof, ar and base and
+// writes none of them: any number of calls may share them concurrently.
+func CompileFrom(base *ir.Program, ar *alias.Result, prof *vprof.Profile, trainResult int64, ro region.Options) (*CompileResult, error) {
+	plans := region.Form(base, prof, ar, ro)
 	prog, err := xform.Transform(base, plans)
 	if err != nil {
 		return nil, err

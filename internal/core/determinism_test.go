@@ -104,3 +104,63 @@ func TestTimedRunSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("timed m88ksim run: %.0f allocs, want at most 64", tiny)
 	}
 }
+
+// TestSharedProfileConcurrent forms every workload's program from one
+// profile under the paper's options and each formationVariants entry,
+// all at once, and requires each dump to equal a serial CompileWith under
+// the same options and the profile to read the same afterwards: region
+// formation only reads the profile it is given. -short, which CI runs
+// under the race detector, keeps four workloads.
+func TestSharedProfileConcurrent(t *testing.T) {
+	variants := append([]formationVariant{{"paper", DefaultOptions().Region}}, formationVariants()...)
+	names := workloads.Names()
+	if testing.Short() {
+		names = []string{"lex", "sc", "compress", "espresso"}
+	}
+	for _, name := range names {
+		w := workloads.Load(name, workloads.Tiny)
+		ar := Prepare(w.Prog)
+		want := make([]string, len(variants))
+		for i, v := range variants {
+			opts := DefaultOptions()
+			opts.Region = v.opts
+			cr, err := CompileWith(w.Prog, ar, w.Train, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, v.name, err)
+			}
+			want[i] = cr.Prog.Dump()
+		}
+		prof, train, err := ProfileRun(w.Prog, w.Train, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := profileText(w.Prog, prof)
+		const copies = 2
+		got := make([]string, copies*len(variants))
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				cr, err := CompileFrom(w.Prog, ar, prof, train, variants[i%len(variants)].opts)
+				if errs[i] = err; err == nil {
+					got[i] = cr.Prog.Dump()
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i := range got {
+			v := variants[i%len(variants)]
+			if errs[i] != nil {
+				t.Fatalf("%s/%s: %v", name, v.name, errs[i])
+			}
+			if got[i] != want[i%len(variants)] {
+				t.Fatalf("%s/%s: program formed from the shared profile differs from a serial compile", name, v.name)
+			}
+		}
+		if profileText(w.Prog, prof) != before {
+			t.Fatalf("%s: forming regions changed the profile", name)
+		}
+	}
+}

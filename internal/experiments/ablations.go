@@ -155,11 +155,7 @@ func heuristicCell(s *Suite, b *workloads.Benchmark, p HeuristicPoint) (int, flo
 	}
 	opts := s.cfg.Opts
 	p.Mutate(&opts)
-	ar, err := s.prepared(b)
-	if err != nil {
-		return 0, 0, err
-	}
-	cr, err := core.CompileWith(b.Prog, ar, b.Train, opts)
+	cr, err := s.CompiledUnder(b, opts.Region)
 	if err != nil {
 		return 0, 0, fmt.Errorf("heuristic ablation %s/%s: %w", p.Label, b.Name, err)
 	}
@@ -224,9 +220,9 @@ func AblationSpeculation(s *Suite) (*AblationResult, error) {
 // AblationFuncLevel compares the paper's evaluated configuration against
 // the §6 function-level extension: calls to pure functions with recurring
 // arguments become reuse regions of their own, eliminating the call,
-// callee body and return in one hit. Each point needs its own compilation,
-// so the shared caches are bypassed for the extension runs; it compiles
-// the suite's prepared program, as Verify's function-level check does.
+// callee body and return in one hit. The extension's compilation is the
+// suite's function-level variant, which Verify's function-level check
+// shares; its timed runs bypass the shared caches.
 func AblationFuncLevel(s *Suite) (*AblationResult, error) {
 	res := &AblationResult{
 		Title:  "Ablation: function-level CCR (128 entries, 8 CIs)",
@@ -243,11 +239,7 @@ func AblationFuncLevel(s *Suite) (*AblationResult, error) {
 		if err != nil {
 			return [2]float64{}, err
 		}
-		ar, err := s.prepared(b)
-		if err != nil {
-			return [2]float64{}, err
-		}
-		cr, err := core.CompileWith(b.Prog, ar, b.Train, flOpts)
+		cr, err := s.CompiledUnder(b, flOpts.Region)
 		if err != nil {
 			return [2]float64{}, fmt.Errorf("funclevel ablation %s: %w", b.Name, err)
 		}

@@ -124,6 +124,37 @@ func TestCompileSingleFlight(t *testing.T) {
 	}
 }
 
+// TestProfileOncePerSuite checks that every compilation variant forms
+// its regions from the benchmark's one profile: the heuristic ablation's
+// four points, the function-level ablation and Verify's function-level
+// check together make exactly one profiling run per benchmark.
+func TestProfileOncePerSuite(t *testing.T) {
+	s := suiteWithJobs(2)
+	if _, err := AblationHeuristics(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := AblationFuncLevel(s); err != nil {
+		t.Fatal(err)
+	}
+	v, err := Verify(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Failed() != 0 {
+		t.Fatalf("verify: %s", v.Render())
+	}
+	st := s.CacheStats()
+	nb := int64(len(s.Benches))
+	if st["profile"].Misses != nb {
+		t.Fatalf("profile cache: %d profiling runs, want one per benchmark (%d)", st["profile"].Misses, nb)
+	}
+	// Three heuristic points besides the paper's, and one function-level
+	// variant shared by the ablation and Verify.
+	if st["variant"].Misses != 4*nb {
+		t.Fatalf("variant cache: %d compilations, want %d", st["variant"].Misses, 4*nb)
+	}
+}
+
 // TestSuiteManifest checks a suite run fills an attached manifest with
 // cells, worker records and cache counters.
 func TestSuiteManifest(t *testing.T) {

@@ -23,10 +23,12 @@ import (
 	"ccr/internal/ir"
 	"ccr/internal/oracle"
 	"ccr/internal/potential"
+	"ccr/internal/region"
 	"ccr/internal/reuse"
 	"ccr/internal/runner"
 	"ccr/internal/store"
 	"ccr/internal/telemetry"
+	"ccr/internal/vprof"
 	"ccr/internal/workloads"
 )
 
@@ -74,7 +76,9 @@ type Suite struct {
 	failed atomic.Int64 // cells that failed across every fan-out
 
 	prep     *runner.Cache // name → *alias.Result (the only b.Prog mutation)
-	compiled *runner.Cache // name → *core.CompileResult
+	profiles *runner.Cache // name → *profiled: the training run's value profile
+	compiled *runner.Cache // name → *core.CompileResult under cfg.Opts.Region
+	variants *runner.Cache // name|region options → *core.CompileResult under other options
 	baseSim  *runner.Cache // name|dataset → *core.SimResult
 	ccrSim   *runner.Cache // name|dataset|reuse-key → *core.SimResult
 	limit    *runner.Cache // name|dataset → potential.Result
@@ -104,7 +108,9 @@ func NewSuiteOf(cfg Config, benches []*workloads.Benchmark) *Suite {
 		Benches:  benches,
 		pool:     runner.Pool{Jobs: cfg.Jobs, Heartbeat: cfg.Heartbeat},
 		prep:     runner.NewCache(),
+		profiles: runner.NewCache(),
 		compiled: runner.NewCache(),
+		variants: runner.NewCache(),
 		baseSim:  runner.NewCache(),
 		ccrSim:   runner.NewCache(),
 		limit:    runner.NewCache(),
@@ -133,7 +139,7 @@ func (s *Suite) Config() Config { return s.cfg }
 
 // WithPool returns a view of s whose fan-outs run on the given pool but
 // share every resident artifact with s: the benchmark programs (alias
-// annotation included) and all six single-flight caches. The view has its
+// annotation included) and all eight single-flight caches. The view has its
 // own failed-cell counter and the pool its own manifest/heartbeat sink, so
 // a long-running service can give each request private progress streaming
 // and accounting while every request warms the same caches.
@@ -142,8 +148,8 @@ func (s *Suite) WithPool(pool runner.Pool) *Suite {
 		cfg:     s.cfg,
 		Benches: s.Benches,
 		pool:    pool,
-		prep:    s.prep, compiled: s.compiled, baseSim: s.baseSim,
-		ccrSim: s.ccrSim, limit: s.limit, digest: s.digest,
+		prep:    s.prep, profiles: s.profiles, compiled: s.compiled, variants: s.variants,
+		baseSim: s.baseSim, ccrSim: s.ccrSim, limit: s.limit, digest: s.digest,
 		progKey: s.progKey, optsKey: s.optsKey,
 	}
 }
@@ -164,7 +170,9 @@ func (s *Suite) AttachManifest(m *runner.Manifest) { s.pool.Manifest = m }
 func (s *Suite) CacheStats() map[string]runner.CacheStats {
 	return map[string]runner.CacheStats{
 		"prepare":  s.prep.Stats(),
+		"profile":  s.profiles.Stats(),
 		"compile":  s.compiled.Stats(),
+		"variant":  s.variants.Stats(),
 		"base_sim": s.baseSim.Stats(),
 		"ccr_sim":  s.ccrSim.Stats(),
 		"limit":    s.limit.Stats(),
@@ -319,18 +327,61 @@ type storedCompile struct {
 	TrainResult int64  `json:"train_result"`
 }
 
-// Compiled returns (building on demand) the CCR compilation of the named
-// benchmark, profiled on its training input. With a store attached the
-// transformed program persists across processes; a persisted program that
-// fails to re-parse degrades to a recompilation, never an error.
-func (s *Suite) Compiled(b *workloads.Benchmark) (*core.CompileResult, error) {
-	v, err := s.compiled.Do(b.Name, func() (any, error) {
-		key, err := s.storeKey(b, "compile")
-		if err != nil {
+// profiled is one benchmark's profiling run on its training input.
+type profiled struct {
+	prof  *vprof.Profile
+	train int64 // the run's architectural result
+}
+
+// profile returns (running once per benchmark) the value profile of b's
+// training run on the prepared program. It depends on neither the region
+// options nor the reuse hardware, so every compilation of b forms its
+// regions from this one read-only profile.
+func (s *Suite) profile(b *workloads.Benchmark) (*profiled, error) {
+	v, err := s.profiles.Do(b.Name, func() (any, error) {
+		if _, err := s.prepared(b); err != nil {
 			return nil, err
 		}
+		prof, train, err := core.ProfileRun(b.Prog, b.Train, s.cfg.Opts.Limit)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: profiling run %s: %w", b.Name, err)
+		}
+		return &profiled{prof: prof, train: train}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*profiled), nil
+}
+
+// Compiled returns (building on demand) the CCR compilation of the named
+// benchmark under the suite's own options.
+func (s *Suite) Compiled(b *workloads.Benchmark) (*core.CompileResult, error) {
+	return s.CompiledUnder(b, s.cfg.Opts.Region)
+}
+
+// CompiledUnder returns (building on demand) b compiled under region
+// options ro, formed from b's one training profile (see profile). The
+// suite's own options fill the compile cache: with a store attached that
+// transformed program persists across processes, and a persisted program
+// that fails to re-parse degrades to a recompilation, never an error.
+// Other options fill the variant cache, which stays in memory.
+func (s *Suite) CompiledUnder(b *workloads.Benchmark, ro region.Options) (*core.CompileResult, error) {
+	own := ro == s.cfg.Opts.Region
+	cache, key := s.compiled, b.Name
+	if !own {
+		cache, key = s.variants, fmt.Sprintf("%s|%v", b.Name, ro)
+	}
+	v, err := cache.Do(key, func() (any, error) {
+		var skey string
+		if own {
+			var err error
+			if skey, err = s.storeKey(b, "compile"); err != nil {
+				return nil, err
+			}
+		}
 		var sc storedCompile
-		if s.fromStore("compile", key, &sc) {
+		if s.fromStore("compile", skey, &sc) {
 			prog, perr := ir.Parse(sc.Prog)
 			if perr == nil {
 				return &core.CompileResult{Prog: prog, TrainResult: sc.TrainResult}, nil
@@ -342,12 +393,16 @@ func (s *Suite) Compiled(b *workloads.Benchmark) (*core.CompileResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		cr, err := core.CompileWith(b.Prog, ar, b.Train, s.cfg.Opts)
+		p, err := s.profile(b)
+		if err != nil {
+			return nil, err
+		}
+		cr, err := core.CompileFrom(b.Prog, ar, p.prof, p.train, ro)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: compile %s: %w", b.Name, err)
 		}
-		if key != "" {
-			s.toStore("compile", key, storedCompile{Prog: cr.Prog.Dump(), TrainResult: cr.TrainResult})
+		if skey != "" {
+			s.toStore("compile", skey, storedCompile{Prog: cr.Prog.Dump(), TrainResult: cr.TrainResult})
 		}
 		return cr, nil
 	})

@@ -7,7 +7,6 @@ import (
 	"ccr/internal/crb"
 	"ccr/internal/oracle"
 	"ccr/internal/reuse"
-	"ccr/internal/runner"
 	"ccr/internal/stats"
 	"ccr/internal/workloads"
 )
@@ -100,24 +99,6 @@ func Verify(s *Suite) (*VerifyResult, error) {
 
 	flOpts := s.cfg.Opts
 	flOpts.Region.FunctionLevel = true
-	flCompiled := runner.NewCache()
-	compiledFL := func(b *workloads.Benchmark) (*core.CompileResult, error) {
-		v, err := flCompiled.Do(b.Name, func() (any, error) {
-			ar, err := s.prepared(b)
-			if err != nil {
-				return nil, err
-			}
-			cr, err := core.CompileWith(b.Prog, ar, b.Train, flOpts)
-			if err != nil {
-				return nil, fmt.Errorf("verify: funclevel compile %s: %w", b.Name, err)
-			}
-			return cr, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return v.(*core.CompileResult), nil
-	}
 
 	// A grid point is a (dataset, config) pair; the last config index is
 	// the function-level variant.
@@ -142,9 +123,9 @@ func Verify(s *Suite) (*VerifyResult, error) {
 			}
 			var got oracle.Digest
 			if ci == len(points) {
-				cr, err := compiledFL(b)
+				cr, err := s.CompiledUnder(b, flOpts.Region)
 				if err != nil {
-					return err
+					return fmt.Errorf("verify: funclevel compile %s: %w", b.Name, err)
 				}
 				got, err = core.DigestRun(cr.Prog, &flOpts.CRB, args, flOpts.Limit)
 				if err != nil {

@@ -57,17 +57,17 @@ func (c *funcCtx) likelySucc(b ir.BlockID) ir.BlockID {
 // growable reports whether block nb can join the region tentatively rooted
 // at entry: admissible, unclaimed, keeps the subgraph acyclic and the
 // input bank within capacity.
-func (c *funcCtx) growable(blocks map[ir.BlockID]bool, entry, nb ir.BlockID) bool {
-	if nb == ir.NoBlock || blocks[nb] || c.claimed[nb] || !c.blockAdmissible(nb) {
+func (c *funcCtx) growable(blocks blockSet, entry, nb ir.BlockID) bool {
+	if nb == ir.NoBlock || blocks.has(nb) || c.claimed[nb] || !c.blockAdmissible(nb) {
 		return false
 	}
-	blocks[nb] = true
-	defer delete(blocks, nb)
+	blocks.add(nb)
+	defer blocks.remove(nb)
 	if !c.acyclicSubgraph(blocks) {
 		return false
 	}
-	cont, found := c.bestContinuation(blocks)
-	if !found {
+	cont, _, _ := c.continuation(blocks)
+	if cont == ir.NoBlock {
 		return false
 	}
 	s, ok := c.summarize(blocks, entry, cont)
@@ -126,7 +126,8 @@ func (c *funcCtx) formAcyclic(minWeight int64, budget int) []*Plan {
 // growRegion grows one acyclic region from seed and finalizes it, or
 // returns nil when the result fails the size, cap or weight conditions.
 func (c *funcCtx) growRegion(seed ir.BlockID) *Plan {
-	blocks := map[ir.BlockID]bool{seed: true}
+	blocks := newBlockSet(len(c.f.Blocks))
+	blocks.add(seed)
 	entry := seed
 
 	for grew := true; grew; {
@@ -142,7 +143,7 @@ func (c *funcCtx) growRegion(seed ir.BlockID) *Plan {
 			if next == ir.NoBlock || !c.growable(blocks, entry, next) {
 				break
 			}
-			blocks[next] = true
+			blocks.add(next)
 			grew = true
 		}
 		// Step 3: extend upward through predecessors that likely flow
@@ -155,9 +156,9 @@ func (c *funcCtx) growRegion(seed ir.BlockID) *Plan {
 			// The predecessor must still expose a single starting
 			// point: after adding p, every region block must be
 			// reachable from p within the region.
-			blocks[p] = true
+			blocks.add(p)
 			if !c.singleEntry(blocks, p) {
-				delete(blocks, p)
+				blocks.remove(p)
 				break
 			}
 			entry = p
@@ -165,16 +166,18 @@ func (c *funcCtx) growRegion(seed ir.BlockID) *Plan {
 		}
 		// Step 4: add subordinate paths — off-path blocks whose every
 		// successor rejoins the region (or its continuation), enabling
-		// reuse across both arms of a hammock.
+		// reuse across both arms of a hammock. Blocks are tried in
+		// ascending order; one added above the current block is tried
+		// in the same pass.
 		for {
 			added := false
-			for b := range blocks {
+			for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
 				for _, s := range c.g.Succs[b] {
-					if blocks[s] || !c.rejoins(blocks, s) {
+					if blocks.has(s) || !c.rejoins(blocks, s) {
 						continue
 					}
 					if c.growable(blocks, entry, s) {
-						blocks[s] = true
+						blocks.add(s)
 						added = true
 					}
 				}
@@ -186,8 +189,8 @@ func (c *funcCtx) growRegion(seed ir.BlockID) *Plan {
 		}
 	}
 
-	cont, found := c.bestContinuation(blocks)
-	if !found {
+	cont, contW, total := c.continuation(blocks)
+	if cont == ir.NoBlock {
 		return nil
 	}
 	// Finish-probability gate: executions leaving through a side exit
@@ -195,12 +198,7 @@ func (c *funcCtx) growRegion(seed ir.BlockID) *Plan {
 	// its continuation on the clearly-likely path. Without this, blocks
 	// whose hot exit is conditional form regions that mostly abort —
 	// pure reuse-instruction overhead.
-	outs := c.outsideSuccs(blocks)
-	var total int64
-	for _, w := range outs {
-		total += w
-	}
-	if total > 0 && float64(outs[cont]) < c.opts.LikelyEdge*float64(total) {
+	if total > 0 && float64(contW) < c.opts.LikelyEdge*float64(total) {
 		return nil
 	}
 	s, ok := c.summarize(blocks, entry, cont)
@@ -210,12 +208,9 @@ func (c *funcCtx) growRegion(seed ir.BlockID) *Plan {
 	if s.Size < c.opts.MinStaticSize {
 		return nil
 	}
-	ids := make([]ir.BlockID, 0, len(blocks))
-	for b := range blocks {
+	ids := make([]ir.BlockID, 0, blocks.count())
+	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
 		ids = append(ids, b)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, b := range ids {
 		c.claimed[b] = true
 	}
 	return &Plan{
@@ -236,13 +231,13 @@ func (c *funcCtx) growRegion(seed ir.BlockID) *Plan {
 // pathTail returns the region block with no in-region successors along the
 // likely path — the natural point to extend. With several such blocks the
 // heaviest is chosen.
-func (c *funcCtx) pathTail(blocks map[ir.BlockID]bool) ir.BlockID {
+func (c *funcCtx) pathTail(blocks blockSet) ir.BlockID {
 	best := ir.NoBlock
 	var bestW int64 = -1
-	for b := range blocks {
+	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
 		hasInner := false
 		for _, s := range c.g.Succs[b] {
-			if blocks[s] {
+			if blocks.has(s) {
 				hasInner = true
 				break
 			}
@@ -287,33 +282,36 @@ func (c *funcCtx) likelyPred(entry ir.BlockID) ir.BlockID {
 
 // singleEntry reports whether every region block is reachable from entry
 // through region-internal edges (so the inception point covers the region).
-func (c *funcCtx) singleEntry(blocks map[ir.BlockID]bool, entry ir.BlockID) bool {
-	seen := map[ir.BlockID]bool{entry: true}
-	stack := []ir.BlockID{entry}
+func (c *funcCtx) singleEntry(blocks blockSet, entry ir.BlockID) bool {
+	seen := c.reached
+	clear(seen)
+	seen.add(entry)
+	stack := append(c.stack[:0], entry)
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, s := range c.g.Succs[b] {
-			if blocks[s] && !seen[s] {
-				seen[s] = true
+			if blocks.has(s) && !seen.has(s) {
+				seen.add(s)
 				stack = append(stack, s)
 			}
 		}
 	}
-	return len(seen) == len(blocks)
+	c.stack = stack
+	return seen.count() == blocks.count()
 }
 
 // rejoins reports whether block s flows only back into the region: every
 // successor of s is a region member. (Continuation rejoining is handled by
 // region growth itself; requiring full rejoin keeps subordinate paths
 // conservative.)
-func (c *funcCtx) rejoins(blocks map[ir.BlockID]bool, s ir.BlockID) bool {
+func (c *funcCtx) rejoins(blocks blockSet, s ir.BlockID) bool {
 	succs := c.g.Succs[s]
 	if len(succs) == 0 {
 		return false
 	}
 	for _, x := range succs {
-		if !blocks[x] {
+		if !blocks.has(x) {
 			return false
 		}
 	}

@@ -1,6 +1,9 @@
 package region
 
 import (
+	"math/bits"
+	"slices"
+
 	"ccr/internal/analysis"
 	"ccr/internal/ir"
 	"ccr/internal/vprof"
@@ -23,6 +26,54 @@ type funcCtx struct {
 	use, def []analysis.RegSet
 	// admissibleMemo caches blockAdmissible results.
 	admissibleMemo []int8 // 0 unknown, 1 yes, -1 no
+
+	// Scratch by block ID, reused by every candidate region: DFS colours
+	// (all white between calls), outside-successor weights (-1 where
+	// untouched) with the blocks they cover, region-local live-in sets
+	// (allocated on a block's first candidate) and a reachability set.
+	color   []uint8
+	outW    []int64
+	outs    []ir.BlockID
+	liveIn  []analysis.RegSet
+	tmp     analysis.RegSet
+	reached blockSet
+	stack   []ir.BlockID
+}
+
+// blockSet is a set of one function's blocks, a bit per block ID. Its
+// members are visited in ascending ID order, so no region choice depends
+// on iteration order.
+type blockSet []uint64
+
+func newBlockSet(n int) blockSet { return make(blockSet, (n+63)/64) }
+
+func (s blockSet) has(b ir.BlockID) bool { return s[b>>6]&(1<<(b&63)) != 0 }
+func (s blockSet) add(b ir.BlockID)      { s[b>>6] |= 1 << (b & 63) }
+func (s blockSet) remove(b ir.BlockID)   { s[b>>6] &^= 1 << (b & 63) }
+
+// next returns the least member not below b, or ir.NoBlock; members are
+// visited with for b := s.next(0); b != ir.NoBlock; b = s.next(b + 1).
+func (s blockSet) next(b ir.BlockID) ir.BlockID {
+	w := int(b >> 6)
+	if w >= len(s) {
+		return ir.NoBlock
+	}
+	word := s[w] &^ (1<<(b&63) - 1)
+	for word == 0 {
+		if w++; w == len(s) {
+			return ir.NoBlock
+		}
+		word = s[w]
+	}
+	return ir.BlockID(w<<6 + bits.TrailingZeros64(word))
+}
+
+func (s blockSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func newFuncCtx(prog *ir.Program, f *ir.Func, prof *vprof.Profile, opts Options) *funcCtx {
@@ -41,6 +92,14 @@ func newFuncCtx(prog *ir.Program, f *ir.Func, prof *vprof.Profile, opts Options)
 		use:            make([]analysis.RegSet, len(f.Blocks)),
 		def:            make([]analysis.RegSet, len(f.Blocks)),
 		admissibleMemo: make([]int8, len(f.Blocks)),
+		color:          make([]uint8, len(f.Blocks)),
+		outW:           make([]int64, len(f.Blocks)),
+		liveIn:         make([]analysis.RegSet, len(f.Blocks)),
+		tmp:            analysis.NewRegSet(f.NumRegs),
+		reached:        newBlockSet(len(f.Blocks)),
+	}
+	for b := range c.outW {
+		c.outW[b] = -1
 	}
 	var uses []ir.Reg
 	for _, b := range f.Blocks {
@@ -177,36 +236,39 @@ type summary struct {
 // (a region-local backward dataflow, so cyclic regions account for values
 // flowing around back edges). Outputs are registers defined in the region
 // that are live at the continuation.
-func (c *funcCtx) summarize(blocks map[ir.BlockID]bool, entry, cont ir.BlockID) (summary, bool) {
+func (c *funcCtx) summarize(blocks blockSet, entry, cont ir.BlockID) (summary, bool) {
 	var s summary
 	n := c.f.NumRegs
-	liveIn := map[ir.BlockID]analysis.RegSet{}
-	for b := range blocks {
-		liveIn[b] = analysis.NewRegSet(n)
+	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
+		if c.liveIn[b] == nil {
+			c.liveIn[b] = analysis.NewRegSet(n)
+		} else {
+			c.liveIn[b].Clear()
+		}
 	}
-	tmp := analysis.NewRegSet(n)
+	tmp := c.tmp
 	for changed := true; changed; {
 		changed = false
-		for b := range blocks {
+		for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
 			tmp.Clear()
 			for _, succ := range c.g.Succs[b] {
-				if blocks[succ] {
-					tmp.Union(liveIn[succ])
+				if blocks.has(succ) {
+					tmp.Union(c.liveIn[succ])
 				}
 			}
 			tmp.Subtract(c.def[b])
 			tmp.Union(c.use[b])
-			if !tmp.Equal(liveIn[b]) {
-				liveIn[b].CopyFrom(tmp)
+			if !tmp.Equal(c.liveIn[b]) {
+				c.liveIn[b].CopyFrom(tmp)
 				changed = true
 			}
 		}
 	}
-	s.Inputs = liveIn[entry].Members()
+	s.Inputs = c.liveIn[entry].Members()
 
-	defs := analysis.NewRegSet(n)
-	memSeen := map[ir.MemID]bool{}
-	for b := range blocks {
+	defs := tmp
+	defs.Clear()
+	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
 		defs.Union(c.def[b])
 		blk := c.f.Blocks[b]
 		s.Size += len(blk.Instrs)
@@ -225,15 +287,13 @@ func (c *funcCtx) summarize(blocks map[ir.BlockID]bool, entry, cont ir.BlockID) 
 				// memory dependence.
 				continue
 			}
-			if !memSeen[in.Mem] {
-				memSeen[in.Mem] = true
+			if !slices.Contains(s.Mems, in.Mem) {
 				s.Mems = append(s.Mems, in.Mem)
 			}
 		}
 	}
-	out := c.lv.LiveIn[cont].Clone()
 	outs := make([]ir.Reg, 0, 8)
-	for _, r := range out.Members() {
+	for _, r := range c.lv.LiveIn[cont].Members() {
 		if defs.Has(r) {
 			outs = append(outs, r)
 		}
@@ -256,51 +316,58 @@ func (c *funcCtx) fitsCaps(s summary) bool {
 
 // acyclicSubgraph reports whether the region subgraph restricted to blocks
 // has no cycles.
-func (c *funcCtx) acyclicSubgraph(blocks map[ir.BlockID]bool) bool {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := map[ir.BlockID]int{}
-	var dfs func(ir.BlockID) bool
-	dfs = func(b ir.BlockID) bool {
-		color[b] = grey
-		for _, s := range c.g.Succs[b] {
-			if !blocks[s] {
-				continue
-			}
-			switch color[s] {
-			case grey:
-				return false
-			case white:
-				if !dfs(s) {
-					return false
-				}
-			}
-		}
-		color[b] = black
-		return true
-	}
-	for b := range blocks {
-		if color[b] == white {
-			if !dfs(b) {
-				return false
-			}
+func (c *funcCtx) acyclicSubgraph(blocks blockSet) bool {
+	ok := true
+	for b := blocks.next(0); ok && b != ir.NoBlock; b = blocks.next(b + 1) {
+		if c.color[b] == white {
+			ok = c.acyclicFrom(blocks, b)
 		}
 	}
+	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
+		c.color[b] = white
+	}
+	return ok
+}
+
+// DFS colours of acyclicSubgraph.
+const (
+	white = iota
+	grey
+	black
+)
+
+// acyclicFrom runs acyclicSubgraph's depth-first search from b, reporting
+// false when it meets a grey block (a back edge).
+func (c *funcCtx) acyclicFrom(blocks blockSet, b ir.BlockID) bool {
+	c.color[b] = grey
+	for _, s := range c.g.Succs[b] {
+		if !blocks.has(s) {
+			continue
+		}
+		switch c.color[s] {
+		case grey:
+			return false
+		case white:
+			if !c.acyclicFrom(blocks, s) {
+				return false
+			}
+		}
+	}
+	c.color[b] = black
 	return true
 }
 
-// outsideSuccs returns, for each block outside the region that region
-// blocks branch or fall through to, the total profiled edge weight into it.
-func (c *funcCtx) outsideSuccs(blocks map[ir.BlockID]bool) map[ir.BlockID]int64 {
-	out := map[ir.BlockID]int64{}
-	for b := range blocks {
+// continuation picks the region's continuation: of the blocks outside the
+// region that region blocks branch or fall through to, the one with the
+// highest total profiled edge weight into it, the lowest ID on ties. It
+// returns that block (ir.NoBlock when no edge leaves the region), its
+// weight and the total weight of every edge leaving the region.
+func (c *funcCtx) continuation(blocks blockSet) (best ir.BlockID, bestW, total int64) {
+	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
 		blk := c.f.Blocks[b]
 		t := blk.Terminator()
 		for _, succ := range c.g.Succs[b] {
-			if blocks[succ] {
+			if blocks.has(succ) {
 				continue
 			}
 			var w int64
@@ -311,21 +378,22 @@ func (c *funcCtx) outsideSuccs(blocks map[ir.BlockID]bool) map[ir.BlockID]int64 
 			default:
 				w = c.prof.BlockExec(c.f.ID, b)
 			}
-			out[succ] += w
+			if c.outW[succ] < 0 {
+				c.outW[succ] = 0
+				c.outs = append(c.outs, succ)
+			}
+			c.outW[succ] += w
 		}
 	}
-	return out
-}
-
-// bestContinuation picks the highest-weight outside successor.
-func (c *funcCtx) bestContinuation(blocks map[ir.BlockID]bool) (ir.BlockID, bool) {
-	outs := c.outsideSuccs(blocks)
-	best := ir.NoBlock
-	var bestW int64 = -1
-	for b, w := range outs {
+	best, bestW = ir.NoBlock, -1
+	for _, b := range c.outs {
+		w := c.outW[b]
+		total += w
 		if w > bestW || (w == bestW && b < best) {
 			best, bestW = b, w
 		}
+		c.outW[b] = -1
 	}
-	return best, best != ir.NoBlock
+	c.outs = c.outs[:0]
+	return best, bestW, total
 }

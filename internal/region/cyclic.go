@@ -12,14 +12,14 @@ func (c *funcCtx) formCyclic(minWeight int64) []*Plan {
 		if !l.Inner() {
 			continue
 		}
-		blocks := map[ir.BlockID]bool{}
+		blocks := newBlockSet(len(c.f.Blocks))
 		ok := true
 		for _, b := range l.Blocks {
 			if c.claimed[b] {
 				ok = false
 				break
 			}
-			blocks[b] = true
+			blocks.add(b)
 		}
 		if !ok {
 			continue
@@ -49,8 +49,8 @@ func (c *funcCtx) formCyclic(minWeight int64) []*Plan {
 		if headerWeight < minWeight {
 			continue
 		}
-		cont, found := c.bestContinuation(blocks)
-		if !found {
+		cont, _, _ := c.continuation(blocks)
+		if cont == ir.NoBlock {
 			continue
 		}
 		s, detOK := c.summarize(blocks, l.Header, cont)

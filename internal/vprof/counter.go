@@ -14,13 +14,18 @@ type valueKey struct {
 // bounds, which matches the paper's use of profiled invariance as an
 // optimistic reuse estimate.
 //
-// Both tables are fixed arrays in arrival order, and slot order makes
+// The table is fixed arrays in arrival order, and slot order makes
 // eviction deterministic: the victim is the minimum count, ties broken
 // by the lowest slot. Each slot also keeps a one-byte fingerprint of its
 // tuple, eight to a word, so a lookup compares all fingerprints with a
 // few word operations and reads only the keys whose fingerprint matches;
 // minMask tracks the slots holding the minimum count, so an eviction
 // rarely scans the counts.
+//
+// Most instructions see fewer distinct tuples than the table holds, so
+// the distinct-value list is allocated only when a miss first finds the
+// table full. Until then nothing was evicted: the table's keys are every
+// tuple seen, in arrival order, and distinct equals n.
 type ValueCounter struct {
 	keys   [counterCapacity]valueKey
 	counts [counterCapacity]int64
@@ -33,10 +38,17 @@ type ValueCounter struct {
 	minMask uint32
 	// distinct saturates at distinctSaturation and estimates the variety
 	// of the instruction's input stream (the "limited set of values"
-	// check); seen holds the first distinct tuples in arrival order.
+	// check); seen, nil until the table first overflows, holds the first
+	// distinct tuples in arrival order.
 	distinct int
-	seen     [distinctSaturation]valueKey
-	seenFPs  [distinctSaturation / 8]uint64
+	seen     *distinctList
+}
+
+// distinctList is a counter's first distinctSaturation distinct tuples,
+// with one fingerprint byte per slot as in the table.
+type distinctList struct {
+	keys [distinctSaturation]valueKey
+	fps  [distinctSaturation / 8]uint64
 }
 
 // counterCapacity is the table size; comfortably above the paper's
@@ -91,22 +103,29 @@ func (c *ValueCounter) Observe(a, b int64) {
 		c.minMask &^= 1 << i
 		return
 	}
-	// Only a table miss can be a new tuple: until distinct saturates,
-	// seen holds every tuple observed, so a table hit is already in it;
-	// and until the table first fills nothing was evicted, so a miss is
-	// new.
-	if c.distinct < distinctSaturation &&
-		(c.n < counterCapacity || find(c.seenFPs[:(c.distinct+7)/8], c.seen[:], k, fp) < 0) {
-		c.seen[c.distinct] = k
-		setFP(c.seenFPs[:], c.distinct, fp)
-		c.distinct++
-	}
+	// Only a table miss can be a new tuple. Until the table first fills
+	// nothing was evicted, so a miss is new and the table is the list.
 	if c.n < counterCapacity {
 		c.keys[c.n] = k
 		setFP(c.fps[:], c.n, fp)
 		c.counts[c.n] = 1
 		c.n++
+		c.distinct++
 		return
+	}
+	// Past that, until distinct saturates, seen holds every tuple
+	// observed, so a table hit is already in it.
+	if c.distinct < distinctSaturation {
+		if c.seen == nil {
+			c.seen = new(distinctList)
+			copy(c.seen.keys[:], c.keys[:])
+			copy(c.seen.fps[:], c.fps[:])
+		}
+		if find(c.seen.fps[:(c.distinct+7)/8], c.seen.keys[:], k, fp) < 0 {
+			c.seen.keys[c.distinct] = k
+			setFP(c.seen.fps[:], c.distinct, fp)
+			c.distinct++
+		}
 	}
 	// Space-saving replacement: evict the minimum (lowest slot on ties)
 	// and inherit its count.

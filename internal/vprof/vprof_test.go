@@ -1,6 +1,7 @@
 package vprof
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -109,24 +110,56 @@ func (r *refCounter) observe(k valueKey) {
 }
 
 // TestValueCounterMatchesReference feeds ValueCounter and refCounter the
-// same skewed streams — tuples drawn from domains of 2 to 200 values, so
-// tables fill, evict and saturate the distinct count — and requires the
-// same table after every observation.
+// same streams and requires the same table after every observation. The
+// skewed streams draw tuples from domains of 2 to 200 values, so tables
+// fill, evict and saturate the distinct count. Two crafted streams aim
+// at the distinct list's lazy allocation: the 17th distinct tuple
+// arrives after long runs of repeats of the first 16, and a stream whose
+// table keeps evicting takes distinct past distinctSaturation.
 func TestValueCounterMatchesReference(t *testing.T) {
+	type stream struct {
+		name string
+		keys []valueKey
+	}
+	var streams []stream
 	rng := rand.New(rand.NewPCG(1, 2))
 	for _, domain := range []int{2, 12, 17, 40, 70, 200} {
-		c, r := &ValueCounter{}, &refCounter{}
+		st := stream{name: fmt.Sprintf("domain %d", domain)}
 		for step := 0; step < 4000; step++ {
 			// Squaring skews the draw toward small values.
 			x := rng.IntN(domain)
 			x = x * x / domain
-			k := valueKey{int64(x), int64(x % 3)}
+			st.keys = append(st.keys, valueKey{int64(x), int64(x % 3)})
+		}
+		streams = append(streams, st)
+	}
+	late := stream{name: "late 17th"}
+	for rep := 0; rep < 50; rep++ {
+		for x := int64(0); x < counterCapacity; x++ {
+			late.keys = append(late.keys, valueKey{x, 7})
+		}
+	}
+	for x := int64(0); x <= counterCapacity; x++ {
+		late.keys = append(late.keys, valueKey{counterCapacity - x, 7}, valueKey{x, 7})
+	}
+	churn := stream{name: "churn past saturation"}
+	for x := int64(0); x < 3*distinctSaturation; x++ {
+		// A hot tuple pins one slot while the new ones evict each other;
+		// the revisits of older tuples are table misses the list settles.
+		churn.keys = append(churn.keys, valueKey{-1, -1}, valueKey{x, x}, valueKey{x / 2, x / 2})
+	}
+	for _, st := range append(streams, late, churn) {
+		c, r := &ValueCounter{}, &refCounter{}
+		for step, k := range st.keys {
 			c.Observe(k.a, k.b)
 			r.observe(k)
 			if !slices.Equal(c.keys[:c.n], r.keys) || !slices.Equal(c.counts[:c.n], r.counts) ||
 				c.Distinct() != r.distinct || c.Total() != r.total {
-				t.Fatalf("domain %d, step %d: table %v×%v distinct %d, reference %v×%v distinct %d",
-					domain, step, c.keys[:c.n], c.counts[:c.n], c.Distinct(), r.keys, r.counts, r.distinct)
+				t.Fatalf("%s, step %d: table %v×%v distinct %d, reference %v×%v distinct %d",
+					st.name, step, c.keys[:c.n], c.counts[:c.n], c.Distinct(), r.keys, r.counts, r.distinct)
+			}
+			if c.n < counterCapacity && c.seen != nil {
+				t.Fatalf("%s, step %d: distinct list allocated before the table filled", st.name, step)
 			}
 		}
 	}
