@@ -55,26 +55,22 @@ func (c *funcCtx) likelySucc(b ir.BlockID) ir.BlockID {
 }
 
 // growable reports whether block nb can join the region tentatively rooted
-// at entry: admissible, unclaimed, keeps the subgraph acyclic and the
-// input bank within capacity.
+// at entry: admissible and unclaimed, and the grown region stays acyclic,
+// still has an edge leaving it, loads only determinable memory, and keeps
+// its input bank and memory objects within capacity. Outputs depend on
+// the continuation and are checked only when the region is finished.
 func (c *funcCtx) growable(blocks blockSet, entry, nb ir.BlockID) bool {
 	if nb == ir.NoBlock || blocks.has(nb) || c.claimed[nb] || !c.blockAdmissible(nb) {
 		return false
 	}
 	blocks.add(nb)
 	defer blocks.remove(nb)
-	if !c.acyclicSubgraph(blocks) {
+	if !c.acyclicSubgraph(blocks) || !c.leaves(blocks) {
 		return false
 	}
-	cont, _, _ := c.continuation(blocks)
-	if cont == ir.NoBlock {
-		return false
-	}
-	s, ok := c.summarize(blocks, entry, cont)
-	if !ok {
-		return false
-	}
-	return len(s.Inputs) <= c.opts.MaxInputs && len(s.Mems) <= c.opts.MaxMemObjects
+	mems, ok := c.regionMems(blocks)
+	return ok && len(mems) <= c.opts.MaxMemObjects &&
+		c.regionInputs(blocks, entry).Count() <= c.opts.MaxInputs
 }
 
 // formAcyclic runs the five-step acyclic formation of §4.4 at block

@@ -238,10 +238,39 @@ type summary struct {
 // that are live at the continuation.
 func (c *funcCtx) summarize(blocks blockSet, entry, cont ir.BlockID) (summary, bool) {
 	var s summary
-	n := c.f.NumRegs
+	var ok bool
+	if s.Mems, ok = c.regionMems(blocks); !ok {
+		return s, false
+	}
+	s.Inputs = c.regionInputs(blocks, entry).Members()
+	defs := c.tmp
+	defs.Clear()
+	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
+		defs.Union(c.def[b])
+		s.Size += len(c.f.Blocks[b].Instrs)
+	}
+	outs := make([]ir.Reg, 0, 8)
+	for _, r := range c.lv.LiveIn[cont].Members() {
+		if defs.Has(r) {
+			outs = append(outs, r)
+		}
+	}
+	s.Outputs = outs
+	if len(s.Mems) == 0 {
+		s.Class = ir.Stateless
+	} else {
+		s.Class = ir.MemoryDependent
+	}
+	return s, true
+}
+
+// regionInputs returns the registers upward-exposed at entry along paths
+// through blocks: a region-local backward dataflow over c.liveIn, so the
+// set is valid until the next call.
+func (c *funcCtx) regionInputs(blocks blockSet, entry ir.BlockID) analysis.RegSet {
 	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
 		if c.liveIn[b] == nil {
-			c.liveIn[b] = analysis.NewRegSet(n)
+			c.liveIn[b] = analysis.NewRegSet(c.f.NumRegs)
 		} else {
 			c.liveIn[b].Clear()
 		}
@@ -264,47 +293,35 @@ func (c *funcCtx) summarize(blocks blockSet, entry, cont ir.BlockID) (summary, b
 			}
 		}
 	}
-	s.Inputs = c.liveIn[entry].Members()
+	return c.liveIn[entry]
+}
 
-	defs := tmp
-	defs.Clear()
+// regionMems returns the distinguishable memory objects the loads of
+// blocks read, in block and instruction order, or ok=false when a load
+// is not determinable.
+func (c *funcCtx) regionMems(blocks blockSet) (mems []ir.MemID, ok bool) {
 	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
-		defs.Union(c.def[b])
 		blk := c.f.Blocks[b]
-		s.Size += len(blk.Instrs)
 		for i := range blk.Instrs {
 			in := &blk.Instrs[i]
 			if in.Op != ir.Ld {
 				continue
 			}
 			if !in.Attr.Has(ir.AttrDeterminable) || in.Mem == ir.NoMem {
-				return s, false
+				return nil, false
 			}
-			obj := c.prog.Object(in.Mem)
-			if obj.ReadOnly {
+			if c.prog.Object(in.Mem).ReadOnly {
 				// Static data needs no validation (§2.2's bit_count
 				// array): it does not count as a distinguishable
 				// memory dependence.
 				continue
 			}
-			if !slices.Contains(s.Mems, in.Mem) {
-				s.Mems = append(s.Mems, in.Mem)
+			if !slices.Contains(mems, in.Mem) {
+				mems = append(mems, in.Mem)
 			}
 		}
 	}
-	outs := make([]ir.Reg, 0, 8)
-	for _, r := range c.lv.LiveIn[cont].Members() {
-		if defs.Has(r) {
-			outs = append(outs, r)
-		}
-	}
-	s.Outputs = outs
-	if len(s.Mems) == 0 {
-		s.Class = ir.Stateless
-	} else {
-		s.Class = ir.MemoryDependent
-	}
-	return s, true
+	return mems, true
 }
 
 // fitsCaps checks the bank-size and accordance limits.
@@ -396,4 +413,17 @@ func (c *funcCtx) continuation(blocks blockSet) (best ir.BlockID, bestW, total i
 	}
 	c.outs = c.outs[:0]
 	return best, bestW, total
+}
+
+// leaves reports whether an edge leaves the region, that is, whether it
+// has a continuation.
+func (c *funcCtx) leaves(blocks blockSet) bool {
+	for b := blocks.next(0); b != ir.NoBlock; b = blocks.next(b + 1) {
+		for _, succ := range c.g.Succs[b] {
+			if !blocks.has(succ) {
+				return true
+			}
+		}
+	}
+	return false
 }
