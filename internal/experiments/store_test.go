@@ -163,3 +163,43 @@ func TestNoStoreComputesNoKeys(t *testing.T) {
 		t.Fatalf("%d benchmarks prepared, want 1", n)
 	}
 }
+
+// TestVariantAfterStoreHit: a suite whose own compilation comes from the
+// store has run no profile; the first variant under other region options
+// profiles the benchmark then, once, and compiles the same program a
+// cold suite does.
+func TestVariantAfterStoreHit(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	cold := NewSuite(storeConfig(t, dir))
+	b := cold.Benches[0]
+	fl := cold.Config().Opts.Region
+	fl.FunctionLevel = true
+	want, err := cold.CompiledUnder(b, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cold.Compiled(b); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := NewSuite(storeConfig(t, dir))
+	b = warm.Benches[0]
+	if _, err := warm.Compiled(b); err != nil {
+		t.Fatal(err)
+	}
+	if n := warm.profiles.Stats().Misses; n != 0 {
+		t.Fatalf("a compile store hit ran %d profiles, want 0", n)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := warm.CompiledUnder(b, fl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Prog.Dump() != want.Prog.Dump() {
+			t.Fatal("function-level variant after a store hit differs from the cold suite's")
+		}
+	}
+	if n := warm.profiles.Stats().Misses; n != 1 {
+		t.Fatalf("variants after a store hit ran %d profiles, want 1", n)
+	}
+}
