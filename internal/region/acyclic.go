@@ -279,10 +279,9 @@ func (c *funcCtx) likelyPred(entry ir.BlockID) ir.BlockID {
 // singleEntry reports whether every region block is reachable from entry
 // through region-internal edges (so the inception point covers the region).
 func (c *funcCtx) singleEntry(blocks blockSet, entry ir.BlockID) bool {
-	seen := c.reached
-	clear(seen)
+	seen := newBlockSet(len(c.f.Blocks))
 	seen.add(entry)
-	stack := append(c.stack[:0], entry)
+	stack := []ir.BlockID{entry}
 	for len(stack) > 0 {
 		b := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -293,7 +292,6 @@ func (c *funcCtx) singleEntry(blocks blockSet, entry ir.BlockID) bool {
 			}
 		}
 	}
-	c.stack = stack
 	return seen.count() == blocks.count()
 }
 

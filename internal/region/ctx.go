@@ -29,15 +29,13 @@ type funcCtx struct {
 
 	// Scratch by block ID, reused by every candidate region: DFS colours
 	// (all white between calls), outside-successor weights (-1 where
-	// untouched) with the blocks they cover, region-local live-in sets
-	// (allocated on a block's first candidate) and a reachability set.
-	color   []uint8
-	outW    []int64
-	outs    []ir.BlockID
-	liveIn  []analysis.RegSet
-	tmp     analysis.RegSet
-	reached blockSet
-	stack   []ir.BlockID
+	// untouched) with the blocks they cover, and region-local live-in
+	// sets (allocated on a block's first candidate).
+	color  []uint8
+	outW   []int64
+	outs   []ir.BlockID
+	liveIn []analysis.RegSet
+	tmp    analysis.RegSet
 }
 
 // blockSet is a set of one function's blocks, a bit per block ID. Its
@@ -96,7 +94,6 @@ func newFuncCtx(prog *ir.Program, f *ir.Func, prof *vprof.Profile, opts Options)
 		outW:           make([]int64, len(f.Blocks)),
 		liveIn:         make([]analysis.RegSet, len(f.Blocks)),
 		tmp:            analysis.NewRegSet(f.NumRegs),
-		reached:        newBlockSet(len(f.Blocks)),
 	}
 	for b := range c.outW {
 		c.outW[b] = -1
