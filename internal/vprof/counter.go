@@ -14,7 +14,7 @@ type valueKey struct {
 // bounds, which matches the paper's use of profiled invariance as an
 // optimistic reuse estimate.
 //
-// The table is fixed arrays in arrival order, and slot order makes
+// The table is three fixed arrays in arrival order, and slot order makes
 // eviction deterministic: the victim is the minimum count, ties broken
 // by the lowest slot. Each slot also keeps a one-byte fingerprint of its
 // tuple, eight to a word, so a lookup compares all fingerprints with a
