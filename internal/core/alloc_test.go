@@ -12,11 +12,13 @@ import (
 
 // simAllocBytes and dtmAllocBytes bound the heap bytes one timed run of
 // tiny m88ksim allocates, CCR on the compiled program and DTM on the base
-// program: about 10 % above the 36,432 and 74,760 measured with Go 1.24
-// on linux/amd64.
+// program, once a first run has left a machine and a timing model to
+// reuse: about 10 % above the 12,608 and 32,472 measured with Go 1.24 on
+// linux/amd64. With a machine and a timing model built per run they were
+// 36,432 and 74,760, and with a DTM entry array of full size 48,714.
 const (
-	simAllocBytes = 40_000
-	dtmAllocBytes = 82_000
+	simAllocBytes = 13_900
+	dtmAllocBytes = 35_700
 )
 
 // profileAllocBytes bounds the heap bytes one profiling run of small gcc
@@ -53,12 +55,10 @@ func TestProfileRunAllocBytes(t *testing.T) {
 }
 
 // TestSimulateReuseAllocBytes pins the heap bytes one timed CCR run
-// allocates. The machine, the timing model and the CRB allocate only the
-// state the program can reach: CRB entries for the sets its region IDs
-// index, each instance slot on its first use, a BTB entry per index its
-// branches name, an I-cache bounded by the text, a D-cache bounded by the
-// data image, and one memory image shared by every machine of the
-// program.
+// allocates. The run reuses a machine and a timing model an earlier run of
+// the program gave back, and the CRB allocates only the state the program
+// can reach: entries for the sets its region IDs index and each instance
+// slot on its first use.
 func TestSimulateReuseAllocBytes(t *testing.T) {
 	w := workloads.Load("m88ksim", workloads.Tiny)
 	opts := DefaultOptions()
@@ -70,8 +70,9 @@ func TestSimulateReuseAllocBytes(t *testing.T) {
 }
 
 // TestSimulateDTMAllocBytes pins the heap bytes one timed DTM run
-// allocates. Besides the timing model's tables, the DTM allocates its
-// entry array and each entry's banks on first install; the head plans are
+// allocates. The run reuses a machine and a timing model; the DTM
+// allocates a set's ways on the set's first install and each entry's
+// banks on the entry's; the head plans and their eligibility table are
 // the program's, built once per MinRun and shared by every DTM of it.
 func TestSimulateDTMAllocBytes(t *testing.T) {
 	w := workloads.Load("m88ksim", workloads.Tiny)
@@ -80,7 +81,8 @@ func TestSimulateDTMAllocBytes(t *testing.T) {
 
 // checkSimAllocBytes fails unless one timed run of prog under rc
 // allocates at most bound bytes, averaged over repeated runs after a
-// first run that builds the program's shared tables.
+// first run that builds the program's shared tables and leaves a machine
+// and a timing model for the next.
 func checkSimAllocBytes(t *testing.T, name string, prog *ir.Program, rc reuse.Config, args []int64, bound uint64) {
 	t.Helper()
 	opts := DefaultOptions()

@@ -131,10 +131,12 @@ func CompileFrom(base *ir.Program, ar *alias.Result, prof *vprof.Profile, trainR
 // (vprof.Profiler.Tracer) would.
 func ProfileRun(base *ir.Program, args []int64, limit int64) (*vprof.Profile, int64, error) {
 	profiler := vprof.NewProfiler(base)
-	m := emu.New(base)
+	rg := rigsOf(base)
+	m := rg.machine()
 	m.Profile = profiler
 	m.Limit = limit
 	res, err := m.Run(args...)
+	rg.putMachine(m)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -225,13 +227,23 @@ func SimulateReuseDigest(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, a
 	return simulate(prog, rc, ucfg, args, limit, tel, true)
 }
 
-// simulate is the timed run behind SimulateReuse and SimulateReuseDigest;
-// with digest set, an oracle collector rides on the same machine.
+// simulate is the timed run behind SimulateReuse and SimulateReuseDigest,
+// on a machine and a timing model borrowed from prog's rigs.
 func simulate(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, tel *Telemetry, digest bool) (*SimResult, oracle.Digest, error) {
-	m := emu.New(prog)
+	rg := rigsOf(prog)
+	m, sim := rg.machine(), rg.simulator(ucfg)
+	r, d, err := simulateOn(m, sim, rc, args, limit, tel, digest)
+	rg.putMachine(m)
+	rg.putSimulator(ucfg, sim)
+	return r, d, err
+}
+
+// simulateOn times one run of m's program on m and sim, both in the state
+// emu.New and uarch.NewSimulator build; with digest set, an oracle
+// collector rides on the same machine.
+func simulateOn(m *emu.Machine, sim *uarch.Simulator, rc reuse.Config, args []int64, limit int64, tel *Telemetry, digest bool) (*SimResult, oracle.Digest, error) {
 	m.Limit = limit
-	buf, dtm := attachReuse(m, prog, rc, tel)
-	sim := uarch.NewSimulator(ucfg, prog)
+	buf, dtm := attachReuse(m, m.Prog, rc, tel)
 	if tel != nil && tel.Spans != nil {
 		m.Trace = spanTracer(tel.Spans, sim.CycleCount)
 	}
@@ -303,9 +315,17 @@ func RunFunctional(prog *ir.Program, crbCfg *crb.Config, args []int64, limit int
 
 // RunFunctionalReuse is RunFunctional generalized over the reuse scheme.
 func RunFunctionalReuse(prog *ir.Program, rc reuse.Config, args []int64, limit int64) (*SimResult, error) {
-	m := emu.New(prog)
+	rg := rigsOf(prog)
+	m := rg.machine()
+	r, err := functionalOn(m, rc, args, limit)
+	rg.putMachine(m)
+	return r, err
+}
+
+// functionalOn runs m's program once on m, in the state emu.New builds.
+func functionalOn(m *emu.Machine, rc reuse.Config, args []int64, limit int64) (*SimResult, error) {
 	m.Limit = limit
-	buf, dtm := attachReuse(m, prog, rc, nil)
+	buf, dtm := attachReuse(m, m.Prog, rc, nil)
 	res, err := m.Run(args...)
 	if err != nil {
 		return nil, err
@@ -330,7 +350,7 @@ func RunFunctionalReuse(prog *ir.Program, rc reuse.Config, args []int64, limit i
 // then oracle.Compare-ing the two, checks the paper's §3.1 transparency
 // contract for that benchmark, input and CRB geometry.
 func DigestRun(prog *ir.Program, crbCfg *crb.Config, args []int64, limit int64) (oracle.Digest, error) {
-	return digestRun(prog, reuseConfigOf(crbCfg), args, limit, emu.New)
+	return digestRun(prog, reuseConfigOf(crbCfg), args, limit, nil)
 }
 
 // DigestRunEngine is DigestRun with the execution engine pinned: interp
@@ -347,23 +367,33 @@ func DigestRunEngine(prog *ir.Program, crbCfg *crb.Config, args []int64, limit i
 // transparency contract can be checked for ccr, dtm and both alike
 // against a scheme-off base digest of the same program and input.
 func DigestRunReuse(prog *ir.Program, rc reuse.Config, args []int64, limit int64) (oracle.Digest, error) {
-	return digestRun(prog, rc, args, limit, emu.New)
+	return digestRun(prog, rc, args, limit, nil)
 }
 
 // DigestRunReuseEngine is DigestRunReuse with the execution engine pinned
 // (see DigestRunEngine).
 func DigestRunReuseEngine(prog *ir.Program, rc reuse.Config, args []int64, limit int64, interp bool) (oracle.Digest, error) {
-	return digestRun(prog, rc, args, limit, func(p *ir.Program) *emu.Machine {
-		m := emu.New(p)
-		m.Interp = interp
-		return m
-	})
+	return digestRun(prog, rc, args, limit, &interp)
 }
 
-func digestRun(prog *ir.Program, rc reuse.Config, args []int64, limit int64, newMachine func(*ir.Program) *emu.Machine) (oracle.Digest, error) {
-	m := newMachine(prog)
+// digestRun digests one run on a machine borrowed from prog's rigs, on the
+// engine interp pins when non-nil.
+func digestRun(prog *ir.Program, rc reuse.Config, args []int64, limit int64, interp *bool) (oracle.Digest, error) {
+	rg := rigsOf(prog)
+	m := rg.machine()
+	if interp != nil {
+		m.Interp = *interp
+	}
+	d, err := digestOn(m, rc, args, limit)
+	rg.putMachine(m)
+	return d, err
+}
+
+// digestOn digests one run of m's program on m, in the state emu.New
+// builds apart from the engine choice.
+func digestOn(m *emu.Machine, rc reuse.Config, args []int64, limit int64) (oracle.Digest, error) {
 	m.Limit = limit
-	attachReuse(m, prog, rc, nil)
+	attachReuse(m, m.Prog, rc, nil)
 	var col oracle.Collector
 	col.Attach(m)
 	res, err := m.Run(args...)

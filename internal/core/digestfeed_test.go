@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"ccr/internal/emu"
@@ -57,26 +58,29 @@ type digestCase struct {
 }
 
 func runDigestFeed(prog *ir.Program, rc reuse.Config, args []int64, limit int64, cut int, feed digestFeed) digestOutcome {
-	out, _ := runDigested(prog, rc, nil, args, limit, cut, feed, true)
+	out, _ := runDigested(prog, rc, nil, args, limit, cut, feed, true, nil)
 	return out
 }
 
 // runDigested runs one machine: digested when digest is set, and timed on
 // the run feed when ucfg is non-nil. A timed run returns its uarch.Stats.
-func runDigested(prog *ir.Program, rc reuse.Config, ucfg *uarch.Config, args []int64, limit int64, cut int, feed digestFeed, digest bool) (digestOutcome, uarch.Stats) {
+// The machine and timing model are built for the run, or rig's when rig
+// is non-nil; the outcome's Mem is a copy either way.
+func runDigested(prog *ir.Program, rc reuse.Config, ucfg *uarch.Config, args []int64, limit int64, cut int, feed digestFeed, digest bool, rig *feedRig) (digestOutcome, uarch.Stats) {
 	if feed == digestCareful {
 		prog = carefulOnly(prog)
 	}
-	m := emu.New(prog)
+	if rig == nil {
+		rig = new(feedRig)
+	}
+	m, sim := rig.get(prog, ucfg)
 	m.Limit = limit
 	m.Interp = feed == digestInterp
 	if cut > 0 && cut < len(m.Mem) {
 		m.Mem = m.Mem[:cut]
 	}
 	attachReuse(m, prog, rc, nil)
-	var sim *uarch.Simulator
-	if ucfg != nil {
-		sim = uarch.NewSimulator(*ucfg, prog)
+	if sim != nil {
 		sim.Attach(m)
 		if m.OnRun == nil {
 			panic("Attach did not choose the run feed")
@@ -91,7 +95,7 @@ func runDigested(prog *ir.Program, rc reuse.Config, ucfg *uarch.Config, args []i
 	if err != nil {
 		out.Err = err.Error()
 	}
-	out.Mem, out.Emu = m.Mem, m.Stats
+	out.Mem, out.Emu = slices.Clone(m.Mem), m.Stats
 	if sim == nil {
 		return out, uarch.Stats{}
 	}
@@ -130,14 +134,42 @@ func checkDigestFeeds(t *testing.T, c digestCase) digestOutcome {
 	ucfg := opts.Uarch
 	ucfg.SpeculativeValidation = c.spec
 	ucfg.OutOfOrder = c.ooo
-	timed, batch := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestBatch, false)
-	got, stats := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestBatch, true)
+	timed, batch := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestBatch, false, nil)
+	got, stats := runDigested(prog, rc, &ucfg, []int64{c.arg}, limit, c.cut, digestBatch, true, nil)
 	timed.Digest = want.Digest
 	if !reflect.DeepEqual(timed, want) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("%+v: timed runs differ from the digest-only run:\n timed           %+v\n timed, digested %+v\n want            %+v", c, timed, got, want)
 	}
 	if stats != batch {
 		t.Fatalf("%+v: the digested timed run's uarch.Stats differ from the undigested run's:\n got  %+v\n want %+v", c, stats, batch)
+	}
+	// The recycled leg: one machine and timing model run the digest-only,
+	// timed and timed digested cases in turn, each after whatever the last
+	// left behind — a fault, a limit cut, a memory cut, an attached digest.
+	var rig feedRig
+	type leg struct {
+		feed          digestFeed
+		timed, digest bool
+	}
+	var outs []digestOutcome
+	for _, l := range []leg{{digestBatch, true, true}, {digestInterp, false, true}, {digestBatch, true, false}, {digestBatch, false, true}} {
+		u := &ucfg
+		if !l.timed {
+			u = nil
+		}
+		out, st := runDigested(prog, rc, u, []int64{c.arg}, limit, c.cut, l.feed, l.digest, &rig)
+		if !l.digest {
+			out.Digest = want.Digest
+		}
+		if !reflect.DeepEqual(out, want) || (l.timed && st != batch) {
+			t.Fatalf("%+v: recycled %s run (timed %v, digested %v) differs:\n got  %+v, %+v\n want %+v, %+v", c, l.feed, l.timed, l.digest, out, st, want, batch)
+		}
+		outs = append(outs, out)
+	}
+	for i, out := range outs {
+		if !reflect.DeepEqual(out, want) {
+			t.Fatalf("%+v: recycled run %d changed by later runs:\n got  %+v\n want %+v", c, i, out, want)
+		}
 	}
 	return want
 }

@@ -52,15 +52,46 @@ func carefulOnly(prog *ir.Program) *ir.Program {
 	return c
 }
 
-func runTimingFeed(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, feed timingFeed) feedOutcome {
+// feedRig is a machine and a timing model kept across runs of one
+// program and machine configuration, recycled before each reuse as the
+// pooled entry points recycle theirs.
+type feedRig struct {
+	m   *emu.Machine
+	sim *uarch.Simulator
+}
+
+// get returns the rig's machine and, when ucfg is non-nil, its timing
+// model under ucfg, each recycled or built on first use.
+func (r *feedRig) get(prog *ir.Program, ucfg *uarch.Config) (*emu.Machine, *uarch.Simulator) {
+	if r.m == nil {
+		r.m = emu.New(prog)
+	} else {
+		r.m.Recycle()
+	}
+	if ucfg == nil {
+		return r.m, nil
+	}
+	if r.sim == nil {
+		r.sim = uarch.NewSimulator(*ucfg, prog)
+	} else {
+		r.sim.Reset()
+	}
+	return r.m, r.sim
+}
+
+// runTimingFeed times one run on the given feed, on a machine and timing
+// model built for it, or on rig's when rig is non-nil.
+func runTimingFeed(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, feed timingFeed, rig *feedRig) feedOutcome {
 	if feed == feedCareful {
 		prog = carefulOnly(prog)
 	}
-	m := emu.New(prog)
+	if rig == nil {
+		rig = new(feedRig)
+	}
+	m, sim := rig.get(prog, &ucfg)
 	m.Limit = limit
 	m.Interp = feed == feedInterp
 	attachReuse(m, prog, rc, nil)
-	sim := uarch.NewSimulator(ucfg, prog)
 	if feed == feedEvents {
 		// Attach feeds a machine that already carries a tracer per event.
 		m.Trace = func(*emu.Event) {}
@@ -131,11 +162,28 @@ func checkTimingFeeds(t *testing.T, c feedCase) (limited bool, hits int64) {
 	if limit <= 0 {
 		limit = opts.Limit
 	}
-	want := runTimingFeed(prog, rc, ucfg, []int64{c.arg}, limit, feedEvents)
+	want := runTimingFeed(prog, rc, ucfg, []int64{c.arg}, limit, feedEvents, nil)
 	for f := feedRuns; f < numFeeds; f++ {
-		got := runTimingFeed(prog, rc, ucfg, []int64{c.arg}, limit, f)
+		got := runTimingFeed(prog, rc, ucfg, []int64{c.arg}, limit, f, nil)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%+v: %s feed differs from the per-event feed:\n got  %+v\n want %+v", c, f, got, want)
+		}
+	}
+	// The recycled leg: one machine and timing model run the case on each
+	// feed in turn, each run after whatever the last left behind — a
+	// fault, a limit cut, an attached tracer or run hook.
+	var rig feedRig
+	var recycled []feedOutcome
+	for _, f := range []timingFeed{feedRuns, feedEvents, feedInterp, feedRuns} {
+		got := runTimingFeed(prog, rc, ucfg, []int64{c.arg}, limit, f, &rig)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: %s feed on a recycled machine differs from the per-event feed:\n got  %+v\n want %+v", c, f, got, want)
+		}
+		recycled = append(recycled, got)
+	}
+	for i, got := range recycled {
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: recycled run %d changed by later runs:\n got  %+v\n want %+v", c, i, got, want)
 		}
 	}
 	return want.Err == emu.ErrLimit.Error(), want.Uarch.ReuseHits

@@ -247,7 +247,10 @@ func (m *Machine) runFast(args []int64) (int64, error) {
 	dtm := m.DTM
 	mem := m.Mem
 	if dtm != nil {
-		m.ensureDTMElig()
+		m.dtmElig = nil
+		if he, ok := dtm.(headEligible); ok {
+			m.dtmElig = he.EligibleHeads()
+		}
 	}
 	if m.OnRun != nil {
 		m.prepareFeed()

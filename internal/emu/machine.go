@@ -321,18 +321,20 @@ type Machine struct {
 	// and the landing head is statically ineligible (both Lookup and
 	// Begin are then proven no-ops).
 	dtmArmed bool
-	// dtmElig[f][pc] caches the DTM's static head-eligibility predicate
-	// (nil when the attached buffer doesn't expose one); dtmEligFor
-	// remembers which buffer it was built for.
-	dtmElig    [][]bool
-	dtmEligFor TraceBuffer
+	// dtmElig[f][pc] is the attached DTM's static head-eligibility table
+	// (nil when the buffer doesn't expose one), read at each run's start.
+	dtmElig [][]bool
 }
 
 // DefaultLimit is the dynamic-instruction budget applied when Machine.Limit
 // is zero.
 const DefaultLimit int64 = 2_000_000_000
 
-// New prepares a machine for the linked program p with fresh memory.
+// New prepares a machine for the linked program p with fresh memory. A
+// machine serves any number of runs: Reset reruns it with its CRB kept
+// warm, and Recycle readies it for an unrelated run, so a caller that
+// runs one program many times can keep its machines (core pools them per
+// program) instead of building one per run.
 func New(p *ir.Program) *Machine {
 	m := &Machine{
 		Prog:   p,
@@ -452,7 +454,10 @@ func (m *Machine) regionStat(id ir.RegionID) *RegionStats {
 // internal buffer (register pools, frame stacks, per-region stat entries)
 // allocated for reuse, so repeated Reset+Run cycles on one machine are
 // allocation-free in steady state. The attached CRB is external state and
-// is deliberately left warm, matching the phased train/ref idiom.
+// is deliberately left warm, matching the phased train/ref idiom. The
+// per-region stat entries are zeroed in place, so a Stats copied out of
+// the previous run shares them and reads zero afterwards; a run whose
+// Stats outlive the machine's next run is followed by Recycle instead.
 func (m *Machine) Reset() {
 	copy(m.Mem, m.initMem)
 	for i := range m.frames {
@@ -484,6 +489,26 @@ func (m *Machine) Reset() {
 		*rs = RegionStats{}
 	}
 	m.Stats = Stats{Regions: regions}
+}
+
+// Recycle readies m for an unrelated run of its program, as if New had
+// just built it, while keeping its buffers. It detaches CRB, DTM, Trace,
+// Digest, Profile and OnRun, restores Limit and Interp to New's defaults,
+// undoes a caller's truncation of Mem, and gives Stats fresh storage
+// before Reset restores memory: a Stats copied out of an earlier run,
+// Regions map included, is never written again, and neither are the
+// detached buffers. A machine whose run panicked is in an unknown state
+// and must be dropped, never recycled.
+func (m *Machine) Recycle() {
+	m.CRB, m.DTM, m.Trace, m.Digest, m.Profile, m.OnRun = nil, nil, nil, nil, nil, nil
+	m.Limit, m.Interp = 0, interpDefault
+	m.Stats = Stats{}
+	clear(m.rstat)
+	if cap(m.Mem) < len(m.initMem) {
+		m.Mem = make([]int64, len(m.initMem))
+	}
+	m.Mem = m.Mem[:len(m.initMem)]
+	m.Reset()
 }
 
 // newRegs draws a zeroed register file of the wanted size from the pool.
@@ -588,38 +613,14 @@ func (m *Machine) dtmEnter(df *ir.DecodedFunc, pc int, regs []int64, limit int64
 }
 
 // headEligible is the optional TraceBuffer fast-path interface: a static
-// per-(function, head) predicate that is false only when Lookup and Begin
-// at that head are unconditionally no-ops (no stats, no state). The batch
+// table, elig[fn][pc], false only where Lookup and Begin at head pc of
+// function fn are unconditionally no-ops (no stats, no state). The batch
 // tier then skips the landing hook at such heads while no recording is
-// pending. Chaos wrappers deliberately don't implement it, so injected
-// runs keep the hook at every landing.
+// pending. The table is shared and read-only. Chaos wrappers deliberately
+// don't implement the interface, so injected runs keep the hook at every
+// landing.
 type headEligible interface {
-	EligibleHead(fn ir.FuncID, head int32) bool
-}
-
-// ensureDTMElig (re)builds the per-PC eligibility cache for the attached
-// trace buffer; a buffer without the fast-path interface leaves the cache
-// nil, which disables hook skipping entirely.
-func (m *Machine) ensureDTMElig() {
-	d := m.DTM
-	if m.dtmEligFor == d {
-		return
-	}
-	m.dtmEligFor = d
-	m.dtmElig = nil
-	he, ok := d.(headEligible)
-	if !ok {
-		return
-	}
-	elig := make([][]bool, len(m.dec.Funcs))
-	for fid, df := range m.dec.Funcs {
-		e := make([]bool, len(df.Code))
-		for pc := 0; pc < len(df.Code)-1; pc++ {
-			e[pc] = he.EligibleHead(df.Fn.ID, int32(pc))
-		}
-		elig[fid] = e
-	}
-	m.dtmElig = elig
+	EligibleHeads() [][]bool
 }
 
 // dtmInterpEnter adapts dtmEnter to the interpreter's (block, index)

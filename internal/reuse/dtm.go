@@ -152,6 +152,11 @@ type planSet struct {
 	// memHeads[m] lists, in (function, head PC) order, every head key
 	// whose plan loads writable object m; store watching walks it.
 	memHeads [][]uint64
+	// elig[fn][pc] reports whether plans[fn][pc] exists; it spans the
+	// whole code, sentinel slot included (false), and is the table the
+	// emulator's batch tier reads to skip ineligible landings
+	// (EligibleHeads).
+	elig [][]bool
 }
 
 type planKey struct{ minRun int }
@@ -168,21 +173,23 @@ func buildPlanSet(dec *ir.DecodedProgram, minRun int) *planSet {
 	ps := &planSet{
 		plans:    make([][]*headPlan, len(dec.Funcs)),
 		memHeads: make([][]uint64, len(dec.Prog.Objects)),
+		elig:     make([][]bool, len(dec.Funcs)),
 	}
 	for fn, df := range dec.Funcs {
 		plans := make([]*headPlan, len(df.Code)-1)
+		elig := make([]bool, len(df.Code))
 		for head := range plans {
 			p := buildPlan(dec.Prog, df, int32(head), minRun)
 			if p == nil {
 				continue
 			}
-			plans[head] = p
+			plans[head], elig[head] = p, true
 			key := EncodeHead(ir.FuncID(fn), int32(head))
 			for _, m := range p.mems {
 				ps.memHeads[m] = append(ps.memHeads[m], key)
 			}
 		}
-		ps.plans[fn] = plans
+		ps.plans[fn], ps.elig[fn] = plans, elig
 	}
 	return ps
 }
@@ -233,9 +240,10 @@ type DTM struct {
 	cfg DTMConfig
 	dec *ir.DecodedProgram
 
-	sets    int
-	entries []tentry
-	clock   uint64
+	// ways[s] holds set s's Assoc entries, nil until the set's first
+	// install.
+	ways  [][]tentry
+	clock uint64
 
 	// plans is the program's shared eligibility analysis at cfg.MinRun.
 	plans *planSet
@@ -256,25 +264,24 @@ type DTM struct {
 	headAcc map[uint64]HeadStat
 }
 
-// NewDTM builds a trace buffer for one program. Like crb.New it allocates
-// the entry array up front and each entry's instance and LRU banks on the
-// entry's first install; once every entry a run reaches is installed,
-// operation allocates nothing. The head plans are the program's, shared
-// with every other DTM of it at the same MinRun.
+// NewDTM builds a trace buffer for one program. It allocates a set's ways
+// on the set's first install and each entry's instance and LRU banks on
+// the entry's first install, so a run pays only for the heads it records;
+// once every entry a run reaches is installed, operation allocates
+// nothing. The head plans and their eligibility table are the program's,
+// shared with every other DTM of it at the same MinRun.
 func NewDTM(cfg DTMConfig, prog *ir.Program) *DTM {
 	cfg = cfg.normalized()
 	sets := cfg.Entries / cfg.Assoc
 	if sets < 1 {
 		sets = 1
 	}
-	n := sets * cfg.Assoc
 	dec := prog.Decoded()
 	d := &DTM{
-		cfg:     cfg,
-		dec:     dec,
-		sets:    sets,
-		entries: make([]tentry, n),
-		plans:   planSetFor(dec, cfg.MinRun),
+		cfg:   cfg,
+		dec:   dec,
+		ways:  make([][]tentry, sets),
+		plans: planSetFor(dec, cfg.MinRun),
 	}
 	d.pending.ins = make([]int64, 0, maxTraceBank)
 	d.scratch.Outputs = make([]crb.RegVal, 0, maxTraceBank)
@@ -292,9 +299,11 @@ func (d *DTM) Stats() Stats { return d.stats }
 // same as crb.ResetStats.
 func (d *DTM) ResetStats() {
 	d.stats = Stats{}
-	for i := range d.entries {
-		d.entries[i].hits = 0
-		d.entries[i].reused = 0
+	for _, w := range d.ways {
+		for i := range w {
+			w[i].hits = 0
+			w[i].reused = 0
+		}
 	}
 }
 
@@ -312,15 +321,17 @@ func (d *DTM) SetSink(s telemetry.TraceSink) {
 // merged with evicted history, sorted by (function, head PC).
 func (d *DTM) HeadStats() []HeadStat {
 	acc := make(map[uint64]HeadStat)
-	for i := range d.entries {
-		e := &d.entries[i]
-		if e.hits == 0 {
-			continue
+	for _, w := range d.ways {
+		for i := range w {
+			e := &w[i]
+			if e.hits == 0 {
+				continue
+			}
+			hs := acc[e.key]
+			hs.Hits += e.hits
+			hs.Reused += e.reused
+			acc[e.key] = hs
 		}
-		hs := acc[e.key]
-		hs.Hits += e.hits
-		hs.Reused += e.reused
-		acc[e.key] = hs
 	}
 	for key, hs := range d.headAcc {
 		cur := acc[key]
@@ -367,14 +378,14 @@ func (d *DTM) setIdx(key uint64) int {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return int(h % uint64(d.sets))
+	return int(h % uint64(len(d.ways)))
 }
 
 // findEntry returns the resident entry for key, or nil.
 func (d *DTM) findEntry(key uint64) *tentry {
-	base := d.setIdx(key) * d.cfg.Assoc
-	for i := 0; i < d.cfg.Assoc; i++ {
-		e := &d.entries[base+i]
+	w := d.ways[d.setIdx(key)]
+	for i := range w {
+		e := &w[i]
 		if e.valid && e.key == key {
 			return e
 		}
@@ -396,15 +407,14 @@ func (d *DTM) planFor(fn ir.FuncID, head int32) *headPlan {
 	return ps[head]
 }
 
-// EligibleHead reports whether the run headed at flat PC head of fn is
-// statically recordable. At an ineligible head both Lookup and Begin are
-// unconditional no-ops (no stats, no state transitions), which is what
-// lets the emulator's batch tier skip the landing hook there while no
-// recording is pending (emu's headEligible fast path). The predicate is
-// pure program analysis: it never changes over the DTM's lifetime.
-func (d *DTM) EligibleHead(fn ir.FuncID, head int32) bool {
-	return d.planFor(fn, head) != nil
-}
+// EligibleHeads returns the table elig[fn][pc] of whether the run headed
+// at flat PC pc of fn is statically recordable. At an ineligible head both
+// Lookup and Begin are unconditional no-ops (no stats, no state
+// transitions), which is what lets the emulator's batch tier skip the
+// landing hook there while no recording is pending (emu's headEligible
+// fast path). The table is pure program analysis, shared by every DTM of
+// the program at this MinRun; callers must not modify it.
+func (d *DTM) EligibleHeads() [][]bool { return d.plans.elig }
 
 // buildPlan runs the static trace-eligibility analysis for the run of
 // prog headed at flat PC head of df, returning nil when the head is
@@ -696,10 +706,15 @@ func (d *DTM) Complete(fn ir.FuncID, landing int32, regs []int64) bool {
 // ensureEntry returns the entry for key, claiming an invalid way or
 // evicting the set's LRU entry if the head is not resident.
 func (d *DTM) ensureEntry(key uint64, plan *headPlan) *tentry {
-	base := d.setIdx(key) * d.cfg.Assoc
+	s := d.setIdx(key)
+	w := d.ways[s]
+	if w == nil {
+		w = make([]tentry, d.cfg.Assoc)
+		d.ways[s] = w
+	}
 	var victim *tentry
-	for i := 0; i < d.cfg.Assoc; i++ {
-		e := &d.entries[base+i]
+	for i := range w {
+		e := &w[i]
 		if e.valid && e.key == key {
 			return e
 		}
@@ -780,12 +795,14 @@ func (d *DTM) Store(m ir.MemID) int {
 			n += d.killMemTraces(e)
 		}
 	} else {
-		for i := range d.entries {
-			e := &d.entries[i]
-			if !e.valid || !e.plan.usesMem {
-				continue
+		for _, w := range d.ways {
+			for i := range w {
+				e := &w[i]
+				if !e.valid || !e.plan.usesMem {
+					continue
+				}
+				n += d.killMemTraces(e)
 			}
-			n += d.killMemTraces(e)
 		}
 	}
 	d.stats.Invalidates += int64(n)
@@ -815,15 +832,17 @@ func (d *DTM) killMemTraces(e *tentry) int {
 // ResidentTraces counts live (replayable) trace instances — test hook.
 func (d *DTM) ResidentTraces() int {
 	n := 0
-	for i := range d.entries {
-		e := &d.entries[i]
-		if !e.valid {
-			continue
-		}
-		for j := range e.cis {
-			ci := &e.cis[j]
-			if ci.valid && (!e.plan.usesMem || ci.memOK) {
-				n++
+	for _, w := range d.ways {
+		for i := range w {
+			e := &w[i]
+			if !e.valid {
+				continue
+			}
+			for j := range e.cis {
+				ci := &e.cis[j]
+				if ci.valid && (!e.plan.usesMem || ci.memOK) {
+					n++
+				}
 			}
 		}
 	}

@@ -297,3 +297,64 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 		t.Fatal("Open with empty dir succeeded")
 	}
 }
+
+// tmpFiles lists what the store's tmp/ directory holds.
+func tmpFiles(t *testing.T, s *Store) []string {
+	t.Helper()
+	des, err := os.ReadDir(filepath.Join(s.Dir(), "tmp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	return names
+}
+
+// TestPutLeavesNoTempFiles checks that puts — first entries in their
+// fan-out directories, later ones beside them, and overwrites — leave
+// tmp/ empty and every entry readable.
+func TestPutLeavesNoTempFiles(t *testing.T) {
+	s := openTest(t, "rev1")
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 40; i++ {
+			key := fmt.Sprintf("bench%d", i)
+			if err := s.Put("sim", key, artifact{Name: key, Cycles: int64(round)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if names := tmpFiles(t, s); len(names) != 0 {
+		t.Fatalf("tmp/ holds %v after the puts", names)
+	}
+	for i := 0; i < 40; i++ {
+		var got artifact
+		if ok, err := s.Get("sim", fmt.Sprintf("bench%d", i), &got); !ok || err != nil || got.Cycles != 1 {
+			t.Fatalf("entry %d: hit=%v err=%v %+v", i, ok, err, got)
+		}
+	}
+	if st := s.Stats(); st.Puts != 80 {
+		t.Fatalf("stats = %+v, want 80 puts", st)
+	}
+}
+
+// TestPutRenameFailureRemovesTemp checks that a put whose rename fails
+// reports the error, counts no put and leaves no temp file: a non-empty
+// directory occupies the entry's path.
+func TestPutRenameFailureRemovesTemp(t *testing.T) {
+	s := openTest(t, "rev1")
+	path := s.EntryPath("sim", "blocked")
+	if err := os.MkdirAll(filepath.Join(path, "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("sim", "blocked", artifact{Name: "blocked"}); err == nil {
+		t.Fatal("Put over a non-empty directory succeeded")
+	}
+	if names := tmpFiles(t, s); len(names) != 0 {
+		t.Fatalf("tmp/ holds %v after the failed put", names)
+	}
+	if st := s.Stats(); st.Puts != 0 {
+		t.Fatalf("stats = %+v, want no puts", st)
+	}
+}

@@ -63,6 +63,13 @@ func newInstrRB() *instrRB {
 	}
 }
 
+// reset empties the buffer, keeping its arrays.
+func (rb *instrRB) reset() {
+	clear(rb.entries)
+	clear(rb.used)
+	rb.clock = 0
+}
+
 func (rb *instrRB) set(pc int64) (int64, int64) {
 	s := (pc >> 2) % rb.sets
 	return s * instrRBWays, s*instrRBWays + instrRBWays

@@ -29,10 +29,15 @@ func newCache(sizeBytes, lineBytes int, span int64) cache {
 		mask:      int64(lines - 1),
 		tags:      make([]int64, reach(lines, shift, span)),
 	}
+	c.flush()
+	return c
+}
+
+// flush empties every line.
+func (c *cache) flush() {
 	for i := range c.tags {
 		c.tags[i] = -1
 	}
-	return c
 }
 
 // access looks up the byte address, allocating the line; it reports a hit.

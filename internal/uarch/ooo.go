@@ -56,6 +56,15 @@ func newOOOState(robSize int) *oooState {
 	}
 }
 
+// reset returns o to newOOOState's state, keeping its arrays.
+func (o *oooState) reset() {
+	clear(o.retireAt)
+	clear(o.fuTag)
+	clear(o.fuSlots)
+	clear(o.fuUsed)
+	*o = oooState{retireAt: o.retireAt, fuTag: o.fuTag, fuSlots: o.fuSlots, fuUsed: o.fuUsed}
+}
+
 // issueAtOOO finds the first cycle ≥ want with a free issue slot and unit.
 func (s *Simulator) issueAtOOO(want int64, fu ir.FUClass) int64 {
 	o := s.ooo

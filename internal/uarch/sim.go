@@ -6,7 +6,9 @@ import (
 )
 
 // Simulator is the timing model. Attach it to an emu.Machine, run the
-// program, then read Stats(). One Simulator models one run.
+// program, then read Stats(). One Simulator models one run at a time;
+// Reset readies it for the next run of the same program under the same
+// Config.
 //
 // Both machine models time instructions from the program's static per-PC
 // table (table.go), so they need only each run's dynamic facts: Attach
@@ -24,7 +26,10 @@ type Simulator struct {
 
 	icache cache
 	dcache cache
-	btb    btb
+	// dspan is the byte span the D-cache's tag array was sized for
+	// (Attach).
+	dspan int64
+	btb   btb
 	// lastLine is the I-cache line of the previous fetch probe (-1 before
 	// any): the cache is direct-mapped and only fetch touches it, so a
 	// fetch from the same line hits with no state change (ifetch).
@@ -114,6 +119,35 @@ func NewSimulator(cfg Config, prog *ir.Program) *Simulator {
 	return s
 }
 
+// Reset returns s to the state NewSimulator built it in, keeping its
+// arrays, for another run of the same program under the same Config: the
+// I-cache and the BTB are emptied, the frames, issue state, reuse-baseline
+// buffers and out-of-order state cleared and the stats zeroed. Attach
+// refits and empties the D-cache, as it sizes it for each machine.
+func (s *Simulator) Reset() {
+	s.icache.flush()
+	clear(s.btb.entries)
+	s.lastLine = -1
+	s.head, s.curCycle, s.slotsUsed = 0, 0, 0
+	s.fuUsed = [ir.FUNone + 1]int{}
+	s.frames = s.frames[:0]
+	s.push(s.tab.maxRegs, ir.NoReg)
+	if s.irb != nil {
+		s.irb.reset()
+	}
+	if s.brb != nil {
+		clear(s.brb.table)
+		s.brb.clock = 0
+	}
+	s.bskip = 0
+	clear(s.objVer)
+	if s.ooo != nil {
+		s.ooo.reset()
+	}
+	s.ev = nil
+	s.stats = Stats{}
+}
+
 // Attach installs the simulator on m, choosing its feed; both produce
 // identical Stats. Either machine model takes the per-run feed (m.OnRun),
 // which keeps the engine on its batch tier. The per-event adapter
@@ -126,7 +160,11 @@ func NewSimulator(cfg Config, prog *ir.Program) *Simulator {
 func (s *Simulator) Attach(m *emu.Machine) {
 	// Every Ld/St address the machine reports is a word index into
 	// m.Mem, so the D-cache needs sets only for that image's lines.
-	s.dcache = newCache(s.cfg.DCacheBytes, s.cfg.LineBytes, 8*int64(len(m.Mem)))
+	if span := 8 * int64(len(m.Mem)); s.dcache.tags == nil || span != s.dspan {
+		s.dcache, s.dspan = newCache(s.cfg.DCacheBytes, s.cfg.LineBytes, span), span
+	} else {
+		s.dcache.flush()
+	}
 	switch {
 	case s.irb != nil || s.brb != nil || m.Trace != nil:
 		m.Trace = emu.Tee(s.observe, m.Trace)
