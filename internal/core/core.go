@@ -132,7 +132,7 @@ func CompileFrom(base *ir.Program, ar *alias.Result, prof *vprof.Profile, trainR
 func ProfileRun(base *ir.Program, args []int64, limit int64) (*vprof.Profile, int64, error) {
 	profiler := vprof.NewProfiler(base)
 	rg := rigsOf(base)
-	m := rg.machine()
+	m := rg.machine(base)
 	m.Profile = profiler
 	m.Limit = limit
 	res, err := m.Run(args...)
@@ -231,7 +231,7 @@ func SimulateReuseDigest(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, a
 // on a machine and a timing model borrowed from prog's rigs.
 func simulate(prog *ir.Program, rc reuse.Config, ucfg uarch.Config, args []int64, limit int64, tel *Telemetry, digest bool) (*SimResult, oracle.Digest, error) {
 	rg := rigsOf(prog)
-	m, sim := rg.machine(), rg.simulator(ucfg)
+	m, sim := rg.machine(prog), rg.simulator(ucfg, prog)
 	r, d, err := simulateOn(m, sim, rc, args, limit, tel, digest)
 	rg.putMachine(m)
 	rg.putSimulator(ucfg, sim)
@@ -316,7 +316,7 @@ func RunFunctional(prog *ir.Program, crbCfg *crb.Config, args []int64, limit int
 // RunFunctionalReuse is RunFunctional generalized over the reuse scheme.
 func RunFunctionalReuse(prog *ir.Program, rc reuse.Config, args []int64, limit int64) (*SimResult, error) {
 	rg := rigsOf(prog)
-	m := rg.machine()
+	m := rg.machine(prog)
 	r, err := functionalOn(m, rc, args, limit)
 	rg.putMachine(m)
 	return r, err
@@ -380,7 +380,7 @@ func DigestRunReuseEngine(prog *ir.Program, rc reuse.Config, args []int64, limit
 // engine interp pins when non-nil.
 func digestRun(prog *ir.Program, rc reuse.Config, args []int64, limit int64, interp *bool) (oracle.Digest, error) {
 	rg := rigsOf(prog)
-	m := rg.machine()
+	m := rg.machine(prog)
 	if interp != nil {
 		m.Interp = *interp
 	}

@@ -19,36 +19,9 @@ import (
 // idle objects as it ever had runs in flight at once, a few tens of
 // kilobytes each, until the program itself is dropped.
 type rigs struct {
-	prog     *ir.Program
-	machines idle[*emu.Machine]
 	mu       sync.Mutex
-	sims     map[uarch.Config]*idle[*uarch.Simulator]
-}
-
-// idle is a stack of idle objects, safe for concurrent use.
-type idle[T any] struct {
-	mu   sync.Mutex
-	objs []T
-}
-
-// get pops an idle object, or builds one when there is none.
-func (s *idle[T]) get(build func() T) T {
-	s.mu.Lock()
-	if n := len(s.objs); n > 0 {
-		x := s.objs[n-1]
-		s.objs = s.objs[:n-1]
-		s.mu.Unlock()
-		return x
-	}
-	s.mu.Unlock()
-	return build()
-}
-
-// put pushes an idle object.
-func (s *idle[T]) put(x T) {
-	s.mu.Lock()
-	s.objs = append(s.objs, x)
-	s.mu.Unlock()
+	machines []*emu.Machine
+	sims     map[uarch.Config][]*uarch.Simulator
 }
 
 type rigsKey struct{}
@@ -57,42 +30,50 @@ type rigsKey struct{}
 // image and timing table, so a relinked program starts afresh.
 func rigsOf(prog *ir.Program) *rigs {
 	return prog.Decoded().Ext(rigsKey{}, func(*ir.DecodedProgram) any {
-		return &rigs{prog: prog, sims: map[uarch.Config]*idle[*uarch.Simulator]{}}
+		return &rigs{sims: map[uarch.Config][]*uarch.Simulator{}}
 	}).(*rigs)
 }
 
-// machine borrows a machine in the state emu.New builds.
-func (r *rigs) machine() *emu.Machine {
-	return r.machines.get(func() *emu.Machine { return emu.New(r.prog) })
+// machine borrows a machine for prog in the state emu.New builds.
+func (r *rigs) machine(prog *ir.Program) *emu.Machine {
+	r.mu.Lock()
+	if n := len(r.machines); n > 0 {
+		m := r.machines[n-1]
+		r.machines = r.machines[:n-1]
+		r.mu.Unlock()
+		return m
+	}
+	r.mu.Unlock()
+	return emu.New(prog)
 }
 
 // putMachine gives m back. Nothing of the run may read m afterwards: its
 // Stats and Mem are reused by the next borrower.
 func (r *rigs) putMachine(m *emu.Machine) {
 	m.Recycle()
-	r.machines.put(m)
-}
-
-// simsFor returns the idle timing models under cfg.
-func (r *rigs) simsFor(cfg uarch.Config) *idle[*uarch.Simulator] {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.sims[cfg]
-	if s == nil {
-		s = new(idle[*uarch.Simulator])
-		r.sims[cfg] = s
-	}
-	return s
+	r.machines = append(r.machines, m)
+	r.mu.Unlock()
 }
 
-// simulator borrows a timing model under cfg in the state
+// simulator borrows a timing model for prog under cfg in the state
 // uarch.NewSimulator builds.
-func (r *rigs) simulator(cfg uarch.Config) *uarch.Simulator {
-	return r.simsFor(cfg).get(func() *uarch.Simulator { return uarch.NewSimulator(cfg, r.prog) })
+func (r *rigs) simulator(cfg uarch.Config, prog *ir.Program) *uarch.Simulator {
+	r.mu.Lock()
+	if idle := r.sims[cfg]; len(idle) > 0 {
+		s := idle[len(idle)-1]
+		r.sims[cfg] = idle[:len(idle)-1]
+		r.mu.Unlock()
+		return s
+	}
+	r.mu.Unlock()
+	return uarch.NewSimulator(cfg, prog)
 }
 
 // putSimulator gives s, borrowed under cfg, back.
 func (r *rigs) putSimulator(cfg uarch.Config, s *uarch.Simulator) {
 	s.Reset()
-	r.simsFor(cfg).put(s)
+	r.mu.Lock()
+	r.sims[cfg] = append(r.sims[cfg], s)
+	r.mu.Unlock()
 }

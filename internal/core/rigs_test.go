@@ -100,11 +100,15 @@ func (st rigStep) runPooled(t *testing.T, prog *ir.Program, args []int64) rigOut
 // rigSteps is the recycling sequence: a base run, two CCR geometries, a
 // DTM run, a digest-only run, a run cut by the instruction limit, a
 // digest pinned to the interpreter, a functional run of both schemes, a
-// span-streaming run on the event feed and an out-of-order run.
+// span-streaming run on the event feed, an out-of-order run and runs of
+// the instruction-reuse and block-reuse baselines, one of them cut by the
+// limit.
 func rigSteps() []rigStep {
 	opts := DefaultOptions()
-	ucfg, ooo := opts.Uarch, opts.Uarch
+	ucfg, ooo, irb, brb := opts.Uarch, opts.Uarch, opts.Uarch, opts.Uarch
 	ooo.OutOfOrder = true
+	irb.InstrReuse = true
+	brb.BlockReuse = true
 	small := crb.Config{Entries: 16, Instances: 2, Assoc: 2}
 	dtm := reuse.DTMConfig{Entries: 64, Instances: 2, Assoc: 2, MinRun: 2}
 	return []rigStep{
@@ -118,6 +122,11 @@ func rigSteps() []rigStep {
 		{name: "functional", rc: reuse.Both(opts.CRB, dtm)},
 		{name: "spans", rc: reuse.CCR(opts.CRB), ucfg: &ucfg, spans: true},
 		{name: "ooo", rc: reuse.CCR(small), ucfg: &ooo},
+		{name: "instr-reuse", rc: reuse.Config{Scheme: reuse.Off}, ucfg: &irb},
+		{name: "block-reuse", rc: reuse.Config{Scheme: reuse.Off}, ucfg: &brb},
+		// A cut inside a reused block leaves events to skip, which the
+		// timing model's reset must drop.
+		{name: "block-reuse-limit", rc: reuse.Config{Scheme: reuse.Off}, ucfg: &brb, limit: 777},
 	}
 }
 

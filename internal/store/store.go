@@ -207,21 +207,13 @@ func (s *Store) Put(kind, key string, v any) error {
 	head = bytes.TrimSuffix(head, []byte("null}"))
 	data := make([]byte, 0, len(head)+len(payload)+2)
 	data = append(append(append(data, head...), payload...), "}\n"...)
-	if err := s.write(s.path(kind, key), data); err != nil {
+	path := s.path(kind, key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}
-	s.puts.Add(1)
-	return nil
-}
-
-// write writes data to a temp file and renames it to path. Only the first
-// entry under each fan-out directory finds the directory missing, so the
-// rename is tried first and the directory made only when it fails for
-// want of one. Any failure removes the temp file.
-func (s *Store) write(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Join(s.dir, "tmp"), "put-*")
 	if err != nil {
-		return err
+		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}
 	_, err = tmp.Write(data)
 	if cerr := tmp.Close(); err == nil {
@@ -229,16 +221,13 @@ func (s *Store) write(path string, data []byte) error {
 	}
 	if err == nil {
 		err = os.Rename(tmp.Name(), path)
-		if os.IsNotExist(err) {
-			if err = os.MkdirAll(filepath.Dir(path), 0o755); err == nil {
-				err = os.Rename(tmp.Name(), path)
-			}
-		}
 	}
 	if err != nil {
 		os.Remove(tmp.Name())
+		return fmt.Errorf("store: put %s/%s: %w", kind, key, err)
 	}
-	return err
+	s.puts.Add(1)
+	return nil
 }
 
 // Get loads the entry stored under (kind, key) into out (a pointer for
